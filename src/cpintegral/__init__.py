@@ -24,9 +24,11 @@ from .primitive import (
     CATALOG_BV,
     CATALOG_PRIMITIVES,
     ClosedFormPrimitive,
+    CorrectedPrimitive,
     Distribution,
     GridSamplePrimitive,
     Primitive,
+    SeparablePrimitive,
     approx_identity,
     catalog_bv,
     catalog_primitive,

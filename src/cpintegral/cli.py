@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -52,10 +53,29 @@ def parse_ext(v):
         if s == "-inf":
             return float("-inf")
         try:
-            return float(v)
+            out = float(v)
         except ValueError:
             raise CliError(f"not an extended real: {v!r}", EX_USAGE)
-    return float(v)
+    else:
+        out = float(v)
+    if math.isnan(out):
+        raise CliError(f"NaN is not an extended real: {v!r}", EX_USAGE)
+    return out
+
+
+def parse_json_arg(text, flag):
+    """JSON given on the command line; malformed text is a usage error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{flag} is not valid JSON: {exc}", EX_USAGE)
+
+
+def _height(spec, default):
+    z = float(spec.get("z", default))
+    if not z > 0:
+        raise CliError(f"z must be positive, got {z}", EX_USAGE)
+    return z
 
 
 def encode_ext(v):
@@ -265,7 +285,7 @@ def run(spec):
         code = 0 if res.converged else 2
     elif command == "convolve-l1":
         f = build_distribution(spec)
-        z = float(spec.get("z", 1.0))
+        z = _height(spec, 1.0)
         conv = convolve_l1(f, PoissonKernelL1(z), resolution=resolution, tol=tol,
                            normalize=bool(spec.get("normalize", False)))
         out["totalIntegral"] = integral.total_integral(conv)
@@ -277,7 +297,7 @@ def run(spec):
         code = 0 if conv.converged else 2
     elif command == "mollify":
         F = build_primitive(spec)
-        z = float(spec.get("z", 0.25))
+        z = _height(spec, 0.25)
         n = int(spec.get("n", 16))
         sigma = step_approximate(F, n)
         prim = mollify_step(sigma, z, resolution=resolution)
@@ -347,14 +367,14 @@ def _spec_from_args(args):
             spec[key] = val
     if getattr(args, "primitive", None):
         spec["primitive"] = {"name": args.primitive,
-                             "params": json.loads(args.params) if args.params else {}}
+                             "params": parse_json_arg(args.params, "--params") if args.params else {}}
     if getattr(args, "grid_file", None):
         spec["primitive"] = {"file": args.grid_file}
     if getattr(args, "primitive2", None):
         spec["primitive2"] = {"name": args.primitive2}
     if getattr(args, "bv", None):
         spec["bv"] = {"name": args.bv,
-                      "params": json.loads(args.bv_params) if args.bv_params else {}}
+                      "params": parse_json_arg(args.bv_params, "--bv-params") if args.bv_params else {}}
     if getattr(args, "interval", None):
         spec["interval"] = args.interval
     if getattr(args, "point", None):
@@ -366,7 +386,7 @@ def _spec_from_args(args):
     if getattr(args, "upper", None):
         spec["upper"] = args.upper
     if getattr(args, "map_spec", None):
-        spec["map"] = json.loads(args.map_spec)
+        spec["map"] = parse_json_arg(args.map_spec, "--map-spec")
     return spec
 
 
@@ -380,8 +400,30 @@ def _add_common(p):
     p.add_argument("--out", help="write the resulting grid sample here")
 
 
+# negative float literals, -inf included: values, not option flags
+_NEGATIVE_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with exit 64 on usage errors and -inf read as a value.
+
+    argparse takes any token that starts with '-' and is not a negative
+    number for an option, so `--interval -inf 0 -inf 0` would fail; the
+    negative-number pattern is widened to every negative float literal.
+    Subparsers are made with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpintegral",
         description="Integrals, norms and operators for distributions given by "
                     "continuous primitives on the extended plane.",
@@ -478,7 +520,10 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (64) and --help (0)
+        return exc.code
     if not args.job and not args.command:
         parser.print_usage(sys.stderr)
         return EX_USAGE

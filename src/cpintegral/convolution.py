@@ -4,6 +4,7 @@ kernel, and mollification of two-dimensional step functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,11 @@ from .extplane import (
 from .integral import QuadResult, _primitive_of
 from .primitive import (
     BVFunction,
+    CorrectedPrimitive,
     Distribution,
     GridSamplePrimitive,
     Primitive,
+    SeparablePrimitive,
     translate_reflect_bv,
 )
 from .stieltjes import integrate_product
@@ -61,6 +64,15 @@ def convolve_bv(f, g: BVFunction, p, tol=1e-6) -> QuadResult:
     return integrate_product(f, h, FULL_PLANE, tol=tol)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per n."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 class L1Kernel:
     """Absolutely integrable kernel with a declared finite effective support.
 
@@ -87,29 +99,33 @@ class L1Kernel:
         out = self.eval(x, y)
         return out if np.ndim(out) else float(out)
 
-    def axis_points(self, level):
-        """1-d Gauss-Legendre nodes/weights on the support x-range."""
+    def axis_points(self, level, axis=0):
+        """1-d Gauss-Legendre nodes/weights on the support's x (axis 0) or y range."""
         n = 32 * 2**level
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = _gauss_legendre(n)
         s = self.effective_support
-        mid, half = (s.a + s.b) / 2.0, (s.b - s.a) / 2.0
+        lo, hi = (s.a, s.b) if axis == 0 else (s.c, s.d)
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         return mid + half * u, half * w
 
     def quad_points(self, level):
-        """Tensor quadrature (xi, eta, weights) over the effective support."""
-        px, wx = self.axis_points(level)
-        s = self.effective_support
-        midy, halfy = (s.c + s.d) / 2.0, (s.d - s.c) / 2.0
-        n = 32 * 2**level
-        u, w = np.polynomial.legendre.leggauss(n)
-        py, wy = midy + halfy * u, halfy * w
-        XI, ETA = np.meshgrid(px, py)
-        W = np.outer(wy, wx)
-        return XI.ravel(), ETA.ravel(), W.ravel()
+        """Tensor quadrature over the effective support in factored form.
+
+        Returns the x nodes p, the y nodes q and the weight matrix W with
+        W[l, k] the weight of the node (p[k], q[l]).
+        """
+        px, wx = self.axis_points(level, 0)
+        py, wy = self.axis_points(level, 1)
+        return px, py, np.outer(wy, wx)
+
+    def node_values(self, px, py):
+        """kernel(p[k], q[l]) at index [l, k] of the tensor grid."""
+        P, Q = np.meshgrid(px, py)
+        return np.asarray(self.eval(P, Q), dtype=float)
 
     def _estimate_l1(self):
-        xi, eta, w = self.quad_points(1)
-        return float(np.sum(w * np.abs(np.asarray(self.eval(xi, eta)))))
+        px, py, W = self.quad_points(1)
+        return float(np.sum(W * np.abs(self.node_values(px, py))))
 
 
 class PoissonKernelL1(L1Kernel):
@@ -134,24 +150,25 @@ class PoissonKernelL1(L1Kernel):
             label=f"poisson(z={z})",
         )
 
-    def axis_points(self, level):
+    def axis_points(self, level, axis=0):
+        """Both axes share the nodes; the support is a square about 0."""
         n = 32 * 2**level
         radius = self.effective_support.b
         U = math.asinh(radius / self.z)
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = _gauss_legendre(n)
         u = U * u
         return self.z * np.sinh(u), U * w * self.z * np.cosh(u)
 
-    def quad_points(self, level):
-        p, w = self.axis_points(level)
-        XI, ETA = np.meshgrid(p, p)
-        W = np.outer(w, w)
-        return XI.ravel(), ETA.ravel(), W.ravel()
 
+def _broadcast_sum(eval2, grid_xs, px, py, K):
+    """H[j, i] = sum over l, k of K[l, k] eval2(x_i - p_k, y_j - q_l).
 
-def _convolved_values(eval2, grid_xs, xi, eta, w, chunk=256):
-    """H[j, i] = sum_k w_k eval2(x_i - xi_k, y_j - eta_k) on the grid."""
+    Evaluates on (chunk of kernel nodes) x grid arrays of about 2^18 points.
+    """
     X, Y = np.meshgrid(grid_xs, grid_xs)
+    XI, ETA = np.meshgrid(px, py)
+    xi, eta, w = XI.ravel(), ETA.ravel(), K.ravel()
+    chunk = max(1, 2**18 // X.size)
     H = np.zeros(X.shape)
     for start in range(0, len(w), chunk):
         xs = X[None, :, :] - xi[start : start + chunk, None, None]
@@ -159,6 +176,33 @@ def _convolved_values(eval2, grid_xs, xi, eta, w, chunk=256):
         vals = np.asarray(eval2(xs, ys), dtype=float)
         H += np.tensordot(w[start : start + chunk], vals, axes=(0, 0))
     return H
+
+
+def _convolved_values(F, grid_xs, px, py, K):
+    """H[j, i] = sum over l, k of K[l, k] F(x_i - p_k, y_j - q_l) on the grid.
+
+    A separable F = a(x) b(y) gives H = B K A^T with A[i, k] = a(x_i - p_k)
+    and B[j, l] = b(y_j - q_l).  A corrected primitive sums only G over the
+    grid x kernel nodes; its edge terms G(x, -inf) and G(-inf, y) depend on
+    one coordinate and reduce against K's column and row sums.  Anything
+    else with an eval, step functions included, is summed point by point.
+    """
+    shifted_x = grid_xs[:, None] - px[None, :]
+    shifted_y = grid_xs[:, None] - py[None, :]
+    if isinstance(F, SeparablePrimitive):
+        A, B = F.eval_factors(shifted_x, shifted_y)
+        return B @ K @ A.T
+    if isinstance(F, CorrectedPrimitive):
+        G = F.G
+        edge_x = np.asarray(G(shifted_x, np.full_like(shifted_x, NEG_INF)), dtype=float)
+        edge_y = np.asarray(G(np.full_like(shifted_y, NEG_INF), shifted_y), dtype=float)
+        corner = np.asarray(G(np.full(1, NEG_INF), np.full(1, NEG_INF)), dtype=float)[0]
+        H = (_broadcast_sum(G, grid_xs, px, py, K) + corner * np.sum(K)
+             - (edge_x @ K.sum(axis=0))[None, :] - (edge_y @ K.sum(axis=1))[:, None])
+        if not np.all(np.isfinite(H)):
+            raise ArithmeticError(f"primitive '{F.label}' evaluated non-finite")
+        return H
+    return _broadcast_sum(F.eval, grid_xs, px, py, K)
 
 
 def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
@@ -178,12 +222,11 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     err = float("inf")
     H = None
     for level in range(max_levels + 1):
-        xi, eta, w = kernel.quad_points(level)
+        px, py, W = kernel.quad_points(level)
+        k = kernel.node_values(px, py)
         if normalize:
-            mass = float(np.sum(w * np.asarray(kernel.eval(xi, eta))))
-            w = w / mass
-        kv = w * np.asarray(kernel.eval(xi, eta), dtype=float)
-        H = _convolved_values(F.eval, xs, xi, eta, kv, chunk=max(1, 2**18 // len(xs) ** 2))
+            W = W / float(np.sum(W * k))
+        H = _convolved_values(F, xs, px, py, W * k)
         if prev is not None:
             err = float(np.max(np.abs(H - prev)))
             if err <= tol:
@@ -263,10 +306,8 @@ def mollify_step(sigma: StepFunction2, z, resolution=64, level=2) -> GridSampleP
     if z <= 0:
         raise ValueError("z must be positive")
     kernel = PoissonKernelL1(z)
-    xi, eta, w = kernel.quad_points(level)
-    kv = w * np.asarray(kernel.eval(xi, eta), dtype=float)
-    kv = kv / float(np.sum(kv))
-    xs = axis_nodes(resolution)
-    H = _convolved_values(sigma.eval, xs, xi, eta, kv, chunk=max(1, 2**18 // len(xs) ** 2))
+    px, py, W = kernel.quad_points(level)
+    K = W * kernel.node_values(px, py)
+    H = _convolved_values(sigma, axis_nodes(resolution), px, py, K / float(np.sum(K)))
     grid = uniform_grid(resolution)
     return GridSamplePrimitive(grid, H, f"mollified(z={z})")

@@ -50,6 +50,13 @@ class Primitive:
         return out if np.ndim(out) else float(out)
 
 
+def _require_finite(values, label):
+    if np.any(~np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
+        raise ArithmeticError(f"primitive '{label}' evaluated non-finite at index {bad[0]}")
+    return values
+
+
 class ClosedFormPrimitive(Primitive):
     kind = "closedForm"
 
@@ -59,13 +66,49 @@ class ClosedFormPrimitive(Primitive):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
-        out = self._fn(x, y)
-        if np.any(~np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
-            raise ArithmeticError(
-                f"primitive '{self.label}' evaluated non-finite at index {bad[0]}"
-            )
-        return out
+        return _require_finite(self._fn(x, y), self.label)
+
+
+class SeparablePrimitive(ClosedFormPrimitive):
+    """F(x, y) = a(x) b(y) for one-dimensional factors a and b.
+
+    eval is the closed form of the product; consumers that can use the
+    factors on their own (product integrals against ProductBV multipliers,
+    L1 convolution) call eval_factors instead.
+    """
+
+    kind = "separable"
+
+    def __init__(self, factors, label=""):
+        a, b = factors
+        super().__init__(lambda x, y: np.asarray(a(x), dtype=float) * np.asarray(b(y), dtype=float), label)
+        self.factors = (a, b)
+
+    def eval_factors(self, x, y):
+        """(a(x), b(y)) as float arrays; non-finite values raise as in eval."""
+        a, b = self.factors
+        ax = _require_finite(np.asarray(a(np.asarray(x, dtype=float)), dtype=float), self.label)
+        by = _require_finite(np.asarray(b(np.asarray(y, dtype=float)), dtype=float), self.label)
+        return ax, by
+
+
+class CorrectedPrimitive(ClosedFormPrimitive):
+    """F(x, y) = G(x, y) + G(-inf, -inf) - G(x, -inf) - G(-inf, y).
+
+    F has the mixed derivative of the continuous G and vanishes on the -inf
+    edges.  G is kept so that sums of F over many points can evaluate the
+    edge terms once per coordinate instead of once per point.
+    """
+
+    kind = "corrected"
+
+    def __init__(self, G, label=""):
+        def fn(x, y):
+            neg = np.full_like(x, NEG_INF)
+            return G(x, y) + G(neg, neg) - G(x, neg) - G(neg, y)
+
+        super().__init__(fn, label)
+        self.G = G
 
 
 class GridSamplePrimitive(Primitive):
@@ -84,6 +127,8 @@ class GridSamplePrimitive(Primitive):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
+        if np.isnan(x).any() or np.isnan(y).any():
+            raise ArithmeticError(f"primitive '{self.label}' evaluated at a NaN coordinate")
         r = self.grid.resolution
         u = (np.asarray(self.chart.forward(x)) + 1.0) * (r / 2.0)
         v = (np.asarray(self.chart.forward(y)) + 1.0) * (r / 2.0)
@@ -291,18 +336,13 @@ def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
 # catalog: primitives
 
 
-def corrected_primitive(G_fn, label) -> ClosedFormPrimitive:
+def corrected_primitive(G_fn, label) -> CorrectedPrimitive:
     """Shift a continuous G so the result vanishes on the -inf edges.
 
     F(x, y) = G(x, y) + G(-inf, -inf) - G(x, -inf) - G(-inf, y); F has the
     same mixed derivative as G.
     """
-
-    def fn(x, y):
-        neg = np.full_like(x, NEG_INF)
-        return G_fn(x, y) + G_fn(neg, neg) - G_fn(x, neg) - G_fn(neg, y)
-
-    return ClosedFormPrimitive(fn, label)
+    return CorrectedPrimitive(G_fn, label)
 
 
 def _arctan_ramp(t):
@@ -387,6 +427,13 @@ def _oscill_1d(t):
     return np.where((t == 0.0) | ~np.isfinite(t), 0.0, val)
 
 
+def _gauss_1d(center):
+    def fn(t):
+        return np.exp(-((np.asarray(t, dtype=float) - center) ** 2))
+
+    return fn
+
+
 def _theta_preset(name):
     if callable(name):
         return name
@@ -430,36 +477,28 @@ def boundary_build(theta2="ramp", theta3="ramp") -> ClosedFormPrimitive:
 def catalog_primitive(name, **params) -> Primitive:
     """Named primitives; see CATALOG_PRIMITIVES for the available entries."""
     if name == "prodArctan":
-        return ClosedFormPrimitive(lambda x, y: _arctan_ramp(x) * _arctan_ramp(y), "prodArctan")
+        return SeparablePrimitive((_arctan_ramp, _arctan_ramp), "prodArctan")
     if name == "sinc2d":
-        return ClosedFormPrimitive(lambda x, y: _si_full(x) * _si_full(y), "sinc2d")
+        return SeparablePrimitive((_si_full, _si_full), "sinc2d")
     if name == "sincQuadrant":
-        return ClosedFormPrimitive(lambda x, y: _si_quadrant(x) * _si_quadrant(y), "sincQuadrant")
+        return SeparablePrimitive((_si_quadrant, _si_quadrant), "sincQuadrant")
     if name == "weier2d":
         depth = int(params.get("depth", 16))
-        wf = _weier_1d(0.5, 2.0, depth)
-        wg = _weier_1d(0.6, 1.8, depth)
-        prim = ClosedFormPrimitive(lambda x, y: wf(x) * wg(y), "weier2d")
-        prim.factors = (wf, wg)
-        return prim
+        return SeparablePrimitive((_weier_1d(0.5, 2.0, depth), _weier_1d(0.6, 1.8, depth)), "weier2d")
     if name == "cantor2d":
-        depth = int(params.get("depth", 20))
-        c = _cantor_1d(depth)
-        prim = ClosedFormPrimitive(lambda x, y: c(x) * c(y), "cantor2d")
-        prim.factors = (c, c)
-        return prim
+        c = _cantor_1d(int(params.get("depth", 20)))
+        return SeparablePrimitive((c, c), "cantor2d")
     if name == "oscill":
-        return corrected_primitive(lambda x, y: _oscill_1d(x) * _oscill_1d(y), "oscill")
+        # t^2 sin(t^-4) vanishes at -inf, so the edge correction is zero
+        return SeparablePrimitive((_oscill_1d, _oscill_1d), "oscill")
     if name == "expRadial":
         return corrected_primitive(lambda x, y: np.exp(-np.hypot(x, y)), "expRadial")
     if name == "gauss2":
         which = params.get("which", "F")
         if which == "F":
-            return ClosedFormPrimitive(lambda x, y: np.exp(-(x**2) - y**2), "gauss2:F")
+            return SeparablePrimitive((_gauss_1d(0.0), _gauss_1d(0.0)), "gauss2:F")
         if which == "G":
-            return ClosedFormPrimitive(
-                lambda x, y: np.exp(-((x - 1.0) ** 2) - (y - 1.0) ** 2), "gauss2:G"
-            )
+            return SeparablePrimitive((_gauss_1d(1.0), _gauss_1d(1.0)), "gauss2:G")
         raise ValueError("gauss2 takes which='F' or which='G'")
     if name == "boundaryBuild":
         return boundary_build(params.get("theta2", "ramp"), params.get("theta3", "ramp"))
@@ -468,12 +507,14 @@ def catalog_primitive(name, **params) -> Primitive:
         if n < 1:
             raise ValueError("sineStrip needs n >= 1")
 
-        def fn(x, y):
+        def a(x):
             xc = np.clip(np.where(np.isneginf(x), 0.0, np.where(np.isposinf(x), 2 * PI, x)), 0.0, 2 * PI)
-            yc = np.clip(np.where(np.isneginf(y), 0.0, np.where(np.isposinf(y), 1.0, y)), 0.0, 1.0)
-            return (1.0 - np.cos(n * xc)) / n * yc
+            return (1.0 - np.cos(n * xc)) / n
 
-        return ClosedFormPrimitive(fn, f"sineStrip({n})")
+        def b(y):
+            return np.clip(np.where(np.isneginf(y), 0.0, np.where(np.isposinf(y), 1.0, y)), 0.0, 1.0)
+
+        return SeparablePrimitive((a, b), f"sineStrip({n})")
     if name == "zero":
         return ClosedFormPrimitive(lambda x, y: np.zeros(np.shape(x)), "zero")
     raise ValueError(f"unknown catalog primitive: {name!r}")

@@ -162,3 +162,62 @@ def test_improper_command(capsys):
     code, report, _ = run_cli(capsys, ["improper", "--name", "arctanXY", "--order", "dyFirst"])
     assert code == 0
     assert abs(report["value"] - 3.141592653589793) < 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--primitive", "prodArctan", "--params", "{bad"],
+    ["bvnorm", "--bv", "intervalIndicator", "--bv-params", "{bad"],
+    ["changevars", "--primitive", "gauss2", "--map-spec", "{bad"],
+], ids=["params", "bv-params", "map-spec"])
+def test_bad_json_argument_exit_64(capsys, argv):
+    code, report, err = run_cli(capsys, argv)
+    assert code == 64
+    assert report is None
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
+def test_nan_extended_real_exit_64(capsys):
+    code, report, err = run_cli(
+        capsys, ["integrate", "--primitive", "prodArctan", "--interval", "nan", "1", "0", "1"]
+    )
+    assert code == 64
+    assert report is None
+    assert "NaN" in err
+
+
+@pytest.mark.parametrize("command", ["convolve-l1", "mollify"])
+@pytest.mark.parametrize("z", ["-1", "0"])
+def test_nonpositive_height_exit_64(capsys, command, z):
+    code, report, err = run_cli(capsys, [command, "--primitive", "prodArctan", "--z", z])
+    assert code == 64
+    assert report is None
+    assert "z must be positive" in err
+
+
+def test_argparse_usage_error_exit_64(capsys):
+    code, report, err = run_cli(capsys, ["integrate", "--primitive", "prodArctan", "--no-such-flag"])
+    assert code == 64
+    assert report is None
+    assert "usage" in err
+
+
+def test_negative_infinite_endpoints_in_argv_match_job(tmp_path, capsys):
+    code, report, _ = run_cli(
+        capsys, ["integrate", "--primitive", "expRadial", "--interval", "-inf", "0", "-inf", "0"]
+    )
+    assert code == 0
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "command": "integrate",
+        "primitive": "expRadial",
+        "interval": ["-inf", 0, "-inf", 0],
+    }))
+    code2, report2, _ = run_cli(capsys, ["--job", str(job)])
+    assert code2 == 0
+    assert report["value"] == report2["value"] == 1.0
+    # other negative literals stay values too
+    code3, report3, _ = run_cli(
+        capsys, ["integrate", "--primitive", "prodArctan", "--interval", "-1e-1", ".5", "-.5", "-INF"]
+    )
+    assert code3 == 0
+    assert report3["spec"]["interval"] == ["-1e-1", ".5", "-.5", "-INF"]

@@ -83,6 +83,14 @@ def test_grid_sample_matches_at_nodes():
     assert np.max(np.abs(np.asarray(S.eval(X, Y)) - np.asarray(F.eval(X, Y)))) < 1e-12
 
 
+def test_grid_sample_rejects_nan():
+    S = sample_primitive(catalog_primitive("prodArctan"), 16)
+    with pytest.raises(ArithmeticError):
+        S.eval(math.nan, 0.0)
+    with pytest.raises(ArithmeticError):
+        S.eval(np.array([0.0, 1.0]), np.array([2.0, math.nan]))
+
+
 def test_grid_sample_interpolates_between_nodes():
     F = catalog_primitive("prodArctan")
     S = sample_primitive(F, 256)

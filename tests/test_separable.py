@@ -1,0 +1,131 @@
+"""The separable fast paths agree with the generic evaluation they replace.
+
+Each fast path is compared with the same computation forced through the
+generic code: a ClosedFormPrimitive wrapping the primitive's own eval has
+the same values but no factors, so integrate_product and convolve_l1 take
+their full-grid paths for it.
+"""
+
+import numpy as np
+import pytest
+
+from cpintegral.convolution import L1Kernel, PoissonKernelL1, convolve_l1
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
+from cpintegral.primitive import (
+    ClosedFormPrimitive,
+    CorrectedPrimitive,
+    SeparablePrimitive,
+    approx_identity,
+    catalog_primitive,
+    corrected_primitive,
+)
+from cpintegral.stieltjes import integrate_product
+
+SEPARABLE = (
+    ("prodArctan", {}),
+    ("sinc2d", {}),
+    ("sincQuadrant", {}),
+    ("weier2d", {}),
+    ("cantor2d", {}),
+    ("oscill", {}),
+    ("gauss2", {"which": "F"}),
+    ("gauss2", {"which": "G"}),
+    ("sineStrip", {"n": 2}),
+)
+SEPARABLE_IDS = [name + "".join(map(str, params.values())) for name, params in SEPARABLE]
+INTERVALS = {
+    "full": FULL_PLANE,
+    "finite": make_interval(-1.0, 2.0, -0.5, 1.5),
+    "reversed": make_interval(2.0, -1.0, -0.5, 1.5),
+    "halfInfinite": make_interval(NEG_INF, 0.5, 0.0, POS_INF),
+}
+
+
+def generic(F):
+    return ClosedFormPrimitive(F.eval, F.label)
+
+
+def test_catalog_products_are_separable():
+    for name, params in SEPARABLE:
+        assert isinstance(catalog_primitive(name, **params), SeparablePrimitive), name
+    for name in ("expRadial", "boundaryBuild", "zero"):
+        assert not isinstance(catalog_primitive(name), SeparablePrimitive), name
+    assert isinstance(catalog_primitive("expRadial"), CorrectedPrimitive)
+
+
+@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
+def test_separable_eval_is_product_of_factors(name, params):
+    F = catalog_primitive(name, **params)
+    xs = np.array([NEG_INF, -2.0, -0.3, 0.0, 0.7, 3.0, POS_INF])
+    X, Y = np.meshgrid(xs, xs)
+    a, b = F.eval_factors(xs, xs)
+    assert np.array_equal(F.eval(X, Y), np.outer(b, a))
+
+
+@pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
+@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
+def test_integrate_product_fast_path_matches_generic(name, params, interval):
+    F = catalog_primitive(name, **params)
+    iv = INTERVALS[interval]
+    for n in (1, 3):
+        g = approx_identity(n)
+        fast = integrate_product(F, g, iv, tol=1e-6, max_doublings=3)
+        slow = integrate_product(generic(F), g, iv, tol=1e-6, max_doublings=3)
+        assert fast.converged == slow.converged
+        assert fast.resolution == slow.resolution
+        assert len(fast.trace) == len(slow.trace)
+        assert abs(fast.value - slow.value) <= 1e-12
+        assert abs(fast.error_estimate - slow.error_estimate) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["prodArctan", "sinc2d", "expRadial"])
+@pytest.mark.parametrize("levels", [0, 1])
+def test_convolve_l1_fast_path_matches_generic(name, levels):
+    F = catalog_primitive(name)
+    kernel = PoissonKernelL1(0.5)
+    fast = convolve_l1(F, kernel, resolution=16, tol=0.0, max_levels=levels, normalize=True)
+    slow = convolve_l1(generic(F), kernel, resolution=16, tol=0.0, max_levels=levels, normalize=True)
+    assert np.max(np.abs(fast.primitive.values - slow.primitive.values)) <= 1e-12
+
+
+def test_convolve_l1_fast_path_orientation():
+    # unequal factors and a kernel whose x and y nodes differ
+    F = catalog_primitive("weier2d", depth=6)
+    kernel = L1Kernel(lambda x, y: np.exp(-(x**2) - 2.0 * (y - 0.5) ** 2),
+                      make_interval(-4.0, 3.0, -2.0, 3.5), label="skewGauss")
+    fast = convolve_l1(F, kernel, resolution=8, tol=0.0, max_levels=0)
+    slow = convolve_l1(generic(F), kernel, resolution=8, tol=0.0, max_levels=0)
+    assert np.max(np.abs(fast.primitive.values - slow.primitive.values)) <= 1e-12
+
+
+def test_corrected_edge_terms_match_generic():
+    # nonzero edge terms G(x, -inf) and G(-inf, y), unlike expRadial's
+    def G(x, y):
+        return np.arctan(x) + np.arctan(2.0 * y) + np.arctan(x) * np.arctan(y) + np.exp(-np.hypot(x, y))
+
+    F = corrected_primitive(G, "edgeTerms")
+    kernel = PoissonKernelL1(0.5)
+    fast = convolve_l1(F, kernel, resolution=16, tol=0.0, max_levels=0, normalize=True)
+    slow = convolve_l1(generic(F), kernel, resolution=16, tol=0.0, max_levels=0, normalize=True)
+    assert np.max(np.abs(fast.primitive.values - slow.primitive.values)) <= 1e-12
+
+
+def _blows_up(t):
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 1.0, np.inf, np.arctan(t) / np.pi + 0.5)
+
+
+def test_nonfinite_factor_raises():
+    F = SeparablePrimitive((_blows_up, _blows_up), "blowsUp")
+    with pytest.raises(ArithmeticError):
+        F.eval(2.0, 0.0)
+    with pytest.raises(ArithmeticError):
+        integrate_product(F, approx_identity(1), tol=1e-6, max_doublings=1)
+    with pytest.raises(ArithmeticError):
+        convolve_l1(F, PoissonKernelL1(0.5), resolution=8, max_levels=0)
+
+
+def test_nonfinite_corrected_primitive_raises():
+    F = corrected_primitive(lambda x, y: np.where(x > 1.0, np.nan, np.exp(-np.hypot(x, y))), "holes")
+    with pytest.raises(ArithmeticError):
+        convolve_l1(F, PoissonKernelL1(0.5), resolution=8, max_levels=0)

@@ -5,7 +5,7 @@ import pytest
 
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
 from cpintegral.integral import corner_integral
-from cpintegral.primitive import catalog_bv, distribution, validate_primitive
+from cpintegral.primitive import approx_identity, catalog_bv, distribution, validate_primitive
 from cpintegral.stieltjes import (
     cell_tags,
     gdf_identity_check,
@@ -105,3 +105,16 @@ def test_mean_value_point():
     assert 0.0 <= rep["ratio"] <= 1.0
     # the returned point realizes the ratio through the primitive
     assert abs(f.F(rep["xi"], rep["eta"]) - rep["ratio"]) <= 1e-3
+
+
+def test_unconverged_product_reports_last_increment():
+    res = integrate_product(distribution("sinc2d"), approx_identity(1), tol=1e-6)
+    assert not res.converged
+    assert res.error_estimate == abs(res.trace[-1]["value"] - res.trace[-2]["value"])
+    assert res.error_estimate >= 1e-6
+
+
+def test_unconverged_line_integral_reports_last_increment():
+    res = rs_line_integral(lambda t: np.exp(-np.abs(t)), np.arctan, NEG_INF, POS_INF, tol=1e-15, max_doublings=2)
+    assert not res.converged
+    assert res.error_estimate == abs(res.trace[-1]["value"] - res.trace[-2]["value"]) > 0
