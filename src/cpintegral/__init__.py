@@ -5,7 +5,6 @@ Distributions are represented by continuous primitives vanishing on the
 multipliers of bounded variation enter through Stieltjes quadrature.
 """
 
-from ._core import HAVE_COMPILED
 from .extplane import (
     DEFAULT_CHART,
     FULL_PLANE,

@@ -1,12 +1,6 @@
-"""Pure-numpy implementations of the hot kernels.
-
-Drop-in fallback for the compiled extension cpintegral._kernels; selected at
-import time by cpintegral._core when the extension is unavailable.
-"""
+"""The reduction kernels: variation component sweeps and tagged corner sums."""
 
 import numpy as np
-
-COMPILED = False
 
 
 def hk_components(G):

@@ -219,6 +219,7 @@ def run(spec):
         prod = operators.algebra_product(f1, f2)
         res = integral.alexiewicz_norm(prod, tol=tol)
         out["normOfProduct"] = res.value
+        out["errorEstimate"] = res.error_estimate
         out["totalIntegral"] = integral.total_integral(prod)
         out["converged"] = res.converged
         code = 0 if res.converged else 2
@@ -234,6 +235,7 @@ def run(spec):
             raise CliError("lattice op must be 'join' or 'meet'", EX_USAGE)
         res = integral.alexiewicz_norm(Distribution(prim), tol=tol)
         out["supNorm"] = res.value
+        out["errorEstimate"] = res.error_estimate
         out["converged"] = res.converged
         if spec.get("out"):
             export_grid_json(sample_primitive(prim, resolution), spec["out"])
@@ -248,7 +250,8 @@ def run(spec):
         f = build_distribution(spec)
         s, t = (parse_ext(v) for v in spec.get("shift", [1.0, 1.0]))
         tau = operators.translate(f, s, t)
-        out["normTranslated"] = integral.alexiewicz_norm(tau, tol=tol).value
+        translated = integral.alexiewicz_norm(tau, tol=tol)
+        out["normTranslated"] = translated.value
         F = f.primitive
         G = tau.primitive
         from .primitive import ClosedFormPrimitive
@@ -259,7 +262,9 @@ def run(spec):
                 "difference",
             )
         )
-        out["normDifference"] = integral.alexiewicz_norm(delta, tol=tol).value
+        difference = integral.alexiewicz_norm(delta, tol=tol)
+        out["normDifference"] = difference.value
+        out["errorEstimate"] = max(translated.error_estimate, difference.error_estimate)
         out["converged"] = True
     elif command == "changevars":
         f = build_distribution(spec)

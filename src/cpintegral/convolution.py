@@ -19,7 +19,7 @@ from .extplane import (
     make_interval,
     uniform_grid,
 )
-from .integral import QuadResult, _primitive_of
+from .integral import QuadResult, _primitive_of, _refine
 from .primitive import (
     BVFunction,
     CorrectedPrimitive,
@@ -217,27 +217,22 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     """
     F = _primitive_of(f)
     xs = axis_nodes(resolution)
-    prev = None
-    converged = False
-    err = float("inf")
-    H = None
-    for level in range(max_levels + 1):
-        px, py, W = kernel.quad_points(level)
+
+    def level_values(r):
+        # the driver's resolutions 1, 2, 4, ... stand for quadrature levels 0, 1, 2, ...
+        px, py, W = kernel.quad_points(r.bit_length() - 1)
         k = kernel.node_values(px, py)
         if normalize:
             W = W / float(np.sum(W * k))
-        H = _convolved_values(F, xs, px, py, W * k)
-        if prev is not None:
-            err = float(np.max(np.abs(H - prev)))
-            if err <= tol:
-                converged = True
-                break
-        prev = H
+        return _convolved_values(F, xs, px, py, W * k)
+
+    res = _refine(level_values, tol, 1, max_levels)
+    H = res.value
     grid = uniform_grid(resolution)
     prim = GridSamplePrimitive(grid, H, f"({F.label})*({kernel.label})")
     dist = Distribution(prim)
-    dist.converged = converged
-    dist.error_estimate = err + kernel.tail_bound * float(np.max(np.abs(H)) + 1.0)
+    dist.converged = res.converged
+    dist.error_estimate = res.error_estimate + kernel.tail_bound * float(np.max(np.abs(H)) + 1.0)
     return dist
 
 

@@ -65,24 +65,51 @@ def cumulative(f, x, y):
     return F(x, y)
 
 
-def _sup_refine(value_at, tol, start_resolution, max_doublings):
-    # stop only after two consecutive increments within tol: a single flat
-    # step can be a plateau where the refined grid misses a ridge the same way
+def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None):
+    """The refinement driver: step(resolution) computes one level's value.
+
+    The resolution starts at start_resolution and doubles after each level.
+    The increment between levels is max |value - prev|, so scalar levels and
+    array levels share one measure.  The run converges once `confirm`
+    consecutive increments are within tol; it stops unconverged when
+    give_up(trace) is true or the doublings run out.  A level whose value
+    contains NaN raises ArithmeticError.  Returns a QuadResult with the last
+    level's value, the last increment as errorEstimate (inf after a single
+    level) and one {"resolution", "value"} trace row per level.
+    """
     trace = []
+    err = float("inf")
+    within = 0
     converged = False
     r = start_resolution
     for _ in range(max_doublings + 1):
-        trace.append({"resolution": r, "value": value_at(r)})
-        if len(trace) >= 3:
-            d1 = abs(trace[-1]["value"] - trace[-2]["value"])
-            d2 = abs(trace[-2]["value"] - trace[-3]["value"])
-            if d1 <= tol and d2 <= tol:
-                converged = True
-                break
+        value = step(r)
+        if np.any(np.isnan(value)):
+            raise ArithmeticError(f"refinement level at resolution {r} evaluated to NaN")
+        trace.append({"resolution": r, "value": value})
+        if len(trace) > 1:
+            err = float(np.max(np.abs(value - trace[-2]["value"])))
+        if give_up is not None and give_up(trace):
+            break
+        within = within + 1 if err <= tol else 0
+        if within >= confirm:
+            converged = True
+            break
         r *= 2
-    value = trace[-1]["value"]
-    err = abs(value - trace[-2]["value"]) if len(trace) > 1 else float("inf")
-    return QuadResult(value, float(err), trace[-1]["resolution"], converged, trace)
+    return QuadResult(value, err, trace[-1]["resolution"], converged, trace)
+
+
+def _interval_sweep(G):
+    """Largest |corner difference| of the grid values G[j, i] over node intervals.
+
+    For x-indices i < k the interval integral is D(d) - D(c) with
+    D = G[:, k] - G[:, i], so its supremum over y-limits is max D - min D.
+    """
+    best = 0.0
+    for i in range(G.shape[1] - 1):
+        D = G[:, i + 1 :] - G[:, i : i + 1]
+        best = max(best, float(np.max(np.max(D, axis=0) - np.min(D, axis=0))))
+    return best
 
 
 def alexiewicz_norm(f, tol=1e-6, start_resolution=32, max_doublings=8) -> QuadResult:
@@ -94,7 +121,9 @@ def alexiewicz_norm(f, tol=1e-6, start_resolution=32, max_doublings=8) -> QuadRe
         X, Y = np.meshgrid(xs, xs)
         return float(np.max(np.abs(np.asarray(F.eval(X, Y)))))
 
-    return _sup_refine(value_at, tol, start_resolution, max_doublings)
+    # two consecutive increments within tol: a single flat step can be a
+    # plateau where the refined grid misses a ridge the same way
+    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
 
 def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
@@ -109,15 +138,9 @@ def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
     def value_at(r):
         xs = axis_nodes(r)
         X, Y = np.meshgrid(xs, xs)
-        G = np.asarray(F.eval(X, Y))
-        best = 0.0
-        n = G.shape[1]
-        for i in range(n - 1):
-            D = G[:, i + 1 :] - G[:, i : i + 1]
-            best = max(best, float(np.max(np.max(D, axis=0) - np.min(D, axis=0))))
-        return best
+        return _interval_sweep(np.asarray(F.eval(X, Y)))
 
-    return _sup_refine(value_at, tol, start_resolution, max_doublings)
+    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
 
 def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
@@ -150,14 +173,9 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
         xs = axis_nodes(r)
         X, Y = np.meshgrid(xs, xs)
         G = np.asarray(F.eval(X, Y))
-        best = float(np.max(np.abs(G))) / 4.0
-        n = G.shape[1]
-        for i in range(n - 1):
-            D = G[:, i + 1 :] - G[:, i : i + 1]
-            best = max(best, float(np.max(np.max(D, axis=0) - np.min(D, axis=0))) / 9.0)
-        return best
+        return max(float(np.max(np.abs(G))) / 4.0, _interval_sweep(G) / 9.0)
 
-    return _sup_refine(value_at, tol, start_resolution, max_doublings)
+    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
 
 def iterated_consistency(f, interval: Interval2, resolution=128):

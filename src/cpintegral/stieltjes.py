@@ -9,10 +9,11 @@ integrand value at the jump.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from ._core import kernels
+from . import _kernels_py as kernels
 from .extplane import (
     DEFAULT_CHART,
     NEG_INF,
@@ -20,7 +21,7 @@ from .extplane import (
     Interval2,
     uniform_grid,
 )
-from .integral import QuadResult, _primitive_of
+from .integral import QuadResult, _primitive_of, _refine
 from .primitive import BVFunction, GridSamplePrimitive, ProductBV, SeparablePrimitive
 
 
@@ -61,28 +62,16 @@ def rs_line_integral(phi, g_section, a, b, jumps=(), tol=1e-9, start_resolution=
     if a > b:
         a, b = b, a
         sign = -1.0
-    trace = []
-    prev = None
-    err = float("inf")
-    converged = False
-    r = start_resolution
-    value = 0.0
-    for _ in range(max_doublings + 1):
+
+    def step(r):
         nodes = segment_nodes(a, b, r, jumps)
-        tags = cell_tags(nodes)
-        value = kernels.line_weighted_sum(
-            np.ascontiguousarray(np.asarray(phi(tags), dtype=float)),
-            np.ascontiguousarray(np.asarray(g_section(nodes), dtype=float)),
+        return kernels.line_weighted_sum(
+            np.asarray(phi(cell_tags(nodes)), dtype=float),
+            np.asarray(g_section(nodes), dtype=float),
         )
-        trace.append({"resolution": r, "value": value})
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= tol:
-                converged = True
-                break
-        prev = value
-        r *= 2
-    return QuadResult(sign * value, float(err), trace[-1]["resolution"], converged, trace)
+
+    res = _refine(step, tol, start_resolution, max_doublings)
+    return replace(res, value=sign * res.value)
 
 
 def rs_line_section(F, g: BVFunction, axis, fixed, lo, hi, tol=1e-9, **kwargs):
@@ -123,31 +112,16 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
     phi_eval = phi.eval if hasattr(phi, "eval") else phi
     g_eval = integrator.eval if hasattr(integrator, "eval") else integrator
 
-    trace = []
-    prev = None
-    err = float("inf")
-    converged = False
-    r = start_resolution
-    value = 0.0
-    for _ in range(max_doublings + 1):
+    def step(r):
         xs = segment_nodes(interval.a, interval.b, r, jumps_x)
         ys = segment_nodes(interval.c, interval.d, r, jumps_y)
-        tx = cell_tags(xs)
-        ty = cell_tags(ys)
-        TX, TY = np.meshgrid(tx, ty)
-        T = np.ascontiguousarray(np.asarray(phi_eval(TX, TY), dtype=float))
+        TX, TY = np.meshgrid(cell_tags(xs), cell_tags(ys))
+        T = np.asarray(phi_eval(TX, TY), dtype=float)
         X, Y = np.meshgrid(xs, ys)
-        G = np.ascontiguousarray(np.asarray(g_eval(X, Y), dtype=float))
-        value = kernels.corner_weighted_sum(T, G)
-        trace.append({"resolution": r, "value": value})
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= tol:
-                converged = True
-                break
-        prev = value
-        r *= 2
-    return QuadResult(interval.sign * value, float(err), trace[-1]["resolution"], converged, trace)
+        return kernels.corner_weighted_sum(T, np.asarray(g_eval(X, Y), dtype=float))
+
+    res = _refine(step, tol, start_resolution, max_doublings)
+    return replace(res, value=interval.sign * res.value)
 
 
 def _parts_1d(phi_tags, u_nodes):
@@ -155,9 +129,8 @@ def _parts_1d(phi_tags, u_nodes):
 
     cell_tags puts the first and last tags on the endpoints a and b.
     """
-    return float(phi_tags[-1] * u_nodes[-1] - phi_tags[0] * u_nodes[0]) - kernels.line_weighted_sum(
-        np.ascontiguousarray(phi_tags), np.ascontiguousarray(u_nodes)
-    )
+    return (float(phi_tags[-1] * u_nodes[-1] - phi_tags[0] * u_nodes[0])
+            - kernels.line_weighted_sum(phi_tags, u_nodes))
 
 
 def _nine_term_sum(F, g, interval, resolution):
@@ -183,25 +156,20 @@ def _nine_term_sum(F, g, interval, resolution):
         lv = np.full(tx.shape, level)
         phi_vals = np.asarray(F.eval(tx, lv), dtype=float)
         g_vals = np.asarray(g.eval(xs, np.full(xs.shape, level)), dtype=float)
-        return sign * kernels.line_weighted_sum(
-            np.ascontiguousarray(phi_vals), np.ascontiguousarray(g_vals)
-        )
+        return sign * kernels.line_weighted_sum(phi_vals, g_vals)
 
     def line_y(level, sign):
         lv = np.full(ty.shape, level)
         phi_vals = np.asarray(F.eval(lv, ty), dtype=float)
         g_vals = np.asarray(g.eval(np.full(ys.shape, level), ys), dtype=float)
-        return sign * kernels.line_weighted_sum(
-            np.ascontiguousarray(phi_vals), np.ascontiguousarray(g_vals)
-        )
+        return sign * kernels.line_weighted_sum(phi_vals, g_vals)
 
     total += line_x(d, -1.0) + line_x(c, 1.0) + line_y(b, -1.0) + line_y(a, 1.0)
 
     TX, TY = np.meshgrid(tx, ty)
-    T = np.ascontiguousarray(np.asarray(F.eval(TX, TY), dtype=float))
+    T = np.asarray(F.eval(TX, TY), dtype=float)
     X, Y = np.meshgrid(xs, ys)
-    G = np.ascontiguousarray(np.asarray(g.eval(X, Y), dtype=float))
-    total += kernels.corner_weighted_sum(T, G)
+    total += kernels.corner_weighted_sum(T, np.asarray(g.eval(X, Y), dtype=float))
     return total
 
 
@@ -216,23 +184,8 @@ def integrate_product(f, g: BVFunction, interval: Interval2 = FULL_PLANE,
     F = _primitive_of(f)
     if interval.degenerate:
         return QuadResult(0.0, 0.0, 0, True, [])
-    trace = []
-    prev = None
-    err = float("inf")
-    converged = False
-    r = start_resolution
-    value = 0.0
-    for _ in range(max_doublings + 1):
-        value = _nine_term_sum(F, g, interval, r)
-        trace.append({"resolution": r, "value": value})
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= tol:
-                converged = True
-                break
-        prev = value
-        r *= 2
-    return QuadResult(interval.sign * value, float(err), trace[-1]["resolution"], converged, trace)
+    res = _refine(lambda r: _nine_term_sum(F, g, interval, r), tol, start_resolution, max_doublings)
+    return replace(res, value=interval.sign * res.value)
 
 
 def parts_primitive(f, g: BVFunction, resolution=64, oversample=4) -> GridSamplePrimitive:

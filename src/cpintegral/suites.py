@@ -12,6 +12,7 @@ from scipy import integrate as _sciint
 
 from .extplane import NEG_INF, POS_INF, FULL_PLANE, axis_nodes, make_interval
 from .integral import (
+    _interval_sweep,
     alexiewicz_norm,
     corner_integral,
     ftc_residual,
@@ -64,10 +65,7 @@ def _grid_norms(F, resolution=256):
     X, Y = np.meshgrid(xs, xs)
     G = np.asarray(F.eval(X, Y))
     a = float(np.max(np.abs(G)))
-    p = 0.0
-    for i in range(G.shape[1] - 1):
-        D = G[:, i + 1 :] - G[:, i : i + 1]
-        p = max(p, float(np.max(np.max(D, axis=0) - np.min(D, axis=0))))
+    p = _interval_sweep(G)
     d = max(a / 4.0, p / 9.0)
     return a, p, d
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import kernels
+from . import _kernels_py as kernels
 from .extplane import axis_nodes
+from .integral import _refine
 
 GUARD = 1e12
 STREAM_LIMIT = 2049  # build the full matrix below this many axis nodes
@@ -90,81 +91,51 @@ def grid_components(g, resolution):
     if len(xs) >= STREAM_LIMIT or len(ys) >= STREAM_LIMIT:
         return _components_stream(g, xs, ys)
     X, Y = np.meshgrid(xs, ys)
-    G = np.ascontiguousarray(np.asarray(g.eval(X, Y), dtype=float))
-    return kernels.hk_components(G)
+    return kernels.hk_components(np.asarray(g.eval(X, Y), dtype=float))
 
 
-def _refine(g, component, start_resolution, max_doublings, tol):
-    trace = []
-    prev = None
-    converged = False
-    resolution = start_resolution
-    comp = (0.0, 0.0, 0.0, 0.0)
-    for _ in range(max_doublings + 1):
-        comp = grid_components(g, resolution)
-        value = component(comp)
-        trace.append({"resolution": resolution, "value": value})
-        if value > GUARD:
-            break
-        if prev is not None and abs(value - prev) <= tol:
-            converged = True
-            break
-        if len(trace) >= 4:
-            inc = [trace[k + 1]["value"] - trace[k]["value"] for k in range(len(trace) - 1)]
-            if inc[-1] >= inc[-2] >= inc[-3] and inc[-1] > 100 * tol:
-                break  # increments are not shrinking: treat as divergent
-        prev = value
-        resolution *= 2
-    return comp, converged, trace
+def _diverging(tol):
+    """Stop predicate for variation refinements: past GUARD, or increments
+    that are not shrinking."""
+
+    def give_up(trace):
+        values = [row["value"] for row in trace[-4:]]
+        if values[-1] > GUARD:
+            return True
+        inc = [b - a for a, b in zip(values, values[1:])]
+        return len(inc) == 3 and inc[2] >= inc[1] >= inc[0] and inc[2] > 100 * tol
+
+    return give_up
+
+
+def _estimate(g, component, tol, start_resolution, max_doublings) -> VariationEstimate:
+    """Refine component(sup, v1, v2, v12) of g; the estimate reports all four."""
+    components = {}
+
+    def step(r):
+        components[r] = grid_components(g, r)
+        return component(components[r])
+
+    res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
+    return VariationEstimate(res.value, *components[res.resolution], res.resolution,
+                             res.converged, res.trace)
 
 
 def hk_norm(g, tol=1e-9, start_resolution=64, max_doublings=10) -> VariationEstimate:
     """Estimate ||g||_bv = sup|g| + sup V1 + sup V2 + V12 by refinement."""
-    comp, converged, trace = _refine(
-        g, lambda c: c[0] + c[1] + c[2] + c[3], start_resolution, max_doublings, tol
-    )
-    return VariationEstimate(
-        value=comp[0] + comp[1] + comp[2] + comp[3],
-        sup=comp[0],
-        v1=comp[1],
-        v2=comp[2],
-        v12=comp[3],
-        resolution=trace[-1]["resolution"],
-        converged=converged,
-        trace=trace,
-    )
+    return _estimate(g, lambda c: c[0] + c[1] + c[2] + c[3], tol, start_resolution, max_doublings)
 
 
 def vitali_variation(g, tol=1e-9, start_resolution=64, max_doublings=10) -> VariationEstimate:
     """Estimate the Vitali variation (corner-difference sum) alone."""
-    comp, converged, trace = _refine(g, lambda c: c[3], start_resolution, max_doublings, tol)
-    return VariationEstimate(
-        value=comp[3],
-        sup=comp[0],
-        v1=comp[1],
-        v2=comp[2],
-        v12=comp[3],
-        resolution=trace[-1]["resolution"],
-        converged=converged,
-        trace=trace,
-    )
+    return _estimate(g, lambda c: c[3], tol, start_resolution, max_doublings)
 
 
 def sectional_variation_sup(g, axis, tol=1e-9, start_resolution=64, max_doublings=10):
     """Largest variation over sections: axis 1 varies x, axis 2 varies y."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    comp, converged, trace = _refine(g, lambda c: c[axis], start_resolution, max_doublings, tol)
-    return VariationEstimate(
-        value=comp[axis],
-        sup=comp[0],
-        v1=comp[1],
-        v2=comp[2],
-        v12=comp[3],
-        resolution=trace[-1]["resolution"],
-        converged=converged,
-        trace=trace,
-    )
+    return _estimate(g, lambda c: c[axis], tol, start_resolution, max_doublings)
 
 
 def variation_trace(g, start_resolution=64, doublings=5):
@@ -180,21 +151,10 @@ def variation_trace(g, start_resolution=64, doublings=5):
 
 def variation_1d(fn, jumps=(), tol=1e-9, start_resolution=64, max_doublings=10):
     """Total variation of a one-dimensional function on the extended line."""
-    trace = []
-    prev = None
-    converged = False
-    r = start_resolution
-    value = 0.0
-    for _ in range(max_doublings + 1):
-        nodes = axis_with_jumps(r, jumps)
-        vals = np.asarray(fn(nodes), dtype=float)
-        value = float(np.sum(np.abs(np.diff(vals))))
-        trace.append({"resolution": r, "value": value})
-        if value > GUARD:
-            break
-        if prev is not None and abs(value - prev) <= tol:
-            converged = True
-            break
-        prev = value
-        r *= 2
-    return value, converged, trace
+
+    def step(r):
+        vals = np.asarray(fn(axis_with_jumps(r, jumps)), dtype=float)
+        return float(np.sum(np.abs(np.diff(vals))))
+
+    res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
+    return res.value, res.converged, res.trace

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from cpintegral import cli
+from cpintegral.integral import alexiewicz_norm
+from cpintegral.operators import algebra_product, lattice_join, translate
+from cpintegral.primitive import ClosedFormPrimitive, Distribution, distribution
 
 
 def run_cli(capsys, argv):
@@ -221,3 +225,31 @@ def test_negative_infinite_endpoints_in_argv_match_job(tmp_path, capsys):
     )
     assert code3 == 0
     assert report3["spec"]["interval"] == ["-1e-1", ".5", "-.5", "-INF"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["product", "--primitive", "prodArctan", "--primitive2", "gauss2"],
+     ("normOfProduct", "totalIntegral", "converged")),
+    (["lattice", "--primitive", "prodArctan", "--primitive2", "sinc2d", "--op", "join"],
+     ("supNorm", "converged")),
+    (["translate", "--primitive", "prodArctan", "--shift", "1", "1"],
+     ("normTranslated", "normDifference", "converged")),
+])
+def test_norm_reports_carry_error_estimate(capsys, argv, keys):
+    code, report, _ = run_cli(capsys, argv)
+    assert all(key in report for key in keys)
+    assert code == (0 if report["converged"] else 2)
+    f = distribution("prodArctan")
+    if argv[0] == "product":
+        expected = alexiewicz_norm(algebra_product(f, distribution("gauss2"))).error_estimate
+    elif argv[0] == "lattice":
+        join = lattice_join(f.primitive, distribution("sinc2d").primitive)
+        expected = alexiewicz_norm(Distribution(join)).error_estimate
+    else:
+        tau = translate(f, 1.0, 1.0)
+        delta = Distribution(ClosedFormPrimitive(
+            lambda x, y: np.asarray(f.primitive.eval(x, y)) - np.asarray(tau.primitive.eval(x, y)),
+            "difference",
+        ))
+        expected = max(alexiewicz_norm(tau).error_estimate, alexiewicz_norm(delta).error_estimate)
+    assert report["errorEstimate"] == expected

@@ -7,6 +7,7 @@ import pytest
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import (
     IntervalND,
+    _interval_sweep,
     alexiewicz_norm,
     corner_integral,
     corner_integral_nd,
@@ -86,6 +87,19 @@ def test_norm_prime_brute_force_oracle():
             brute = max(brute, abs(G[k, i] + G[l, j] - G[k, j] - G[l, i]))
     res = norm_prime(f, start_resolution=8, max_doublings=0)
     assert abs(res.value - brute) < 1e-12
+
+
+def test_interval_sweep_brute_force_on_random_grids():
+    rng = np.random.default_rng(3)
+    for shape in ((2, 2), (5, 7), (8, 4)):
+        for _ in range(5):
+            G = rng.standard_normal(shape)
+            brute = max(
+                abs(G[k, i] + G[l, j] - G[k, j] - G[l, i])
+                for i, j in itertools.combinations(range(shape[1]), 2)
+                for k, l in itertools.combinations(range(shape[0]), 2)
+            )
+            assert abs(_interval_sweep(G) - brute) < 1e-12
 
 
 def test_norm_sandwich():

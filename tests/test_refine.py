@@ -4,13 +4,16 @@ Each case was recorded from the routines as they stood before they shared
 one refinement driver; the values, error estimates, final resolutions,
 converged flags and per-level traces must stay bit for bit the same.
 The convolve_l1 cases record a SHA-256 digest of the sampled H grid.
+The driver's stopping rules are also tested on synthetic level sequences.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from cpintegral import integral
 from cpintegral.convolution import PoissonKernelL1, convolve_l1
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF
 from cpintegral.integral import alexiewicz_norm, norm_dual, norm_prime
@@ -226,3 +229,75 @@ def test_golden(name):
         assert all(set(row) == {"resolution", "value"} for row in trace)
         resolutions = [row["resolution"] for row in trace]
         assert all(b == 2 * a for a, b in zip(resolutions, resolutions[1:]))
+
+
+def _steps(*values):
+    """A step function that returns the given values level by level."""
+    levels = iter(values)
+    return lambda r: next(levels)
+
+
+def test_driver_single_flat_step_does_not_stop_confirm_two():
+    res = integral._refine(_steps(1.0, 1.0, 2.0, 2.0, 2.0), 1e-9, 4, 4, confirm=2)
+    assert res.converged
+    assert [row["resolution"] for row in res.trace] == [4, 8, 16, 32, 64]
+    assert (res.value, res.error_estimate, res.resolution) == (2.0, 0.0, 64)
+
+
+def test_driver_stops_after_one_small_increment_by_default():
+    res = integral._refine(_steps(1.0, 1.5, 1.5), 1e-9, 4, 4)
+    assert res.converged
+    assert (res.value, res.error_estimate, res.resolution, len(res.trace)) == (1.5, 0.0, 16, 3)
+
+
+def test_driver_single_level_reports_infinite_error():
+    res = integral._refine(_steps(3.0), 1e-9, 32, 0)
+    assert not res.converged
+    assert res.error_estimate == math.inf
+    assert res.trace == [{"resolution": 32, "value": 3.0}]
+
+
+def test_driver_unconverged_reports_last_increment():
+    res = integral._refine(_steps(1.0, 2.0, 2.5), 1e-9, 1, 2)
+    assert not res.converged
+    assert (res.value, res.error_estimate, res.resolution) == (2.5, 0.5, 4)
+
+
+def test_driver_give_up_ends_run_unconverged():
+    res = integral._refine(_steps(1.0, 2.0, 3.0, 3.0), 1e-9, 1, 3, give_up=lambda trace: len(trace) == 2)
+    assert not res.converged
+    assert (res.value, res.error_estimate, res.resolution) == (2.0, 1.0, 2)
+
+
+def test_driver_array_levels_use_largest_increment():
+    res = integral._refine(_steps(np.zeros(3), np.array([0.0, -0.25, 0.1])), 1e-9, 1, 1)
+    assert not res.converged
+    assert res.error_estimate == 0.25
+
+
+def test_driver_rejects_nan_levels():
+    with pytest.raises(ArithmeticError):
+        integral._refine(_steps(1.0, np.array([0.0, np.nan])), 1e-9, 1, 3)
+
+
+def test_line_integral_with_nan_integrand_raises():
+    # cos is NaN at the boundary tags +-inf
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+        rs_line_integral(np.cos, np.arctan, NEG_INF, POS_INF)
+
+
+def _sin_inverse(t):
+    """sin(1/t), set to 0 at 0 and at +-inf; its variation is infinite."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t != 0)
+    return np.where(ok, np.sin(1.0 / np.where(ok, t, 1.0)), 0.0)
+
+
+def test_variation_1d_stops_on_growing_increments():
+    # variation_1d shares the divergence stop of the 2-d variation routines:
+    # the last three increments are not shrinking, so it stops at 2048 where
+    # the GUARD cap alone ran on to 65536 (value 537.1, also unconverged)
+    value, converged, trace = variation_1d(_sin_inverse)
+    assert not converged
+    assert trace[-1]["resolution"] == 2048
+    assert abs(value - 94.6) < 0.05
