@@ -194,47 +194,85 @@ class ClosedFormBV(BVFunction):
         return self._fn(x, y)
 
 
-class QuadrantIndicatorBV(BVFunction):
+class ProductBV(BVFunction):
+    """g(x, y) = u(x) v(y) for one-dimensional BV factors.
+
+    eval is the product of the factors; consumers that can use the factors
+    on their own (product integrals against separable primitives, the
+    variation components) call eval_factors instead.
+    """
+
+    kind = "productOfOneDimBV"
+
+    def __init__(self, u, v, label="product", u_jumps=(), v_jumps=()):
+        super().__init__(label, u_jumps, v_jumps)
+        self.u = u
+        self.v = v
+
+    def _reject_nan(self, x, y):
+        if np.isnan(x).any() or np.isnan(y).any():
+            raise ArithmeticError(f"multiplier '{self.label}' evaluated at a NaN coordinate")
+
+    def eval(self, x, y):
+        x, y = _as_arrays(x, y)
+        self._reject_nan(x, y)
+        return np.asarray(self.u(x), dtype=float) * np.asarray(self.v(y), dtype=float)
+
+    def eval_factors(self, x, y):
+        """(u(x), v(y)) as float arrays; a NaN coordinate raises as in eval."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._reject_nan(x, y)
+        return np.asarray(self.u(x), dtype=float), np.asarray(self.v(y), dtype=float)
+
+
+def _below(t0):
+    """The 0/1 factor of t < t0."""
+    return lambda t: (np.asarray(t) < t0).astype(float)
+
+
+def _within(lo, hi):
+    """The 0/1 factor of lo <= t <= hi."""
+    return lambda t: ((np.asarray(t) >= lo) & (np.asarray(t) <= hi)).astype(float)
+
+
+def _constant(c):
+    return lambda t: np.full(np.shape(t), c)
+
+
+class QuadrantIndicatorBV(ProductBV):
     """Indicator of [-inf, x0) x [-inf, y0); includes the -inf endpoints."""
 
     kind = "indicatorQuadrant"
 
     def __init__(self, x0, y0):
-        super().__init__(f"quadrantIndicator({x0},{y0})", (ext(x0),), (ext(y0),))
         self.x0 = ext(x0)
         self.y0 = ext(y0)
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        return ((x < self.x0) & (y < self.y0)).astype(float)
+        super().__init__(_below(self.x0), _below(self.y0), f"quadrantIndicator({x0},{y0})",
+                         (self.x0,), (self.y0,))
 
 
-class HalfPlaneIndicatorBV(BVFunction):
+class HalfPlaneIndicatorBV(ProductBV):
+    """Indicator of x >= 0."""
+
     kind = "indicatorHalfPlane"
 
     def __init__(self):
-        super().__init__("halfPlaneIndicator", (0.0,), ())
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        return (x >= 0.0).astype(float)
+        super().__init__(_within(0.0, POS_INF), _constant(1.0), "halfPlaneIndicator", (0.0,), ())
 
 
-class IntervalIndicatorBV(BVFunction):
+class IntervalIndicatorBV(ProductBV):
     kind = "indicatorInterval"
 
     def __init__(self, interval: Interval2):
         super().__init__(
+            _within(interval.a, interval.b),
+            _within(interval.c, interval.d),
             f"intervalIndicator([{interval.a},{interval.b}]x[{interval.c},{interval.d}])",
             (interval.a, interval.b),
             (interval.c, interval.d),
         )
         self.interval = interval
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        iv = self.interval
-        return ((x >= iv.a) & (x <= iv.b) & (y >= iv.c) & (y <= iv.d)).astype(float)
 
 
 class DiagonalIndicatorBV(BVFunction):
@@ -250,31 +288,12 @@ class DiagonalIndicatorBV(BVFunction):
         return (y > x).astype(float)
 
 
-class ConstantBV(BVFunction):
+class ConstantBV(ProductBV):
     kind = "constant"
 
     def __init__(self, c):
-        super().__init__(f"constant({c})")
         self.c = float(c)
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        return np.full(x.shape, self.c)
-
-
-class ProductBV(BVFunction):
-    """g(x, y) = u(x) v(y) for one-dimensional BV factors."""
-
-    kind = "productOfOneDimBV"
-
-    def __init__(self, u, v, label="product", u_jumps=(), v_jumps=()):
-        super().__init__(label, u_jumps, v_jumps)
-        self.u = u
-        self.v = v
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        return np.asarray(self.u(x), dtype=float) * np.asarray(self.v(y), dtype=float)
+        super().__init__(_constant(self.c), _constant(1.0), f"constant({c})")
 
 
 class GridConstantBV(BVFunction):
@@ -321,15 +340,24 @@ def approx_identity(n) -> BVFunction:
 
 
 def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
-    """(s, t) -> g(x0 - s, y0 - t), with jump lines mapped accordingly."""
+    """(s, t) -> g(x0 - s, y0 - t), with jump lines mapped accordingly.
+
+    A ProductBV stays a ProductBV of the reflected factors u(x0 - s) and
+    v(y0 - t); any other g becomes a ClosedFormBV.
+    """
     x0, y0 = ext(x0), ext(y0)
+    jx = tuple(x0 - j for j in g.jump_x if math.isfinite(x0 - j))
+    jy = tuple(y0 - j for j in g.jump_y if math.isfinite(y0 - j))
+    label = f"{g.label} reflected about ({x0},{y0})"
+    if isinstance(g, ProductBV):
+        u, v = g.u, g.v
+        return ProductBV(lambda s: u(x0 - np.asarray(s, dtype=float)),
+                         lambda t: v(y0 - np.asarray(t, dtype=float)), label, jx, jy)
 
     def fn(s, t):
         return np.asarray(g.eval(x0 - s, y0 - t), dtype=float)
 
-    jx = tuple(x0 - j for j in g.jump_x if math.isfinite(x0 - j))
-    jy = tuple(y0 - j for j in g.jump_y if math.isfinite(y0 - j))
-    return ClosedFormBV(fn, f"{g.label} reflected about ({x0},{y0})", jx, jy)
+    return ClosedFormBV(fn, label, jx, jy)
 
 
 # ---------------------------------------------------------------------------

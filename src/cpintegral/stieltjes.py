@@ -144,8 +144,7 @@ def _nine_term_sum(F, g, interval, resolution):
         # F = a(x) b(y) and g = u(x) v(y): Fubini splits the nine terms into
         # the product of two one-dimensional by-parts sums on the same nodes
         ax, by = F.eval_factors(tx, ty)
-        ux = np.asarray(g.u(xs), dtype=float)
-        vy = np.asarray(g.v(ys), dtype=float)
+        ux, vy = g.eval_factors(xs, ys)
         return _parts_1d(ax, ux) * _parts_1d(by, vy)
 
     total = (

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels_py as kernels
 from .extplane import axis_nodes
 from .integral import _refine
+from .primitive import ProductBV
 
 GUARD = 1e12
 STREAM_LIMIT = 2049  # build the full matrix below this many axis nodes
@@ -84,10 +85,24 @@ def _components_stream(g, xs, ys, chunk=128):
     return sup, v1, float(np.max(colvar)), v12
 
 
+def _sup_and_variation(values):
+    """(max |values|, sum of |increments|) of one factor's node values."""
+    return float(np.max(np.abs(values))), float(np.sum(np.abs(np.diff(values))))
+
+
 def grid_components(g, resolution):
-    """(sup, v1, v2, v12) of g measured on the straddled grid at resolution."""
+    """(sup, v1, v2, v12) of g measured on the straddled grid at resolution.
+
+    For a ProductBV g = u(x) v(y) the value matrix is the outer product of
+    the factors, so its components are products of 1-d sups and variations.
+    """
     xs = axis_with_jumps(resolution, getattr(g, "jump_x", ()))
     ys = axis_with_jumps(resolution, getattr(g, "jump_y", ()))
+    if isinstance(g, ProductBV):
+        ux, vy = g.eval_factors(xs, ys)
+        su, vu = _sup_and_variation(ux)
+        sv, vv = _sup_and_variation(vy)
+        return su * sv, vu * sv, su * vv, vu * vv
     if len(xs) >= STREAM_LIMIT or len(ys) >= STREAM_LIMIT:
         return _components_stream(g, xs, ys)
     X, Y = np.meshgrid(xs, ys)

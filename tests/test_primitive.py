@@ -154,6 +154,64 @@ def test_translate_reflect_bv():
     assert h.jump_x and h.jump_y
 
 
+def _old_reflection(g, x0, y0):
+    """translate_reflect_bv's former closure, kept as the reference."""
+    return lambda s, t: np.asarray(g.eval(x0 - s, y0 - t), dtype=float)
+
+
+def _bit_equal(p, q):
+    p, q = np.asarray(p), np.asarray(q)
+    return p.dtype == q.dtype and p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+def _probe_points():
+    # random points, the multipliers' jump coordinates and the infinities
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([rng.uniform(-4.0, 4.0, 200), [0.0, -0.0, 0.4, -1.3, -1.5, 0.25, -0.5, 2.0, NEG_INF, POS_INF]])
+    return np.meshgrid(pts, pts)
+
+
+def test_product_multipliers_keep_their_formulas():
+    X, Y = _probe_points()
+    iv = make_interval(-1.5, 0.25, -0.5, 2.0)
+    cases = [
+        (catalog_bv("quadrantIndicator", x=0.4, y=-1.3), ((X < 0.4) & (Y < -1.3)).astype(float)),
+        (catalog_bv("halfPlaneIndicator"), (X >= 0.0).astype(float)),
+        (catalog_bv("intervalIndicator", interval=iv),
+         ((X >= iv.a) & (X <= iv.b) & (Y >= iv.c) & (Y <= iv.d)).astype(float)),
+        (catalog_bv("constant", c=-1.75), np.full(X.shape, -1.75)),
+        (catalog_bv("constant", c=POS_INF), np.full(X.shape, POS_INF)),
+    ]
+    for g, old in cases:
+        assert _bit_equal(g.eval(X, Y), old), g.label
+    assert catalog_bv("quadrantIndicator").kind == "indicatorQuadrant"
+    assert catalog_bv("constant", c=2).label == "constant(2)"
+
+
+@pytest.mark.parametrize("name,params", [("approxIdentity", {"n": 2}),
+                                         ("quadrantIndicator", {"x": 0.4, "y": -1.3}),
+                                         ("intervalIndicator", {"a": -1.5, "b": 0.25, "c": -0.5, "d": 2.0})])
+def test_reflected_product_matches_old_closure(name, params):
+    X, Y = _probe_points()
+    g = catalog_bv(name, **params)
+    for x0, y0 in ((-1.0, 0.3), (0.5, -2.0), (0.0, 0.0)):
+        h = translate_reflect_bv(g, x0, y0)
+        assert _bit_equal(h.eval(X, Y), _old_reflection(g, x0, y0)(X, Y))
+
+
+def test_product_bv_rejects_nan():
+    for g in (approx_identity(2), catalog_bv("quadrantIndicator"), catalog_bv("halfPlaneIndicator"),
+              catalog_bv("intervalIndicator"), catalog_bv("constant"),
+              translate_reflect_bv(approx_identity(1), 0.5, 0.5)):
+        for x, y in ((math.nan, 0.0), (0.0, math.nan), (np.array([0.0, math.nan]), 1.0)):
+            with pytest.raises(ArithmeticError):
+                g.eval(x, y)
+            with pytest.raises(ArithmeticError):
+                g.eval_factors(x, y)
+    u, v = approx_identity(2).eval_factors(np.array([NEG_INF, -1.5, POS_INF]), 0.0)
+    assert u.tolist() == [0.0, 0.5, 1.0] and float(v) == 1.0
+
+
 def test_distribution_wrapper():
     f = distribution("prodArctan")
     assert isinstance(f, Distribution)

@@ -3,23 +3,31 @@
 Each fast path is compared with the same computation forced through the
 generic code: a ClosedFormPrimitive wrapping the primitive's own eval has
 the same values but no factors, so integrate_product and convolve_l1 take
-their full-grid paths for it.
+their full-grid paths for it.  On the multiplier side a ClosedFormBV
+wrapping a ProductBV's eval does the same for integrate_product and the
+variation components.
 """
 
 import numpy as np
 import pytest
 
-from cpintegral.convolution import L1Kernel, PoissonKernelL1, convolve_l1
+from cpintegral import _kernels_py as kernels
+from cpintegral.convolution import L1Kernel, PoissonKernelL1, convolve_bv, convolve_l1
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
 from cpintegral.primitive import (
+    ClosedFormBV,
     ClosedFormPrimitive,
     CorrectedPrimitive,
+    ProductBV,
     SeparablePrimitive,
     approx_identity,
+    catalog_bv,
     catalog_primitive,
     corrected_primitive,
+    translate_reflect_bv,
 )
 from cpintegral.stieltjes import integrate_product
+from cpintegral.variation import axis_with_jumps, grid_components, hk_norm
 
 SEPARABLE = (
     ("prodArctan", {}),
@@ -41,8 +49,29 @@ INTERVALS = {
 }
 
 
+REFLECT_POINTS = ((-1.0, 0.3), (0.5, -2.0), (2.5, 1.5))
+MULTIPLIERS = {
+    "quadrant": lambda: catalog_bv("quadrantIndicator", x=0.4, y=-1.3),
+    "interval": lambda: catalog_bv("intervalIndicator", a=-1.5, b=0.25, c=-0.5, d=2.0),
+    "halfPlane": lambda: catalog_bv("halfPlaneIndicator"),
+    "constant": lambda: catalog_bv("constant", c=-1.75),
+}
+
+
 def generic(F):
     return ClosedFormPrimitive(F.eval, F.label)
+
+
+def generic_bv(g):
+    return ClosedFormBV(g.eval, g.label, g.jump_x, g.jump_y)
+
+
+def assert_same_run(fast, slow):
+    assert fast.converged == slow.converged
+    assert fast.resolution == slow.resolution
+    assert len(fast.trace) == len(slow.trace)
+    assert abs(fast.value - slow.value) <= 1e-12
+    assert abs(fast.error_estimate - slow.error_estimate) <= 1e-12
 
 
 def test_catalog_products_are_separable():
@@ -71,11 +100,70 @@ def test_integrate_product_fast_path_matches_generic(name, params, interval):
         g = approx_identity(n)
         fast = integrate_product(F, g, iv, tol=1e-6, max_doublings=3)
         slow = integrate_product(generic(F), g, iv, tol=1e-6, max_doublings=3)
-        assert fast.converged == slow.converged
-        assert fast.resolution == slow.resolution
-        assert len(fast.trace) == len(slow.trace)
-        assert abs(fast.value - slow.value) <= 1e-12
-        assert abs(fast.error_estimate - slow.error_estimate) <= 1e-12
+        assert_same_run(fast, slow)
+
+
+def test_multipliers_are_products():
+    for make in MULTIPLIERS.values():
+        assert isinstance(make(), ProductBV)
+    assert isinstance(translate_reflect_bv(approx_identity(2), 1.0, -0.5), ProductBV)
+    assert not isinstance(catalog_bv("diagonalIndicator"), ProductBV)
+
+
+@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
+def test_reflected_multiplier_matches_generic(name, params):
+    F = catalog_primitive(name, **params)
+    for n in (1, 2, 4):
+        for point in REFLECT_POINTS:
+            h = translate_reflect_bv(approx_identity(n), *point)
+            fast = integrate_product(F, h, tol=1e-6, max_doublings=3)
+            slow = integrate_product(F, generic_bv(h), tol=1e-6, max_doublings=3)
+            assert_same_run(fast, slow)
+
+
+@pytest.mark.parametrize("kind", list(MULTIPLIERS), ids=list(MULTIPLIERS))
+@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
+def test_indicator_multipliers_match_generic(name, params, kind):
+    F = catalog_primitive(name, **params)
+    g = MULTIPLIERS[kind]()
+    fast = integrate_product(F, g, tol=1e-6, max_doublings=3)
+    slow = integrate_product(F, generic_bv(g), tol=1e-6, max_doublings=3)
+    assert_same_run(fast, slow)
+
+
+def test_convolve_bv_reflected_product_matches_generic():
+    F = catalog_primitive("prodArctan")
+    g = approx_identity(2)
+    fast = convolve_bv(F, g, (-1.0, 0.3), tol=1e-4)
+    slow = integrate_product(F, generic_bv(translate_reflect_bv(g, -1.0, 0.3)), tol=1e-4)
+    assert_same_run(fast, slow)
+
+
+def _close(p, q):
+    return abs(p - q) <= 1e-12 * max(1.0, abs(q))
+
+
+@pytest.mark.parametrize("kind", ["approxIdentity", "reflected", *MULTIPLIERS])
+def test_factored_hk_norm_matches_meshgrid_components(kind):
+    if kind == "approxIdentity":
+        g = approx_identity(3)
+    elif kind == "reflected":
+        g = translate_reflect_bv(approx_identity(2), 0.5, -2.0)
+    else:
+        g = MULTIPLIERS[kind]()
+    fast = hk_norm(g)
+    slow = hk_norm(generic_bv(g))
+    assert fast.converged == slow.converged
+    assert fast.resolution == slow.resolution
+    assert len(fast.trace) == len(slow.trace)
+    for row, slow_row in zip(fast.trace, slow.trace):
+        assert _close(row["value"], slow_row["value"])
+        xs = axis_with_jumps(row["resolution"], g.jump_x)
+        ys = axis_with_jumps(row["resolution"], g.jump_y)
+        X, Y = np.meshgrid(xs, ys)
+        reference = kernels.hk_components(g.eval(X, Y))
+        for p, q in zip(grid_components(g, row["resolution"]), reference):
+            assert _close(p, q)
 
 
 @pytest.mark.parametrize("name", ["prodArctan", "sinc2d", "expRadial"])

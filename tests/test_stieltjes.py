@@ -118,3 +118,12 @@ def test_unconverged_line_integral_reports_last_increment():
     res = rs_line_integral(lambda t: np.exp(-np.abs(t)), np.arctan, NEG_INF, POS_INF, tol=1e-15, max_doublings=2)
     assert not res.converged
     assert res.error_estimate == abs(res.trace[-1]["value"] - res.trace[-2]["value"]) > 0
+
+
+@pytest.mark.xfail(strict=True, reason="stops at resolution 64 when both coarse levels miss the ramp")
+def test_product_does_not_stop_on_a_straddled_ramp():
+    # the ramp of approxIdentity(8) lies between chart nodes at resolutions
+    # 32 and 64, so both levels agree exactly and the refinement stops
+    # there, 2.0e-4 from the exact value
+    res = integrate_product(distribution("prodArctan"), approx_identity(8), tol=1e-6)
+    assert abs(res.value - 0.9172787112) <= 1e-6
