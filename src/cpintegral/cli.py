@@ -3,7 +3,8 @@
 Jobs come from a JSON file (--job) or from subcommand flags; reports go to
 stdout as JSON with a one-line human summary on stderr.  Infinite endpoints
 serialize as the strings "inf" / "-inf".  Exit codes: 0 ok, 2 result did
-not converge, 1 runtime error, 64 usage error, 66 unreadable input file.
+not converge, 1 runtime error (or stdout closed before the report was
+written), 64 usage error, 66 unreadable input file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -73,8 +75,8 @@ def parse_json_arg(text, flag):
 
 def _height(spec, default):
     z = float(spec.get("z", default))
-    if not z > 0:
-        raise CliError(f"z must be positive, got {z}", EX_USAGE)
+    if not (z > 0 and math.isfinite(z)):
+        raise CliError(f"z must be positive and finite, got {z}", EX_USAGE)
     return z
 
 
@@ -543,8 +545,15 @@ def main(argv=None):
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    json.dump(_jsonable(report), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        json.dump(_jsonable(report), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send the rest to devnull so the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     summary = report.get("value", report.get("relation", report.get("converged")))
     print(f"{spec.get('command')}: result={summary} converged={report.get('converged')}",
           file=sys.stderr)

@@ -185,7 +185,8 @@ def _convolved_values(F, grid_xs, px, py, K):
     and B[j, l] = b(y_j - q_l).  A corrected primitive sums only G over the
     grid x kernel nodes; its edge terms G(x, -inf) and G(-inf, y) depend on
     one coordinate and reduce against K's column and row sums.  Anything
-    else with an eval, step functions included, is summed point by point.
+    else with an eval is summed point by point.  (Step functions never get
+    here: mollify_step sums the kernel's closed-form CDF instead.)
     """
     shifted_x = grid_xs[:, None] - px[None, :]
     shifted_y = grid_xs[:, None] - py[None, :]
@@ -240,9 +241,9 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
 class StepFunction2:
     """Step function on half-open cells (p_{i-1}, p_i] x (q_{j-1}, q_j].
 
-    nodes include the infinite endpoints; values[j, i] is the value on cell
-    (i+1, j+1).  Points with an infinite negative coordinate belong to no
-    cell and evaluate to 0.
+    nodes increase strictly from -inf to inf; values[j, i] is the finite
+    value on cell (i+1, j+1).  Points with an infinite negative coordinate
+    belong to no cell and evaluate to 0.
     """
 
     nodes_x: np.ndarray
@@ -253,8 +254,15 @@ class StepFunction2:
         self.nodes_x = np.asarray(self.nodes_x, dtype=float)
         self.nodes_y = np.asarray(self.nodes_y, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        for nodes in (self.nodes_x, self.nodes_y):
+            if nodes.ndim != 1 or len(nodes) < 2 or nodes[0] != NEG_INF or nodes[-1] != POS_INF:
+                raise ValueError("nodes must run from -inf to inf")
+            if not np.all(np.diff(nodes) > 0):
+                raise ValueError("nodes must be strictly increasing")
         if self.values.shape != (len(self.nodes_y) - 1, len(self.nodes_x) - 1):
             raise ValueError("values shape must be (cells_y, cells_x)")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("step values must be finite")
 
     def eval(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -289,20 +297,71 @@ def step_approximate(F: Primitive, n: int) -> StepFunction2:
     return StepFunction2(nodes, nodes.copy(), vals)
 
 
-def mollify_step(sigma: StepFunction2, z, resolution=64, level=2) -> GridSamplePrimitive:
-    """Poisson mollification of a step function, sampled on a chart grid.
+def _mollify_1d(values, nodes, ts, z):
+    """Cauchy mollification of the 1-d step function values on (p_k, p_{k+1}].
 
-    Interior and boundary nodes use the same convolution formula: at an
-    infinite coordinate the step function's own boundary limit enters, so
-    the boundary rows are the one-dimensional mollifications of the edge
-    sections and the (inf, inf) corner reproduces sigma(inf, inf) exactly
-    (weights are normalized to unit mass).
+    h(t) = sum over nodes of e_k C(t - p_k), with C(t) = 1/2 + atan(t/z)/pi
+    and e the difference of the zero-padded values.  A node at the output's
+    own infinity (inf - inf) contributes 0: the last cell (p_{n-1}, inf]
+    holds t = inf, so h(inf) is the last value and h(-inf) is 0.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    kernel = PoissonKernelL1(z)
-    px, py, W = kernel.quad_points(level)
-    K = W * kernel.node_values(px, py)
-    H = _convolved_values(sigma, axis_nodes(resolution), px, py, K / float(np.sum(K)))
-    grid = uniform_grid(resolution)
-    return GridSamplePrimitive(grid, H, f"mollified(z={z})")
+    e = np.diff(values, prepend=0.0, append=0.0)
+    with np.errstate(invalid="ignore"):
+        shifted = ts[:, None] - nodes[None, :]
+    return np.where(np.isnan(shifted), 0.0, 0.5 + np.arctan(shifted / z) / math.pi) @ e
+
+
+def _poisson_node_sum(d, p, q, xs, ys, z):
+    """H[j, i] = sum over nodes (k, l) of d[l, k] Phi(x_i - p_k, y_j - q_l), outputs finite.
+
+    Phi(a, b) = 1/4 + (atan(a/z) + atan(b/z) + atan(ab / (z r))) / (2 pi),
+    r = sqrt(a^2 + b^2 + z^2), is the kernel's bivariate CDF.  The rows and
+    columns of d sum to zero, so Phi's three separable terms cancel in the
+    sum.  At the infinite end nodes the cross term has the 1-d limit
+    sign(a) atan(b/z) (a = x - p_k infinite) or sign(b) atan(a/z), which
+    leaves 1-d sums; only the finite nodes need the full grid x nodes sum,
+    chunked over output rows to about 2^18 points.
+    """
+    a = xs[:, None] - p[None, 1:-1]
+    b = ys[:, None] - q[None, 1:-1]
+    H = ((np.arctan(b / z) @ (d[1:-1, 0] - d[1:-1, -1]))[:, None]
+         + (np.arctan(a / z) @ (d[0, 1:-1] - d[-1, 1:-1]))[None, :]
+         + (math.pi / 2) * (d[0, 0] - d[0, -1] - d[-1, 0] + d[-1, -1]))
+    D = d[1:-1, 1:-1].ravel()
+    a4, a2 = a[None, :, None, :], (a * a)[None, :, None, :]
+    chunk = max(1, 2**18 // max(1, a.size * b.shape[1]))
+    for start in range(0, len(ys), chunk):
+        bj = b[start : start + chunk, None, :, None]
+        t = bj * a4
+        r = np.sqrt(bj * bj + z * z + a2)
+        r *= z
+        t /= r
+        np.arctan(t, out=t)
+        H[start : start + chunk] += t.reshape(len(bj), len(xs), -1) @ D
+    return H / TWO_PI
+
+
+def mollify_step(sigma: StepFunction2, z, resolution=64) -> GridSamplePrimitive:
+    """Poisson mollification of a step function, exact on a chart grid.
+
+    A step function is a sum of cell indicators, so its mollification at
+    (x, y) is the sum over cells of the cell value times the kernel mass of
+    (x, y) minus the cell, a corner sum of the kernel's CDF Phi:
+    H(x, y) = sum over nodes (k, l) of d[l, k] Phi(x - p_k, y - q_l), with d
+    the mixed difference of the zero-padded cell values.  At an infinite
+    coordinate the sum takes the 1-d limits: the -inf rows are 0, and the
+    +inf rows are the Cauchy mollifications of the last row and column of
+    cells (the last cell holds inf), so the (inf, inf) corner is
+    sigma(inf, inf) up to rounding.
+    """
+    z = float(z)
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be positive and finite, got {z}")
+    xs = axis_nodes(resolution)
+    V = sigma.values
+    H = np.zeros((len(xs), len(xs)))
+    d = np.diff(np.diff(np.pad(V, 1), axis=0), axis=1)
+    H[1:-1, 1:-1] = _poisson_node_sum(d, sigma.nodes_x, sigma.nodes_y, xs[1:-1], xs[1:-1], z)
+    H[-1, 1:] = _mollify_1d(V[-1, :], sigma.nodes_x, xs[1:], z)
+    H[1:, -1] = _mollify_1d(V[:, -1], sigma.nodes_y, xs[1:], z)
+    return GridSamplePrimitive(uniform_grid(resolution), H, f"mollified(z={z})")

@@ -181,6 +181,10 @@ class BVFunction:
         out = self.eval(x, y)
         return out if np.ndim(out) else float(out)
 
+    def _reject_nan(self, x, y):
+        if np.isnan(x).any() or np.isnan(y).any():
+            raise ArithmeticError(f"multiplier '{self.label}' evaluated at a NaN coordinate")
+
 
 class ClosedFormBV(BVFunction):
     kind = "closedForm"
@@ -191,6 +195,7 @@ class ClosedFormBV(BVFunction):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
+        self._reject_nan(x, y)
         return self._fn(x, y)
 
 
@@ -208,10 +213,6 @@ class ProductBV(BVFunction):
         super().__init__(label, u_jumps, v_jumps)
         self.u = u
         self.v = v
-
-    def _reject_nan(self, x, y):
-        if np.isnan(x).any() or np.isnan(y).any():
-            raise ArithmeticError(f"multiplier '{self.label}' evaluated at a NaN coordinate")
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
@@ -285,6 +286,7 @@ class DiagonalIndicatorBV(BVFunction):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
+        self._reject_nan(x, y)
         return (y > x).astype(float)
 
 
@@ -316,6 +318,7 @@ class GridConstantBV(BVFunction):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
+        self._reject_nan(x, y)
         i = np.clip(np.searchsorted(self.grid.xs, x, side="left") - 1, 0, self.grid.resolution - 1)
         j = np.clip(np.searchsorted(self.grid.ys, y, side="left") - 1, 0, self.grid.resolution - 1)
         out = self.cell_values[j, i]
@@ -343,9 +346,12 @@ def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
     """(s, t) -> g(x0 - s, y0 - t), with jump lines mapped accordingly.
 
     A ProductBV stays a ProductBV of the reflected factors u(x0 - s) and
-    v(y0 - t); any other g becomes a ClosedFormBV.
+    v(y0 - t); any other g becomes a ClosedFormBV.  The point must be finite:
+    about an infinite point x0 - s is inf - inf at s = x0.
     """
     x0, y0 = ext(x0), ext(y0)
+    if math.isinf(x0) or math.isinf(y0):
+        raise ValueError("cannot reflect about an infinite point")
     jx = tuple(x0 - j for j in g.jump_x if math.isfinite(x0 - j))
     jy = tuple(y0 - j for j in g.jump_y if math.isfinite(y0 - j))
     label = f"{g.label} reflected about ({x0},{y0})"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from cpintegral import cli
 from cpintegral.integral import alexiewicz_norm
 from cpintegral.operators import algebra_product, lattice_join, translate
 from cpintegral.primitive import ClosedFormPrimitive, Distribution, distribution
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, argv):
@@ -196,6 +201,26 @@ def test_nonpositive_height_exit_64(capsys, command, z):
     assert code == 64
     assert report is None
     assert "z must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["convolve-l1", "mollify"])
+@pytest.mark.parametrize("z", ["inf", "nan"])
+def test_nonfinite_height_exit_64(capsys, command, z):
+    code, report, err = run_cli(capsys, [command, "--primitive", "prodArctan", "--z", z])
+    assert code == 64
+    assert report is None
+    assert "z must be positive and finite" in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "cpintegral.cli", "catalog"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_argparse_usage_error_exit_64(capsys):

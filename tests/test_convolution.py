@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpintegral.convolution import (
     PoissonKernelL1,
@@ -125,3 +127,118 @@ def test_mollify_step_rejects_bad_height():
     sigma = step_approximate(distribution("prodArctan").primitive, 8)
     with pytest.raises(ValueError):
         mollify_step(sigma, 0.0)
+
+
+@pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
+def test_mollify_step_rejects_nonfinite_or_negative_height(z):
+    sigma = step_approximate(distribution("prodArctan").primitive, 8)
+    with pytest.raises(ValueError, match="z must be positive and finite"):
+        mollify_step(sigma, z)
+
+
+@pytest.mark.parametrize("nodes_x,values,message", [
+    ([NEG_INF, 0.0, POS_INF], [[1.0, math.nan], [0.0, 1.0]], "finite"),
+    ([NEG_INF, 0.0, POS_INF], [[1.0, math.inf], [0.0, 1.0]], "finite"),
+    ([NEG_INF, 1.0, 0.0, POS_INF], np.ones((2, 3)), "strictly increasing"),
+    ([NEG_INF, 0.0, 0.0, POS_INF], np.ones((2, 3)), "strictly increasing"),
+    ([-5.0, 0.0, POS_INF], np.ones((2, 2)), "-inf to inf"),
+    ([NEG_INF, 0.0, 5.0], np.ones((2, 2)), "-inf to inf"),
+], ids=["nan-value", "inf-value", "unsorted", "repeated", "finite-start", "finite-end"])
+def test_step_function_rejects_bad_input(nodes_x, values, message):
+    with pytest.raises(ValueError, match=message):
+        StepFunction2(nodes_x, [NEG_INF, 0.0, POS_INF], values)
+
+
+# ---------------------------------------------------------------------------
+# exact mollification against a scalar cell-by-cell reference
+
+
+def _poisson_cdf(a, b, z):
+    """Poisson kernel mass over (-inf, a] x (-inf, b]; Cauchy CDFs at an infinite argument."""
+    if a == NEG_INF or b == NEG_INF:
+        return 0.0
+    if a == POS_INF:
+        return 1.0 if b == POS_INF else 0.5 + math.atan(b / z) / math.pi
+    if b == POS_INF:
+        return 0.5 + math.atan(a / z) / math.pi
+    r = math.sqrt(a * a + b * b + z * z)
+    return 0.25 + (math.atan(a / z) + math.atan(b / z) + math.atan(a * b / (z * r))) / (2 * math.pi)
+
+
+def _reference(sigma, z, x, y):
+    """Sum over cells of the cell value times the kernel mass of (x, y) minus the cell."""
+    px, py = sigma.nodes_x, sigma.nodes_y
+    total = 0.0
+    for j in range(len(py) - 1):
+        for i in range(len(px) - 1):
+            a, b = x - px[i + 1], x - px[i]
+            c, d = y - py[j + 1], y - py[j]
+            mass = _poisson_cdf(b, d, z) - _poisson_cdf(a, d, z) - _poisson_cdf(b, c, z) + _poisson_cdf(a, c, z)
+            total += sigma.values[j, i] * mass
+    return total
+
+
+def _reference_1d(values, nodes, t, z):
+    """Cauchy mollification of the 1-d step function values on (p_k, p_{k+1}] at a finite t."""
+    def cdf(s):
+        return 0.5 + math.atan(s / z) / math.pi if math.isfinite(s) else float(s > 0)
+    return sum(v * (cdf(t - nodes[k]) - cdf(t - nodes[k + 1])) for k, v in enumerate(values))
+
+
+def _check_boundaries(sigma, H, z, xs):
+    V = sigma.values
+    # the -inf rows and columns hold no cell
+    assert np.all(H[0, :] == 0.0) and np.all(H[:, 0] == 0.0)
+    # the +inf rows are the 1-d mollifications of the last row and column of cells
+    for i, t in enumerate(xs[1:-1], start=1):
+        assert abs(H[-1, i] - _reference_1d(V[-1, :], sigma.nodes_x, t, z)) <= 1e-13
+        assert abs(H[i, -1] - _reference_1d(V[:, -1], sigma.nodes_y, t, z)) <= 1e-13
+    assert abs(H[-1, -1] - sigma(POS_INF, POS_INF)) <= 1e-12
+    # sigma(-inf, y) = 0 is one of the step values, so 0 bounds the range too
+    lo, hi = min(0.0, float(np.min(V))), max(0.0, float(np.max(V)))
+    assert lo - 1e-12 <= np.min(H) and np.max(H) <= hi + 1e-12
+
+
+def _steps(draw):
+    cells_x = draw(st.integers(1, 5))
+    cells_y = draw(st.integers(1, 5))
+    # eighths keep the nodes distinct after the translation below
+    coord = st.integers(-80, 80).map(lambda k: k / 8.0)
+    inner_x = draw(st.lists(coord, min_size=cells_x - 1, max_size=cells_x - 1, unique=True))
+    inner_y = draw(st.lists(coord, min_size=cells_y - 1, max_size=cells_y - 1, unique=True))
+    values = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
+                           min_size=cells_x * cells_y, max_size=cells_x * cells_y))
+    return StepFunction2([NEG_INF, *sorted(inner_x), POS_INF], [NEG_INF, *sorted(inner_y), POS_INF],
+                         np.reshape(values, (cells_y, cells_x)))
+
+
+@given(st.data(), st.floats(0.05, 5.0), st.sampled_from([2, 4, 6]),
+       st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_mollify_step_matches_cell_sum(data, z, resolution, x, y):
+    sigma = _steps(data.draw)
+    xs = axis_nodes(resolution)
+    H = mollify_step(sigma, z, resolution=resolution).values
+    for j in range(1, resolution):
+        for i in range(1, resolution):
+            assert abs(H[j, i] - _reference(sigma, z, xs[i], xs[j])) <= 1e-13
+    _check_boundaries(sigma, H, z, xs)
+    # a random finite point: the origin of the step function translated by -(x, y)
+    moved = StepFunction2(sigma.nodes_x - x, sigma.nodes_y - y, sigma.values)
+    at_origin = mollify_step(moved, z, resolution=2).values[1, 1]
+    assert abs(at_origin - _reference(sigma, z, x, y)) <= 1e-13
+
+
+def test_mollify_step_boundaries_of_a_step_approximation():
+    sigma = step_approximate(distribution("sinc2d").primitive, 16)
+    xs = axis_nodes(16)
+    _check_boundaries(sigma, mollify_step(sigma, 0.8, resolution=16).values, 0.8, xs)
+
+
+def test_mollify_step_many_cells_at_the_default_resolution():
+    sigma = step_approximate(distribution("prodArctan").primitive, 128)
+    xs = axis_nodes(64)
+    H = mollify_step(sigma, 0.3, resolution=64).values
+    for i, j in ((32, 32), (10, 50), (47, 5), (63, 1)):
+        assert abs(H[j, i] - _reference(sigma, 0.3, xs[i], xs[j])) <= 1e-13
+    assert abs(H[-1, -1] - sigma(POS_INF, POS_INF)) <= 1e-12

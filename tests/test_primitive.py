@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval
+from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.primitive import (
     CATALOG_BV,
     CATALOG_PRIMITIVES,
+    ClosedFormBV,
     ClosedFormPrimitive,
     Distribution,
+    GridConstantBV,
     GridSamplePrimitive,
     approx_identity,
     catalog_bv,
@@ -210,6 +212,25 @@ def test_product_bv_rejects_nan():
                 g.eval_factors(x, y)
     u, v = approx_identity(2).eval_factors(np.array([NEG_INF, -1.5, POS_INF]), 0.0)
     assert u.tolist() == [0.0, 0.5, 1.0] and float(v) == 1.0
+
+
+@pytest.mark.parametrize("g", [
+    ClosedFormBV(lambda x, y: np.ones(np.shape(x)), "ones"),
+    catalog_bv("diagonalIndicator"),
+    GridConstantBV(uniform_grid(2), [[0.0, 1.0], [2.0, 3.0]]),
+], ids=["closedForm", "diagonalIndicator", "gridConstant"])
+def test_bv_rejects_nan(g):
+    assert float(np.sum(g.eval(np.array([0.5, POS_INF]), 1.0))) >= 0.0
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (np.array([0.0, math.nan]), 1.0)):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            g.eval(x, y)
+
+
+@pytest.mark.parametrize("point", [(POS_INF, 0.0), (0.0, NEG_INF), (POS_INF, POS_INF)])
+def test_translate_reflect_bv_rejects_infinite_point(point):
+    for g in (approx_identity(1), catalog_bv("diagonalIndicator")):
+        with pytest.raises(ValueError, match="infinite point"):
+            translate_reflect_bv(g, *point)
 
 
 def test_distribution_wrapper():
