@@ -1,0 +1,204 @@
+"""Golden CLI reports: exit code, report digest and --help text.
+
+Every case runs `cli.main` in-process on cheap inputs.  The digest is the
+SHA-256 of the JSON report with sorted keys, `wallTime` removed and the
+temporary directory written as "<tmp>"; an empty stdout has digest None.
+The recorded values live in tests/data/cli_golden.json.  After a
+deliberate change to a report or a help text, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from cpintegral import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
+HELP_COLUMNS = "100"
+
+JOBS = {
+    "integrate.json": {"command": "integrate", "primitive": {"name": "expRadial"},
+                       "interval": ["-inf", 0, "-inf", 0]},
+    "norm-params.json": {"command": "norm", "primitive": "sineStrip", "params": {"n": 4},
+                         "tol": 1e-3},
+    "bvnorm.json": {"command": "bvnorm",
+                    "bv": {"name": "intervalIndicator",
+                           "params": {"a": "-inf", "b": 1, "c": 0, "d": "inf"}}},
+    "vitali.json": {"command": "variation", "kind": "vitali",
+                    "bv": {"name": "intervalIndicator", "params": {"a": -1, "b": 2, "c": 0, "d": 1}}},
+    "iterated.json": {"command": "iterated", "primitive": "sinc2d",
+                      "interval": [-1, 2, "-inf", 1], "resolution": 16},
+    "grid-norm.json": {"command": "norm", "primitive": {"file": "{tmp}/parts.json"}},
+    "holder.json": {"command": "verify", "suite": "holder", "seed": 3},
+    "unknown-command.json": {"command": "frobnicate"},
+    "bad-json.json": "{not json",
+}
+
+# (case id, argv); "{tmp}" is the temporary directory, and cases run in order
+CASES = [
+    ("integrate", ["integrate", "--primitive", "prodArctan", "--interval", "0", "inf", "0", "inf"]),
+    ("integrate-neg-inf", ["integrate", "--primitive", "expRadial", "--interval", "-inf", "0", "-inf", "0"]),
+    ("integrate-default", ["integrate", "--primitive", "gauss2"]),
+    ("norm", ["norm", "--primitive", "sineStrip", "--params", '{"n": 4}', "--tol", "1e-3"]),
+    ("normprime", ["normprime", "--primitive", "prodArctan", "--tol", "1e-3"]),
+    ("bvnorm", ["bvnorm", "--bv", "intervalIndicator", "--bv-params", '{"a": 0, "b": 1, "c": 0, "d": 1}']),
+    ("variation-default", ["variation", "--bv", "approxIdentity", "--tol", "1e-3"]),
+    ("variation-hk", ["variation", "--bv", "quadrantIndicator", "--kind", "hk", "--tol", "1e-3"]),
+    ("variation-vitali", ["variation", "--bv", "quadrantIndicator", "--kind", "vitali", "--tol", "1e-3"]),
+    ("variation-sectional1", ["variation", "--bv", "halfPlaneIndicator", "--kind", "sectional1",
+                              "--tol", "1e-3"]),
+    ("variation-sectional2", ["variation", "--bv", "quadrantIndicator", "--kind", "sectional2",
+                              "--tol", "1e-3"]),
+    ("variation-trace", ["variation", "--bv", "diagonalIndicator", "--kind", "trace", "--doublings", "3"]),
+    ("parts-out", ["parts", "--primitive", "prodArctan", "--bv", "approxIdentity", "--resolution", "16",
+                   "--out", "{tmp}/parts.json"]),
+    ("norm-grid-file", ["norm", "--grid-file", "{tmp}/parts.json", "--tol", "1e-3"]),
+    ("parts", ["parts", "--primitive", "gauss2", "--bv", "constant", "--bv-params", '{"c": 2}',
+               "--resolution", "8"]),
+    ("product", ["product", "--primitive", "prodArctan", "--primitive2", "gauss2", "--tol", "1e-3"]),
+    ("lattice-out", ["lattice", "--primitive", "prodArctan", "--primitive2", "gauss2", "--op", "meet",
+                     "--tol", "1e-3", "--resolution", "16", "--out", "{tmp}/lattice.json"]),
+    ("lattice-default", ["lattice", "--primitive", "prodArctan", "--primitive2", "gauss2", "--tol", "1e-3"]),
+    ("order", ["order", "--primitive", "prodArctan", "--primitive2", "gauss2", "--resolution", "16"]),
+    ("translate", ["translate", "--primitive", "prodArctan", "--shift", "1", "-0.5", "--tol", "1e-3"]),
+    ("changevars", ["changevars", "--primitive", "gauss2", "--interval", "-2", "2", "-2", "2",
+                    "--map-spec", '{"alpha": -1, "beta": 2, "gamma1": 0.5}']),
+    ("changevars-swapped", ["changevars", "--primitive", "prodArctan", "--interval", "0", "1", "-inf", "0",
+                              "--map-spec", '{"alpha": 2, "kind": "swapped"}']),
+    ("convolve-bv", ["convolve-bv", "--primitive", "prodArctan", "--bv", "approxIdentity",
+                     "--point", "0.5", "-0.5", "--tol", "1e-3"]),
+    ("convolve-bv-corner", ["convolve-bv", "--primitive", "prodArctan", "--bv", "constant",
+                            "--point", "inf", "inf"]),
+    ("convolve-bv-unconverged", ["convolve-bv", "--primitive", "prodArctan", "--bv", "approxIdentity",
+                                 "--point", "0", "0", "--tol", "1e-12"]),
+    ("convolve-l1-out", ["convolve-l1", "--primitive", "prodArctan", "--z", "0.5", "--resolution", "8",
+                         "--tol", "1e-2", "--out", "{tmp}/conv.json"]),
+    ("convolve-l1-normalize", ["convolve-l1", "--primitive", "gauss2", "--z", "0.5", "--resolution", "8",
+                               "--tol", "1e-2", "--normalize"]),
+    ("mollify-out", ["mollify", "--primitive", "prodArctan", "--z", "0.3", "--n", "8", "--resolution", "16",
+                     "--out", "{tmp}/mollified.json"]),
+    ("mollify-default-z", ["mollify", "--primitive", "gauss2", "--n", "4", "--resolution", "8"]),
+    ("iterated", ["iterated", "--primitive", "sinc2d", "--interval", "-1", "2", "-inf", "1",
+                  "--resolution", "32"]),
+    ("improper-arctan", ["improper", "--name", "arctanXY", "--order", "dxFirst"]),
+    ("improper-xpowy", ["improper", "--name", "xPowY", "--order", "dyFirst"]),
+    ("ndcorner", ["ndcorner", "--lower", "0", "-1", "--upper", "inf", "2"]),
+    ("ndcorner-default", ["ndcorner"]),
+    ("catalog", ["catalog"]),
+    ("verify", ["verify", "--suite", "ftc"]),
+    ("job-integrate", ["--job", "{tmp}/integrate.json"]),
+    ("job-norm-params", ["--job", "{tmp}/norm-params.json"]),
+    ("job-bvnorm", ["--job", "{tmp}/bvnorm.json"]),
+    ("job-vitali", ["--job", "{tmp}/vitali.json"]),
+    ("job-iterated", ["--job", "{tmp}/iterated.json"]),
+    ("job-grid-norm", ["--job", "{tmp}/grid-norm.json"]),
+    ("job-holder-seed", ["--job", "{tmp}/holder.json"]),
+    # kept error codes
+    ("usage-unknown-primitive", ["integrate", "--primitive", "nope"]),
+    ("usage-unknown-bv", ["bvnorm", "--bv", "nope"]),
+    ("usage-unknown-command", ["--job", "{tmp}/unknown-command.json"]),
+    ("usage-bad-params-json", ["integrate", "--primitive", "prodArctan", "--params", "{bad"]),
+    ("usage-bad-map-json", ["changevars", "--primitive", "gauss2", "--map-spec", "{bad"]),
+    ("usage-nan-endpoint", ["integrate", "--primitive", "prodArctan", "--interval", "nan", "1", "0", "1"]),
+    ("usage-negative-z", ["convolve-l1", "--primitive", "prodArctan", "--z", "-1"]),
+    ("usage-missing-primitive", ["norm"]),
+    ("usage-argparse-flag", ["integrate", "--primitive", "prodArctan", "--no-such-flag"]),
+    ("usage-argparse-choice", ["variation", "--bv", "constant", "--kind", "bogus"]),
+    ("usage-argparse-command", ["frobnicate"]),
+    ("usage-no-command", []),
+    ("noinput-missing-job", ["--job", "{tmp}/missing.json"]),
+    ("noinput-bad-job-json", ["--job", "{tmp}/bad-json.json"]),
+    ("noinput-missing-grid-file", ["norm", "--grid-file", "{tmp}/missing-grid.json"]),
+    ("runtime-mixed-boundary-point", ["convolve-bv", "--primitive", "prodArctan", "--bv", "constant",
+                                      "--point", "inf", "0"]),
+]
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(stdout, tmp):
+    if not stdout.strip():
+        return None
+    report = json.loads(stdout)
+    report.pop("wallTime", None)
+    text = json.dumps(report, sort_keys=True).replace(tmp, "<tmp>")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_roster(tmp):
+    """{case id: {"code", "sha256"}} for every case, run in order in tmp."""
+    for name, spec in JOBS.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.write(spec if isinstance(spec, str) else json.dumps(spec).replace("{tmp}", tmp))
+    results = {}
+    for case_id, argv in CASES:
+        code, stdout, _ = _call([a.replace("{tmp}", tmp) for a in argv])
+        results[case_id] = {"code": code, "sha256": _digest(stdout, tmp)}
+    return results
+
+
+def help_texts():
+    """--help of the top-level parser and of every subcommand."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    try:
+        texts = {"": _call(["--help"])[1]}
+        for name in sorted(_subcommands()):
+            texts[name] = _call([name, "--help"])[1]
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return texts
+
+
+def _subcommands():
+    parser = cli.make_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def roster(tmp_path_factory):
+    return run_roster(str(tmp_path_factory.mktemp("cli-golden")))
+
+
+@pytest.mark.parametrize("case_id", [c for c, _ in CASES])
+def test_report_matches_golden(golden, roster, case_id):
+    assert roster[case_id] == golden["reports"][case_id]
+
+
+def test_help_texts_match_golden(golden):
+    texts = help_texts()
+    assert sorted(texts) == sorted(golden["help"])
+    for name, text in texts.items():
+        assert text == golden["help"][name], f"--help of {name or 'cpintegral'} changed"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {"reports": run_roster(tmp), "help": help_texts()}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.exit(0)
