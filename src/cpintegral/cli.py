@@ -5,6 +5,9 @@ stdout as JSON with a one-line human summary on stderr.  Infinite endpoints
 serialize as the strings "inf" / "-inf".  Exit codes: 0 ok, 2 result did
 not converge, 1 runtime error (or stdout closed before the report was
 written), 64 usage error, 66 unreadable input file.
+
+Every subcommand is one row of COMMANDS: its handler, its help text and
+the flags it takes besides the common ones.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from .extplane import make_interval
 from .primitive import (
     CATALOG_BV,
     CATALOG_PRIMITIVES,
-    Distribution,
+    ClosedFormPrimitive,
     catalog_bv,
     catalog_primitive,
-    export_grid_csv,
     export_grid_json,
     import_grid_csv,
     import_grid_json,
@@ -132,10 +134,6 @@ def build_primitive(spec, key="primitive"):
         raise CliError(str(exc), EX_USAGE)
 
 
-def build_distribution(spec, key="primitive"):
-    return Distribution(build_primitive(spec, key))
-
-
 def build_bv(spec, key="bv"):
     ref = spec.get(key)
     if ref is None:
@@ -150,7 +148,12 @@ def build_bv(spec, key="bv"):
         raise CliError(str(exc), EX_USAGE)
 
 
-def _quad_report(res):
+# ---------------------------------------------------------------------------
+# handlers: (spec, tol, resolution) -> report fields; `converged` defaults
+# to True and sets the exit code
+
+
+def _refined(res):
     return {
         "value": res.value,
         "errorEstimate": res.error_estimate,
@@ -158,6 +161,220 @@ def _quad_report(res):
         "resolution": res.resolution,
         "converged": res.converged,
     }
+
+
+def _written(spec, make_grid):
+    """Export make_grid() to spec["out"] when it is set; the grid is built only then."""
+    if not spec.get("out"):
+        return {}
+    export_grid_json(make_grid(), spec["out"])
+    return {"written": spec["out"]}
+
+
+def _integrate(spec, tol, resolution):
+    return {"value": integral.corner_integral(build_primitive(spec), build_interval(spec))}
+
+
+def _norm(spec, tol, resolution):
+    return _refined(integral.alexiewicz_norm(build_primitive(spec), tol=tol))
+
+
+def _normprime(spec, tol, resolution):
+    return _refined(integral.norm_prime(build_primitive(spec), tol=tol))
+
+
+def _bvnorm(spec, tol, resolution):
+    return variation.hk_norm(build_bv(spec), tol=tol).as_dict()
+
+
+def _variation(spec, tol, resolution):
+    g = build_bv(spec)
+    kind = spec.get("kind", "hk")
+    if kind == "hk":
+        est = variation.hk_norm(g, tol=tol)
+    elif kind == "vitali":
+        est = variation.vitali_variation(g, tol=tol)
+    elif kind in ("sectional1", "sectional2"):
+        est = variation.sectional_variation_sup(g, int(kind[-1]), tol=tol)
+    elif kind == "trace":
+        return {"trace": variation.variation_trace(g, doublings=int(spec.get("doublings", 5)))}
+    else:
+        raise CliError(f"unknown variation kind {kind!r}", EX_USAGE)
+    return est.as_dict()
+
+
+def _parts(spec, tol, resolution):
+    prim = stieltjes.parts_primitive(build_primitive(spec), build_bv(spec), resolution=resolution)
+    return {"supNorm": float(np.max(np.abs(prim.values))),
+            "totalIntegral": float(prim(float("inf"), float("inf"))),
+            **_written(spec, lambda: prim)}
+
+
+def _product(spec, tol, resolution):
+    prod = operators.algebra_product(build_primitive(spec), build_primitive(spec, "primitive2"))
+    res = integral.alexiewicz_norm(prod, tol=tol)
+    return {"normOfProduct": res.value, "errorEstimate": res.error_estimate,
+            "totalIntegral": integral.total_integral(prod), "converged": res.converged}
+
+
+def _lattice(spec, tol, resolution):
+    F1, F2 = build_primitive(spec), build_primitive(spec, "primitive2")
+    op = spec.get("op", "join")
+    if op == "join":
+        prim = operators.lattice_join(F1, F2)
+    elif op == "meet":
+        prim = operators.lattice_meet(F1, F2)
+    else:
+        raise CliError("lattice op must be 'join' or 'meet'", EX_USAGE)
+    res = integral.alexiewicz_norm(prim, tol=tol)
+    return {"supNorm": res.value, "errorEstimate": res.error_estimate, "converged": res.converged,
+            **_written(spec, lambda: sample_primitive(prim, resolution))}
+
+
+def _order(spec, tol, resolution):
+    F1, F2 = build_primitive(spec), build_primitive(spec, "primitive2")
+    return {"relation": operators.order_compare(F1, F2, resolution=resolution)}
+
+
+def _translate(spec, tol, resolution):
+    F = build_primitive(spec)
+    s, t = (parse_ext(v) for v in spec.get("shift", [1.0, 1.0]))
+    G = operators.translate(F, s, t).primitive
+    translated = integral.alexiewicz_norm(G, tol=tol)
+    delta = ClosedFormPrimitive(
+        lambda x, y: np.asarray(F.eval(x, y)) - np.asarray(G.eval(x, y)), "difference")
+    difference = integral.alexiewicz_norm(delta, tol=tol)
+    return {"normTranslated": translated.value, "normDifference": difference.value,
+            "errorEstimate": max(translated.error_estimate, difference.error_estimate)}
+
+
+def _changevars(spec, tol, resolution):
+    F = build_primitive(spec)
+    m = spec.get("map", {})
+    amap = operators.LinearAxisMap(
+        alpha=float(m.get("alpha", 1.0)),
+        beta=float(m.get("beta", 1.0)),
+        gamma1=float(m.get("gamma1", 0.0)),
+        gamma2=float(m.get("gamma2", 0.0)),
+        kind=m.get("kind", "straight"),
+    )
+    interval = build_interval(spec)
+    value = operators.change_of_variables(F, amap, interval)
+    direct = integral.corner_integral(F, interval)
+    return {"value": value, "direct": direct, "difference": abs(value - direct)}
+
+
+def _convolve_bv(spec, tol, resolution):
+    F, g = build_primitive(spec), build_bv(spec)
+    p = tuple(parse_ext(v) for v in spec.get("point", [0.0, 0.0]))
+    return _refined(convolve_bv(F, g, p, tol=tol))
+
+
+def _convolve_l1(spec, tol, resolution):
+    F = build_primitive(spec)
+    z = _height(spec, 1.0)
+    conv = convolve_l1(F, PoissonKernelL1(z), resolution=resolution, tol=tol,
+                       normalize=bool(spec.get("normalize", False)))
+    return {"totalIntegral": integral.total_integral(conv), "errorEstimate": conv.error_estimate,
+            "converged": conv.converged, **_written(spec, lambda: conv.primitive)}
+
+
+def _mollify(spec, tol, resolution):
+    F = build_primitive(spec)
+    z = _height(spec, 0.25)
+    sigma = step_approximate(F, int(spec.get("n", 16)))
+    prim = mollify_step(sigma, z, resolution=resolution)
+    return {"cornerValue": float(prim(float("inf"), float("inf"))),
+            "stepCorner": float(sigma(float("inf"), float("inf"))),
+            **_written(spec, lambda: prim)}
+
+
+def _iterated(spec, tol, resolution):
+    return integral.iterated_consistency(build_primitive(spec), build_interval(spec),
+                                         resolution=resolution)
+
+
+def _improper(spec, tol, resolution):
+    return _refined(integral.improper_example(spec.get("name", "xPowY"),
+                                              spec.get("order", "dyFirst"), tol=tol))
+
+
+def _product_ramp(*coords):
+    out = 1.0
+    for c in coords:
+        out *= (math.pi / 2 + math.atan(c)) / math.pi
+    return out
+
+
+def _ndcorner(spec, tol, resolution):
+    lower = [parse_ext(v) for v in spec.get("lower", [0, 0, 0])]
+    upper = [parse_ext(v) for v in spec.get("upper", ["inf", "inf", "inf"])]
+    box = integral.IntervalND(tuple(lower), tuple(upper))
+    return {"value": integral.corner_integral_nd(_product_ramp, box), "dims": box.ndim}
+
+
+def _catalog(spec, tol, resolution):
+    return {"primitives": list(CATALOG_PRIMITIVES), "bvFunctions": list(CATALOG_BV),
+            "suites": sorted(SUITES)}
+
+
+def _verify(spec, tol, resolution):
+    name = spec.get("suite")
+    if name not in SUITES:
+        raise CliError(f"unknown suite {name!r}", EX_USAGE)
+    report = run_suite(name, seed=spec.get("seed"))
+    return {"suite": report, "converged": report["passed"]}
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+_COMMON_FLAGS = (
+    ("--tol", {"type": float}),
+    ("--resolution", {"type": int}),
+    ("--seed", {"type": int}),
+    ("--primitive", {"help": "catalog primitive name"}),
+    ("--params", {"help": "JSON params for the primitive"}),
+    ("--grid-file", {"help": "grid sample file (.json or .csv)"}),
+    ("--out", {"help": "write the resulting grid sample here"}),
+)
+_INTERVAL = ("--interval", {"nargs": 4, "metavar": ("A", "B", "C", "D")})
+_BV = (("--bv", {}), ("--bv-params", {}))
+_PRIMITIVE2 = ("--primitive2", {})
+
+# name -> (handler, help text, flags besides the common ones)
+COMMANDS = {
+    "integrate": (_integrate, "corner-formula integral over an interval", (_INTERVAL,)),
+    "norm": (_norm, "norm of a distribution", ()),
+    "normprime": (_normprime, "normprime of a distribution", ()),
+    "bvnorm": (_bvnorm, "variation norm of a BV multiplier", _BV),
+    "variation": (_variation, "variation estimates of a BV multiplier", _BV + (
+        ("--kind", {"choices": ["hk", "vitali", "sectional1", "sectional2", "trace"]}),
+        ("--doublings", {"type": int}))),
+    "parts": (_parts, "primitive of a product f*g by parts", _BV),
+    "product": (_product, "algebra product of two distributions", (_PRIMITIVE2,)),
+    "lattice": (_lattice, "join or meet of two primitives", (
+        _PRIMITIVE2, ("--op", {"choices": ["join", "meet"]}))),
+    "order": (_order, "compare two distributions in the lattice order", (_PRIMITIVE2,)),
+    "translate": (_translate, "translate a distribution", (
+        ("--shift", {"nargs": 2, "metavar": ("S", "T")}),)),
+    "changevars": (_changevars, "integral through an affine axis map", (
+        _INTERVAL, ("--map-spec", {"help": 'JSON like {"alpha":-1,"beta":1,"kind":"straight"}'}))),
+    "convolve-bv": (_convolve_bv, "convolution with a BV kernel at a point", _BV + (
+        ("--point", {"nargs": 2, "metavar": ("X", "Y")}),)),
+    "convolve-l1": (_convolve_l1, "convolution with the Poisson kernel", (
+        ("--z", {"type": float}), ("--normalize", {"action": "store_true", "default": None}))),
+    "mollify": (_mollify, "mollify a step approximation of a primitive", (
+        ("--z", {"type": float}), ("--n", {"type": int}))),
+    "iterated": (_iterated, "iterated-sum consistency over an interval", (_INTERVAL,)),
+    "improper": (_improper, "order-dependent iterated improper examples", (
+        ("--name", {"choices": ["xPowY", "arctanXY"]}),
+        ("--order", {"choices": ["dyFirst", "dxFirst"]}))),
+    "ndcorner": (_ndcorner, "n-dimensional corner formula (product ramp)", (
+        ("--lower", {"nargs": "+"}), ("--upper", {"nargs": "+"}))),
+    "catalog": (_catalog, "list catalog entries and suites", ()),
+    "verify": (_verify, "run a verification suite", (("--suite", {"choices": sorted(SUITES)}),)),
+}
 
 
 def run(spec):
@@ -169,192 +386,15 @@ def run(spec):
         raise CliError("tol must be positive", EX_USAGE)
     if resolution < 2:
         raise CliError("resolution must be >= 2", EX_USAGE)
-    out = {"command": command, "spec": _jsonable(spec)}
-    code = 0
-
-    if command == "integrate":
-        f = build_distribution(spec)
-        out["value"] = integral.corner_integral(f, build_interval(spec))
-        out["converged"] = True
-    elif command == "norm":
-        res = integral.alexiewicz_norm(build_distribution(spec), tol=tol)
-        out.update(_quad_report(res))
-        code = 0 if res.converged else 2
-    elif command == "normprime":
-        res = integral.norm_prime(build_distribution(spec), tol=tol)
-        out.update(_quad_report(res))
-        code = 0 if res.converged else 2
-    elif command == "bvnorm":
-        est = variation.hk_norm(build_bv(spec), tol=tol)
-        out.update(est.as_dict())
-        code = 0 if est.converged else 2
-    elif command == "variation":
-        g = build_bv(spec)
-        kind = spec.get("kind", "hk")
-        if kind == "hk":
-            est = variation.hk_norm(g, tol=tol)
-        elif kind == "vitali":
-            est = variation.vitali_variation(g, tol=tol)
-        elif kind in ("sectional1", "sectional2"):
-            est = variation.sectional_variation_sup(g, int(kind[-1]), tol=tol)
-        elif kind == "trace":
-            out["trace"] = variation.variation_trace(g, doublings=int(spec.get("doublings", 5)))
-            out["converged"] = True
-            return out, 0
-        else:
-            raise CliError(f"unknown variation kind {kind!r}", EX_USAGE)
-        out.update(est.as_dict())
-        code = 0 if est.converged else 2
-    elif command == "parts":
-        f = build_distribution(spec)
-        g = build_bv(spec)
-        prim = stieltjes.parts_primitive(f, g, resolution=resolution)
-        out["supNorm"] = float(np.max(np.abs(prim.values)))
-        out["totalIntegral"] = float(prim(float("inf"), float("inf")))
-        out["converged"] = True
-        if spec.get("out"):
-            export_grid_json(prim, spec["out"])
-            out["written"] = spec["out"]
-    elif command == "product":
-        f1 = build_distribution(spec, "primitive")
-        f2 = build_distribution(spec, "primitive2")
-        prod = operators.algebra_product(f1, f2)
-        res = integral.alexiewicz_norm(prod, tol=tol)
-        out["normOfProduct"] = res.value
-        out["errorEstimate"] = res.error_estimate
-        out["totalIntegral"] = integral.total_integral(prod)
-        out["converged"] = res.converged
-        code = 0 if res.converged else 2
-    elif command == "lattice":
-        F1 = build_primitive(spec, "primitive")
-        F2 = build_primitive(spec, "primitive2")
-        op = spec.get("op", "join")
-        if op == "join":
-            prim = operators.lattice_join(F1, F2)
-        elif op == "meet":
-            prim = operators.lattice_meet(F1, F2)
-        else:
-            raise CliError("lattice op must be 'join' or 'meet'", EX_USAGE)
-        res = integral.alexiewicz_norm(Distribution(prim), tol=tol)
-        out["supNorm"] = res.value
-        out["errorEstimate"] = res.error_estimate
-        out["converged"] = res.converged
-        if spec.get("out"):
-            export_grid_json(sample_primitive(prim, resolution), spec["out"])
-            out["written"] = spec["out"]
-        code = 0 if res.converged else 2
-    elif command == "order":
-        f1 = build_distribution(spec, "primitive")
-        f2 = build_distribution(spec, "primitive2")
-        out["relation"] = operators.order_compare(f1, f2, resolution=resolution)
-        out["converged"] = True
-    elif command == "translate":
-        f = build_distribution(spec)
-        s, t = (parse_ext(v) for v in spec.get("shift", [1.0, 1.0]))
-        tau = operators.translate(f, s, t)
-        translated = integral.alexiewicz_norm(tau, tol=tol)
-        out["normTranslated"] = translated.value
-        F = f.primitive
-        G = tau.primitive
-        from .primitive import ClosedFormPrimitive
-
-        delta = Distribution(
-            ClosedFormPrimitive(
-                lambda x, y: np.asarray(F.eval(x, y)) - np.asarray(G.eval(x, y)),
-                "difference",
-            )
-        )
-        difference = integral.alexiewicz_norm(delta, tol=tol)
-        out["normDifference"] = difference.value
-        out["errorEstimate"] = max(translated.error_estimate, difference.error_estimate)
-        out["converged"] = True
-    elif command == "changevars":
-        f = build_distribution(spec)
-        m = spec.get("map", {})
-        amap = operators.LinearAxisMap(
-            alpha=float(m.get("alpha", 1.0)),
-            beta=float(m.get("beta", 1.0)),
-            gamma1=float(m.get("gamma1", 0.0)),
-            gamma2=float(m.get("gamma2", 0.0)),
-            kind=m.get("kind", "straight"),
-        )
-        interval = build_interval(spec)
-        out["value"] = operators.change_of_variables(f, amap, interval)
-        out["direct"] = integral.corner_integral(f, interval)
-        out["difference"] = abs(out["value"] - out["direct"])
-        out["converged"] = True
-    elif command == "convolve-bv":
-        f = build_distribution(spec)
-        g = build_bv(spec)
-        p = tuple(parse_ext(v) for v in spec.get("point", [0.0, 0.0]))
-        res = convolve_bv(f, g, p, tol=tol)
-        out.update(_quad_report(res))
-        code = 0 if res.converged else 2
-    elif command == "convolve-l1":
-        f = build_distribution(spec)
-        z = _height(spec, 1.0)
-        conv = convolve_l1(f, PoissonKernelL1(z), resolution=resolution, tol=tol,
-                           normalize=bool(spec.get("normalize", False)))
-        out["totalIntegral"] = integral.total_integral(conv)
-        out["errorEstimate"] = conv.error_estimate
-        out["converged"] = conv.converged
-        if spec.get("out"):
-            export_grid_json(conv.primitive, spec["out"])
-            out["written"] = spec["out"]
-        code = 0 if conv.converged else 2
-    elif command == "mollify":
-        F = build_primitive(spec)
-        z = _height(spec, 0.25)
-        n = int(spec.get("n", 16))
-        sigma = step_approximate(F, n)
-        prim = mollify_step(sigma, z, resolution=resolution)
-        out["cornerValue"] = float(prim(float("inf"), float("inf")))
-        out["stepCorner"] = float(sigma(float("inf"), float("inf")))
-        out["converged"] = True
-        if spec.get("out"):
-            export_grid_json(prim, spec["out"])
-            out["written"] = spec["out"]
-    elif command == "iterated":
-        f = build_distribution(spec)
-        rep = integral.iterated_consistency(f, build_interval(spec), resolution=resolution)
-        out.update(rep)
-        out["converged"] = True
-    elif command == "improper":
-        res = integral.improper_example(spec.get("name", "xPowY"),
-                                        spec.get("order", "dyFirst"), tol=tol)
-        out.update(_quad_report(res))
-        code = 0 if res.converged else 2
-    elif command == "ndcorner":
-        lower = [parse_ext(v) for v in spec.get("lower", [0, 0, 0])]
-        upper = [parse_ext(v) for v in spec.get("upper", ["inf", "inf", "inf"])]
-        box = integral.IntervalND(tuple(lower), tuple(upper))
-
-        def F(*coords):
-            out_v = 1.0
-            for c in coords:
-                out_v *= (math.pi / 2 + math.atan(c)) / math.pi
-            return out_v
-
-        out["value"] = integral.corner_integral_nd(F, box)
-        out["dims"] = box.ndim
-        out["converged"] = True
-    elif command == "catalog":
-        out["primitives"] = list(CATALOG_PRIMITIVES)
-        out["bvFunctions"] = list(CATALOG_BV)
-        out["suites"] = sorted(SUITES)
-        out["converged"] = True
-    elif command == "verify":
-        name = spec.get("suite")
-        if name not in SUITES:
-            raise CliError(f"unknown suite {name!r}", EX_USAGE)
-        report = run_suite(name, seed=spec.get("seed"))
-        out["suite"] = report
-        out["converged"] = report["passed"]
-        code = 0 if report["passed"] else 2
-    else:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise CliError(f"unknown command {command!r}", EX_USAGE)
+    out = {"command": command, "spec": _jsonable(spec), "converged": True}
+    out.update(COMMANDS[command][0](spec, tol, resolution))
+    return out, 0 if out["converged"] else 2
 
-    return out, code
+
+# flags that name a primitive, a multiplier or a map; the rest copy as they are
+_REFERENCE_FLAGS = ("job", "primitive", "params", "grid_file", "primitive2", "bv", "bv_params", "map_spec")
 
 
 def _spec_from_args(args):
@@ -366,45 +406,20 @@ def _spec_from_args(args):
             raise CliError(f"cannot read job file: {exc}", EX_NOINPUT)
         except json.JSONDecodeError as exc:
             raise CliError(f"job file is not valid JSON: {exc}", EX_NOINPUT)
-    spec = {"command": args.command}
-    for key in ("tol", "resolution", "seed", "kind", "op", "name", "order",
-                "suite", "z", "n", "out", "doublings", "normalize"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            spec[key] = val
-    if getattr(args, "primitive", None):
+    spec = {k: v for k, v in vars(args).items() if v is not None and k not in _REFERENCE_FLAGS}
+    if args.primitive:
         spec["primitive"] = {"name": args.primitive,
                              "params": parse_json_arg(args.params, "--params") if args.params else {}}
-    if getattr(args, "grid_file", None):
+    if args.grid_file:
         spec["primitive"] = {"file": args.grid_file}
     if getattr(args, "primitive2", None):
         spec["primitive2"] = {"name": args.primitive2}
     if getattr(args, "bv", None):
         spec["bv"] = {"name": args.bv,
                       "params": parse_json_arg(args.bv_params, "--bv-params") if args.bv_params else {}}
-    if getattr(args, "interval", None):
-        spec["interval"] = args.interval
-    if getattr(args, "point", None):
-        spec["point"] = args.point
-    if getattr(args, "shift", None):
-        spec["shift"] = args.shift
-    if getattr(args, "lower", None):
-        spec["lower"] = args.lower
-    if getattr(args, "upper", None):
-        spec["upper"] = args.upper
     if getattr(args, "map_spec", None):
         spec["map"] = parse_json_arg(args.map_spec, "--map-spec")
     return spec
-
-
-def _add_common(p):
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--primitive", help="catalog primitive name")
-    p.add_argument("--params", help="JSON params for the primitive")
-    p.add_argument("--grid-file", help="grid sample file (.json or .csv)")
-    p.add_argument("--out", help="write the resulting grid sample here")
 
 
 # negative float literals, -inf included: values, not option flags
@@ -437,91 +452,10 @@ def make_parser():
     )
     parser.add_argument("--job", help="JSON job spec file; overrides other flags")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("integrate", help="corner-formula integral over an interval")
-    _add_common(p)
-    p.add_argument("--interval", nargs=4, metavar=("A", "B", "C", "D"))
-
-    for name in ("norm", "normprime"):
-        p = sub.add_parser(name, help=f"{name} of a distribution")
-        _add_common(p)
-
-    p = sub.add_parser("bvnorm", help="variation norm of a BV multiplier")
-    _add_common(p)
-    p.add_argument("--bv", required=False)
-    p.add_argument("--bv-params")
-
-    p = sub.add_parser("variation", help="variation estimates of a BV multiplier")
-    _add_common(p)
-    p.add_argument("--bv")
-    p.add_argument("--bv-params")
-    p.add_argument("--kind", choices=["hk", "vitali", "sectional1", "sectional2", "trace"])
-    p.add_argument("--doublings", type=int)
-
-    p = sub.add_parser("parts", help="primitive of a product f*g by parts")
-    _add_common(p)
-    p.add_argument("--bv")
-    p.add_argument("--bv-params")
-
-    p = sub.add_parser("product", help="algebra product of two distributions")
-    _add_common(p)
-    p.add_argument("--primitive2")
-
-    p = sub.add_parser("lattice", help="join or meet of two primitives")
-    _add_common(p)
-    p.add_argument("--primitive2")
-    p.add_argument("--op", choices=["join", "meet"])
-
-    p = sub.add_parser("order", help="compare two distributions in the lattice order")
-    _add_common(p)
-    p.add_argument("--primitive2")
-
-    p = sub.add_parser("translate", help="translate a distribution")
-    _add_common(p)
-    p.add_argument("--shift", nargs=2, metavar=("S", "T"))
-
-    p = sub.add_parser("changevars", help="integral through an affine axis map")
-    _add_common(p)
-    p.add_argument("--interval", nargs=4, metavar=("A", "B", "C", "D"))
-    p.add_argument("--map-spec", help='JSON like {"alpha":-1,"beta":1,"kind":"straight"}')
-
-    p = sub.add_parser("convolve-bv", help="convolution with a BV kernel at a point")
-    _add_common(p)
-    p.add_argument("--bv")
-    p.add_argument("--bv-params")
-    p.add_argument("--point", nargs=2, metavar=("X", "Y"))
-
-    p = sub.add_parser("convolve-l1", help="convolution with the Poisson kernel")
-    _add_common(p)
-    p.add_argument("--z", type=float)
-    p.add_argument("--normalize", action="store_true", default=None)
-
-    p = sub.add_parser("mollify", help="mollify a step approximation of a primitive")
-    _add_common(p)
-    p.add_argument("--z", type=float)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("iterated", help="iterated-sum consistency over an interval")
-    _add_common(p)
-    p.add_argument("--interval", nargs=4, metavar=("A", "B", "C", "D"))
-
-    p = sub.add_parser("improper", help="order-dependent iterated improper examples")
-    _add_common(p)
-    p.add_argument("--name", choices=["xPowY", "arctanXY"])
-    p.add_argument("--order", choices=["dyFirst", "dxFirst"])
-
-    p = sub.add_parser("ndcorner", help="n-dimensional corner formula (product ramp)")
-    _add_common(p)
-    p.add_argument("--lower", nargs="+")
-    p.add_argument("--upper", nargs="+")
-
-    p = sub.add_parser("catalog", help="list catalog entries and suites")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
-    p.add_argument("--suite", choices=sorted(SUITES))
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON_FLAGS + flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
