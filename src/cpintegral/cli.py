@@ -3,8 +3,10 @@
 Jobs come from a JSON file (--job) or from subcommand flags; reports go to
 stdout as JSON with a one-line human summary on stderr.  Infinite endpoints
 serialize as the strings "inf" / "-inf".  Exit codes: 0 ok, 2 result did
-not converge, 1 runtime error (or stdout closed before the report was
-written), 64 usage error, 66 unreadable input file.
+not converge, 1 runtime error (such as a mixed boundary point, an output
+file that cannot be written, or stdout closed before the report was
+written), 64 usage error (every malformed flag or job field), 66
+unreadable input file.
 
 Every subcommand is one row of COMMANDS: its handler, its help text and
 the flags it takes besides the common ones.
@@ -49,19 +51,13 @@ class CliError(Exception):
 
 
 def parse_ext(v):
-    """Extended real from JSON: a number, or the strings 'inf' / '-inf'."""
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return float("inf")
-        if s == "-inf":
-            return float("-inf")
-        try:
-            out = float(v)
-        except ValueError:
-            raise CliError(f"not an extended real: {v!r}", EX_USAGE)
-    else:
+    """Extended real from JSON: a number, or a numeric string such as 'inf' / '-inf'."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise CliError(f"not an extended real: {v!r}", EX_USAGE)
+    try:
         out = float(v)
+    except (ValueError, OverflowError):
+        raise CliError(f"not an extended real: {v!r}", EX_USAGE)
     if math.isnan(out):
         raise CliError(f"NaN is not an extended real: {v!r}", EX_USAGE)
     return out
@@ -73,13 +69,6 @@ def parse_json_arg(text, flag):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{flag} is not valid JSON: {exc}", EX_USAGE)
-
-
-def _height(spec, default):
-    z = float(spec.get("z", default))
-    if not (z > 0 and math.isfinite(z)):
-        raise CliError(f"z must be positive and finite, got {z}", EX_USAGE)
-    return z
 
 
 def encode_ext(v):
@@ -103,20 +92,147 @@ def _jsonable(obj):
     return obj
 
 
-def build_interval(spec, default=("-inf", "inf", "-inf", "inf")):
-    vals = spec.get("interval", list(default))
-    if len(vals) != 4:
-        raise CliError("interval needs exactly four endpoints a b c d", EX_USAGE)
-    a, b, c, d = (parse_ext(v) for v in vals)
-    return make_interval(a, b, c, d)
+# ---------------------------------------------------------------------------
+# reading a job spec: every field goes through _field(), which checks its
+# type, range and finiteness; a bad value is a usage error (exit 64)
+
+
+def _require(ok, v):
+    if not ok:
+        raise CliError(f"got {v!r}", EX_USAGE)
+
+
+def _finite(v):
+    x = parse_ext(v)
+    _require(math.isfinite(x), v)
+    return x
+
+
+def _positive(v):
+    x = _finite(v)
+    _require(x > 0, v)
+    return x
+
+
+def _integer(low):
+    def read(v):
+        _require(not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer())
+                 and v >= low, v)
+        return int(v)
+    return read
+
+
+def _of_type(kind):
+    def read(v):
+        _require(isinstance(v, kind), v)
+        return v
+    return read
+
+
+def _one_of(options):
+    def read(v):
+        _require(isinstance(v, str) and v in options, v)
+        return v
+    return read
+
+
+def _reals(count=None, finite=False):
+    """A list of extended reals: exactly count of them, or at least one."""
+    def read(v):
+        _require(isinstance(v, (list, tuple)) and (len(v) == count if count else len(v) > 0), v)
+        xs = [parse_ext(x) for x in v]
+        _require(not finite or all(map(math.isfinite, xs)), v)
+        return xs
+    return read
+
+
+def _optional(read):
+    return lambda v: None if v is None else read(v)
+
+
+def _catalog_ref(v):
+    ref = {"name": v} if isinstance(v, str) else v
+    _require(isinstance(ref, dict) and isinstance(ref.get("name"), str), v)
+    return ref
+
+
+def _primitive_ref(v):
+    if isinstance(v, dict) and "file" in v:
+        _require(isinstance(v["file"], str), v)
+        return v
+    return _catalog_ref(v)
+
+
+def _params(v):
+    _require(isinstance(v, dict) and all(
+        isinstance(x, str) or not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+        for x in v.values()), v)
+    return v
+
+
+def _axis_map(v):
+    _require(isinstance(v, dict), v)
+    try:
+        return operators.LinearAxisMap(
+            alpha=_finite(v.get("alpha", 1.0)),
+            beta=_finite(v.get("beta", 1.0)),
+            gamma1=_finite(v.get("gamma1", 0.0)),
+            gamma2=_finite(v.get("gamma2", 0.0)),
+            kind=v.get("kind", "straight"),
+        )
+    except ValueError as exc:  # a zero scale or an unknown kind
+        raise CliError(str(exc), EX_USAGE)
+
+
+VARIATION_KINDS = ("hk", "vitali", "sectional1", "sectional2", "trace")
+LATTICE_OPS = ("join", "meet")
+IMPROPER_NAMES = ("xPowY", "arctanXY")
+IMPROPER_ORDERS = ("dyFirst", "dxFirst")
+
+# field -> (reader, what a valid value is)
+_FIELDS = {
+    "command": (lambda v: _one_of(COMMANDS)(v), "a subcommand name"),
+    "tol": (_positive, "positive and finite"),
+    "resolution": (_integer(2), "an integer >= 2"),
+    "seed": (_optional(_integer(0)), "an integer >= 0"),
+    "kind": (_one_of(VARIATION_KINDS), "one of " + ", ".join(VARIATION_KINDS)),
+    "doublings": (_integer(0), "an integer >= 0"),
+    "op": (_one_of(LATTICE_OPS), "one of " + ", ".join(LATTICE_OPS)),
+    "name": (_one_of(IMPROPER_NAMES), "one of " + ", ".join(IMPROPER_NAMES)),
+    "order": (_one_of(IMPROPER_ORDERS), "one of " + ", ".join(IMPROPER_ORDERS)),
+    "suite": (_one_of(SUITES), "one of " + ", ".join(sorted(SUITES))),
+    "z": (_positive, "positive and finite"),
+    "n": (_integer(2), "an integer >= 2"),
+    "normalize": (_of_type(bool), "true or false"),
+    "out": (_optional(_of_type(str)), "a file path"),
+    "interval": (_reals(4), "four extended reals a b c d"),
+    "point": (_reals(2), "two extended reals"),
+    "shift": (_reals(2, finite=True), "two finite reals"),
+    "lower": (_reals(), "a list of extended reals"),
+    "upper": (_reals(), "a list of extended reals"),
+    "map": (_axis_map, "an axis map with nonzero finite alpha and beta"),
+    "primitive": (_primitive_ref, 'a catalog name, {"name": ..., "params": ...} or {"file": ...}'),
+    "primitive2": (_primitive_ref, 'a catalog name, {"name": ..., "params": ...} or {"file": ...}'),
+    "bv": (_catalog_ref, 'a catalog name or {"name": ..., "params": ...}'),
+    "params": (_params, "an object of finite numbers and strings"),
+}
+
+
+def _field(spec, key, default=None):
+    """spec[key], or default when it is absent, read and checked by its _FIELDS row."""
+    read, need = _FIELDS[key]
+    try:
+        return read(spec.get(key, default))
+    except CliError as exc:
+        raise CliError(f"{key} must be {need}; {exc if key in spec else 'it is missing'}", EX_USAGE)
+
+
+def build_interval(spec):
+    return make_interval(*_field(spec, "interval", ["-inf", "inf", "-inf", "inf"]))
 
 
 def build_primitive(spec, key="primitive"):
-    ref = spec.get(key)
-    if ref is None:
-        raise CliError(f"missing {key!r} reference", EX_USAGE)
-    if isinstance(ref, str):
-        ref = {"name": ref}
+    ref = _field(spec, key)
     if "file" in ref:
         path = ref["file"]
         try:
@@ -125,26 +241,27 @@ def build_primitive(spec, key="primitive"):
             return import_grid_json(path)
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot load grid file {path}: {exc}", EX_NOINPUT)
-    name = ref.get("name")
-    params = dict(ref.get("params", {}))
-    params.update(spec.get("params", {}) if key == "primitive" else {})
+    params = {**_field(ref, "params", {}), **(_field(spec, "params", {}) if key == "primitive" else {})}
     try:
-        return catalog_primitive(name, **params)
+        return catalog_primitive(ref["name"], **params)
     except ValueError as exc:
         raise CliError(str(exc), EX_USAGE)
 
 
-def build_bv(spec, key="bv"):
-    ref = spec.get(key)
-    if ref is None:
-        raise CliError(f"missing {key!r} reference", EX_USAGE)
-    if isinstance(ref, str):
-        ref = {"name": ref}
-    params = {k: parse_ext(v) if isinstance(v, str) else v
-              for k, v in ref.get("params", {}).items()}
+def build_bv(spec):
+    ref = _field(spec, "bv")
+    params = {k: parse_ext(v) if isinstance(v, str) else v for k, v in _field(ref, "params", {}).items()}
     try:
         return catalog_bv(ref["name"], **params)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
+        raise CliError(str(exc), EX_USAGE)
+
+
+def _box(spec):
+    lower, upper = _field(spec, "lower", [0, 0, 0]), _field(spec, "upper", ["inf", "inf", "inf"])
+    try:
+        return integral.IntervalND(tuple(lower), tuple(upper))
+    except ValueError as exc:  # bounds of different lengths, or lower above upper
         raise CliError(str(exc), EX_USAGE)
 
 
@@ -165,10 +282,15 @@ def _refined(res):
 
 def _written(spec, make_grid):
     """Export make_grid() to spec["out"] when it is set; the grid is built only then."""
-    if not spec.get("out"):
+    path = _field(spec, "out")
+    if not path:
         return {}
-    export_grid_json(make_grid(), spec["out"])
-    return {"written": spec["out"]}
+    grid = make_grid()
+    try:
+        export_grid_json(grid, path)
+    except OSError as exc:
+        raise CliError(f"cannot write grid file {path}: {exc}")
+    return {"written": path}
 
 
 def _integrate(spec, tol, resolution):
@@ -189,17 +311,15 @@ def _bvnorm(spec, tol, resolution):
 
 def _variation(spec, tol, resolution):
     g = build_bv(spec)
-    kind = spec.get("kind", "hk")
+    kind = _field(spec, "kind", "hk")
+    if kind == "trace":
+        return {"trace": variation.variation_trace(g, doublings=_field(spec, "doublings", 5))}
     if kind == "hk":
         est = variation.hk_norm(g, tol=tol)
     elif kind == "vitali":
         est = variation.vitali_variation(g, tol=tol)
-    elif kind in ("sectional1", "sectional2"):
-        est = variation.sectional_variation_sup(g, int(kind[-1]), tol=tol)
-    elif kind == "trace":
-        return {"trace": variation.variation_trace(g, doublings=int(spec.get("doublings", 5)))}
     else:
-        raise CliError(f"unknown variation kind {kind!r}", EX_USAGE)
+        est = variation.sectional_variation_sup(g, int(kind[-1]), tol=tol)
     return est.as_dict()
 
 
@@ -219,13 +339,8 @@ def _product(spec, tol, resolution):
 
 def _lattice(spec, tol, resolution):
     F1, F2 = build_primitive(spec), build_primitive(spec, "primitive2")
-    op = spec.get("op", "join")
-    if op == "join":
-        prim = operators.lattice_join(F1, F2)
-    elif op == "meet":
-        prim = operators.lattice_meet(F1, F2)
-    else:
-        raise CliError("lattice op must be 'join' or 'meet'", EX_USAGE)
+    join = _field(spec, "op", "join") == "join"
+    prim = (operators.lattice_join if join else operators.lattice_meet)(F1, F2)
     res = integral.alexiewicz_norm(prim, tol=tol)
     return {"supNorm": res.value, "errorEstimate": res.error_estimate, "converged": res.converged,
             **_written(spec, lambda: sample_primitive(prim, resolution))}
@@ -238,7 +353,7 @@ def _order(spec, tol, resolution):
 
 def _translate(spec, tol, resolution):
     F = build_primitive(spec)
-    s, t = (parse_ext(v) for v in spec.get("shift", [1.0, 1.0]))
+    s, t = _field(spec, "shift", [1.0, 1.0])
     G = operators.translate(F, s, t).primitive
     translated = integral.alexiewicz_norm(G, tol=tol)
     delta = ClosedFormPrimitive(
@@ -250,14 +365,7 @@ def _translate(spec, tol, resolution):
 
 def _changevars(spec, tol, resolution):
     F = build_primitive(spec)
-    m = spec.get("map", {})
-    amap = operators.LinearAxisMap(
-        alpha=float(m.get("alpha", 1.0)),
-        beta=float(m.get("beta", 1.0)),
-        gamma1=float(m.get("gamma1", 0.0)),
-        gamma2=float(m.get("gamma2", 0.0)),
-        kind=m.get("kind", "straight"),
-    )
+    amap = _field(spec, "map", {})
     interval = build_interval(spec)
     value = operators.change_of_variables(F, amap, interval)
     direct = integral.corner_integral(F, interval)
@@ -266,23 +374,22 @@ def _changevars(spec, tol, resolution):
 
 def _convolve_bv(spec, tol, resolution):
     F, g = build_primitive(spec), build_bv(spec)
-    p = tuple(parse_ext(v) for v in spec.get("point", [0.0, 0.0]))
+    p = tuple(_field(spec, "point", [0.0, 0.0]))
     return _refined(convolve_bv(F, g, p, tol=tol))
 
 
 def _convolve_l1(spec, tol, resolution):
     F = build_primitive(spec)
-    z = _height(spec, 1.0)
-    conv = convolve_l1(F, PoissonKernelL1(z), resolution=resolution, tol=tol,
-                       normalize=bool(spec.get("normalize", False)))
+    conv = convolve_l1(F, PoissonKernelL1(_field(spec, "z", 1.0)), resolution=resolution, tol=tol,
+                       normalize=_field(spec, "normalize", False))
     return {"totalIntegral": integral.total_integral(conv), "errorEstimate": conv.error_estimate,
             "converged": conv.converged, **_written(spec, lambda: conv.primitive)}
 
 
 def _mollify(spec, tol, resolution):
     F = build_primitive(spec)
-    z = _height(spec, 0.25)
-    sigma = step_approximate(F, int(spec.get("n", 16)))
+    z = _field(spec, "z", 0.25)
+    sigma = step_approximate(F, _field(spec, "n", 16))
     prim = mollify_step(sigma, z, resolution=resolution)
     return {"cornerValue": float(prim(float("inf"), float("inf"))),
             "stepCorner": float(sigma(float("inf"), float("inf"))),
@@ -295,8 +402,8 @@ def _iterated(spec, tol, resolution):
 
 
 def _improper(spec, tol, resolution):
-    return _refined(integral.improper_example(spec.get("name", "xPowY"),
-                                              spec.get("order", "dyFirst"), tol=tol))
+    return _refined(integral.improper_example(_field(spec, "name", "xPowY"),
+                                              _field(spec, "order", "dyFirst"), tol=tol))
 
 
 def _product_ramp(*coords):
@@ -307,9 +414,7 @@ def _product_ramp(*coords):
 
 
 def _ndcorner(spec, tol, resolution):
-    lower = [parse_ext(v) for v in spec.get("lower", [0, 0, 0])]
-    upper = [parse_ext(v) for v in spec.get("upper", ["inf", "inf", "inf"])]
-    box = integral.IntervalND(tuple(lower), tuple(upper))
+    box = _box(spec)
     return {"value": integral.corner_integral_nd(_product_ramp, box), "dims": box.ndim}
 
 
@@ -319,10 +424,7 @@ def _catalog(spec, tol, resolution):
 
 
 def _verify(spec, tol, resolution):
-    name = spec.get("suite")
-    if name not in SUITES:
-        raise CliError(f"unknown suite {name!r}", EX_USAGE)
-    report = run_suite(name, seed=spec.get("seed"))
+    report = run_suite(_field(spec, "suite"), seed=_field(spec, "seed"))
     return {"suite": report, "converged": report["passed"]}
 
 
@@ -349,12 +451,12 @@ COMMANDS = {
     "normprime": (_normprime, "normprime of a distribution", ()),
     "bvnorm": (_bvnorm, "variation norm of a BV multiplier", _BV),
     "variation": (_variation, "variation estimates of a BV multiplier", _BV + (
-        ("--kind", {"choices": ["hk", "vitali", "sectional1", "sectional2", "trace"]}),
+        ("--kind", {"choices": VARIATION_KINDS}),
         ("--doublings", {"type": int}))),
     "parts": (_parts, "primitive of a product f*g by parts", _BV),
     "product": (_product, "algebra product of two distributions", (_PRIMITIVE2,)),
     "lattice": (_lattice, "join or meet of two primitives", (
-        _PRIMITIVE2, ("--op", {"choices": ["join", "meet"]}))),
+        _PRIMITIVE2, ("--op", {"choices": LATTICE_OPS}))),
     "order": (_order, "compare two distributions in the lattice order", (_PRIMITIVE2,)),
     "translate": (_translate, "translate a distribution", (
         ("--shift", {"nargs": 2, "metavar": ("S", "T")}),)),
@@ -368,8 +470,8 @@ COMMANDS = {
         ("--z", {"type": float}), ("--n", {"type": int}))),
     "iterated": (_iterated, "iterated-sum consistency over an interval", (_INTERVAL,)),
     "improper": (_improper, "order-dependent iterated improper examples", (
-        ("--name", {"choices": ["xPowY", "arctanXY"]}),
-        ("--order", {"choices": ["dyFirst", "dxFirst"]}))),
+        ("--name", {"choices": IMPROPER_NAMES}),
+        ("--order", {"choices": IMPROPER_ORDERS}))),
     "ndcorner": (_ndcorner, "n-dimensional corner formula (product ramp)", (
         ("--lower", {"nargs": "+"}), ("--upper", {"nargs": "+"}))),
     "catalog": (_catalog, "list catalog entries and suites", ()),
@@ -379,15 +481,10 @@ COMMANDS = {
 
 def run(spec):
     """Dispatch a job spec; returns (report dict, exit code)."""
-    command = spec.get("command")
-    tol = float(spec.get("tol", 1e-6))
-    resolution = int(spec.get("resolution", 64))
-    if tol <= 0:
-        raise CliError("tol must be positive", EX_USAGE)
-    if resolution < 2:
-        raise CliError("resolution must be >= 2", EX_USAGE)
-    if not isinstance(command, str) or command not in COMMANDS:
-        raise CliError(f"unknown command {command!r}", EX_USAGE)
+    if not isinstance(spec, dict):
+        raise CliError(f"a job spec must be a JSON object, got {spec!r}", EX_USAGE)
+    command = _field(spec, "command")
+    tol, resolution = _field(spec, "tol", 1e-6), _field(spec, "resolution", 64)
     out = {"command": command, "spec": _jsonable(spec), "converged": True}
     out.update(COMMANDS[command][0](spec, tol, resolution))
     return out, 0 if out["converged"] else 2

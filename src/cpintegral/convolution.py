@@ -268,6 +268,8 @@ class StepFunction2:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
+        if np.isnan(x).any() or np.isnan(y).any():
+            raise ArithmeticError("step function evaluated at a NaN coordinate")
         i = np.clip(np.searchsorted(self.nodes_x, x, side="left") - 1, 0, self.values.shape[1] - 1)
         j = np.clip(np.searchsorted(self.nodes_y, y, side="left") - 1, 0, self.values.shape[0] - 1)
         out = self.values[j, i]

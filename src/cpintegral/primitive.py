@@ -581,6 +581,8 @@ def catalog_bv(name, **params) -> BVFunction:
     if name == "intervalIndicator":
         if "interval" in params:
             iv = params["interval"]
+            if not isinstance(iv, Interval2):
+                raise ValueError(f"intervalIndicator takes an Interval2, got {iv!r}")
         else:
             iv = make_interval(
                 params.get("a", 0.0), params.get("b", 1.0), params.get("c", 0.0), params.get("d", 1.0)

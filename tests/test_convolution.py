@@ -94,6 +94,13 @@ def test_step_function_half_open_cells():
     assert s(NEG_INF, 0.5) == 0.0
 
 
+def test_step_function_rejects_nan():
+    sigma = step_approximate(distribution("prodArctan").primitive, 8)
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (np.array([0.0, math.nan]), 1.0)):
+        with pytest.raises(ArithmeticError):
+            sigma.eval(x, y)
+
+
 def test_step_approximate_matches_primitive_nodes():
     F = distribution("prodArctan").primitive
     sigma = step_approximate(F, 16)
