@@ -3,10 +3,10 @@
 Jobs come from a JSON file (--job) or from subcommand flags; reports go to
 stdout as JSON with a one-line human summary on stderr.  Infinite endpoints
 serialize as the strings "inf" / "-inf".  Exit codes: 0 ok, 2 result did
-not converge, 1 runtime error (such as a mixed boundary point, an output
-file that cannot be written, or stdout closed before the report was
-written), 64 usage error (every malformed flag or job field), 66
-unreadable input file.
+not converge, 1 runtime error (such as a mixed boundary point, a grid too
+large to allocate, an output file that cannot be written, or stdout
+closed before the report was written), 64 usage error (every malformed
+flag or job field), 66 unreadable input file.
 
 Every subcommand is one row of COMMANDS: its handler, its help text and
 the flags it takes besides the common ones.
@@ -573,7 +573,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -74,6 +74,15 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
     assert "cannot write grid file" in err
 
 
+def test_grid_too_large_to_allocate_exit_1(capsys):
+    # 10^14 float64 values exceed any 64-bit address space, so the allocation fails at once
+    code, out, err = run_cli(capsys, ["order", "--primitive", "prodArctan", "--primitive2", "gauss2",
+                                      "--resolution", str(10**7)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _readme_examples():
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
