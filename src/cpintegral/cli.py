@@ -114,10 +114,10 @@ def _positive(v):
     return x
 
 
-def _integer(low):
+def _integer(low, high=None):
     def read(v):
         _require(not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer())
-                 and v >= low, v)
+                 and v >= low and (high is None or v <= high), v)
         return int(v)
     return read
 
@@ -184,6 +184,13 @@ def _axis_map(v):
         raise CliError(str(exc), EX_USAGE)
 
 
+# upper bounds on the sizes a job may ask for: on a 2-core host a parts
+# grid at resolution 1024 takes about 3 s and 1.25 GB, a variation trace of
+# 6 doublings (resolution 4096) about 0.5 s, and each further doubling
+# costs about 4x
+MAX_RESOLUTION = 1024
+MAX_DOUBLINGS = 6
+
 VARIATION_KINDS = ("hk", "vitali", "sectional1", "sectional2", "trace")
 LATTICE_OPS = ("join", "meet")
 IMPROPER_NAMES = ("xPowY", "arctanXY")
@@ -193,10 +200,10 @@ IMPROPER_ORDERS = ("dyFirst", "dxFirst")
 _FIELDS = {
     "command": (lambda v: _one_of(COMMANDS)(v), "a subcommand name"),
     "tol": (_positive, "positive and finite"),
-    "resolution": (_integer(2), "an integer >= 2"),
+    "resolution": (_integer(2, MAX_RESOLUTION), f"an integer from 2 to {MAX_RESOLUTION}"),
     "seed": (_optional(_integer(0)), "an integer >= 0"),
     "kind": (_one_of(VARIATION_KINDS), "one of " + ", ".join(VARIATION_KINDS)),
-    "doublings": (_integer(0), "an integer >= 0"),
+    "doublings": (_integer(0, MAX_DOUBLINGS), f"an integer from 0 to {MAX_DOUBLINGS}"),
     "op": (_one_of(LATTICE_OPS), "one of " + ", ".join(LATTICE_OPS)),
     "name": (_one_of(IMPROPER_NAMES), "one of " + ", ".join(IMPROPER_NAMES)),
     "order": (_one_of(IMPROPER_ORDERS), "one of " + ", ".join(IMPROPER_ORDERS)),

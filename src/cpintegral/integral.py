@@ -2,7 +2,8 @@
 
 Every integral over an interval is the four-corner difference of the
 primitive; it is exact, not a quadrature.  The norms are suprema of
-continuous functionals and are estimated by chart-uniform grid refinement.
+continuous functionals and are estimated by chart-uniform grid refinement,
+each level's grid maxima polished by a local zoom in chart coordinates.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate as _sciint
 
-from .extplane import NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, ext, make_interval
-from .primitive import Distribution, Primitive
+from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, ext, make_interval
+from .primitive import Distribution, GridSamplePrimitive, Primitive
 
 
 def _primitive_of(f):
@@ -99,30 +100,118 @@ def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None)
     return QuadResult(value, err, trace[-1]["resolution"], converged, trace)
 
 
-def _interval_sweep(G):
+def _interval_sweep(G, top=0):
     """Largest |corner difference| of the grid values G[j, i] over node intervals.
 
     For x-indices i < k the interval integral is D(d) - D(c) with
     D = G[:, k] - G[:, i], so its supremum over y-limits is max D - min D.
+    With top > 0 it returns (best, nodes) instead: row m of nodes is
+    (i, k, argmin D, argmax D) for one of the `top` best column pairs, the
+    corners of its best interval.
     """
-    best = 0.0
-    for i in range(G.shape[1] - 1):
+    n = G.shape[1]
+    osc = np.zeros((n, n))
+    for i in range(n - 1):
         D = G[:, i + 1 :] - G[:, i : i + 1]
-        best = max(best, float(np.max(np.max(D, axis=0) - np.min(D, axis=0))))
-    return best
+        osc[i, i + 1 :] = np.max(D, axis=0) - np.min(D, axis=0)
+    best = float(np.max(osc))
+    if not top:
+        return best
+    i, k = np.unravel_index(np.argpartition(osc, -top, axis=None)[-top:], osc.shape)
+    D = G[:, k] - G[:, i]
+    return best, np.column_stack([i, k, np.argmin(D, axis=0), np.argmax(D, axis=0)])
+
+
+_POLISH_STARTS = 3  # grid maxima each level's zoom starts from
+_POLISH_STOP = 1e-10  # the zoom ends once its step in chart units is below this
+
+
+def _polish(fun, centres, h):
+    """Largest value of fun found by zooming in on each of the centres.
+
+    fun maps an (n, dim) array of chart points in [-1, 1]^dim to n values.
+    Each round evaluates the stencil centre + h {-1, 0, 1}^dim around every
+    centre in one call, moves each centre to its best stencil point and
+    halves h, until h < 1e-10.  Points are clipped to [-1, 1], so the
+    infinite edges stay reachable.  Every round keeps the centres in its
+    stencil, so the result is at least fun at the first centres; a NaN
+    value makes it NaN.
+    """
+    centres = np.asarray(centres, dtype=float)
+    k, dim = centres.shape
+    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+    best = -np.inf
+    while h >= _POLISH_STOP:
+        points = np.clip(centres[:, None, :] + h * offsets, -1.0, 1.0)
+        values = np.asarray(fun(points.reshape(-1, dim)), dtype=float).reshape(k, len(offsets))
+        centres = points[np.arange(k), np.argmax(values, axis=1)]
+        best = np.maximum(best, np.max(values))
+        h /= 2
+    return float(best)
+
+
+def _chart_nodes(r):
+    """The chart coordinates of axis_nodes(r)."""
+    return np.linspace(-1.0, 1.0, r + 1)
+
+
+def _sup_level(F, G, r):
+    """sup |F| at resolution r from the grid values G = F on axis_nodes(r).
+
+    The grid maximum, polished from the best few nodes.  A grid sample is
+    bilinear in the chart, so its extrema sit on nodes and it is not polished.
+    """
+    A = np.abs(G)
+    best = float(np.max(A))
+    if isinstance(F, GridSamplePrimitive):
+        return best
+    u = _chart_nodes(r)
+    j, i = np.unravel_index(np.argpartition(A, -_POLISH_STARTS, axis=None)[-_POLISH_STARTS:], A.shape)
+
+    def abs_F(p):
+        x = DEFAULT_CHART.inverse(p)
+        return np.abs(np.asarray(F.eval(x[:, 0], x[:, 1])))
+
+    return max(best, _polish(abs_F, np.column_stack([u[i], u[j]]), 2.0 / r))
+
+
+def _prime_level(F, G, r):
+    """sup over intervals of |corner difference| at resolution r, from G as in _sup_level.
+
+    The interval sweep's maximum, polished in the 4-d chart space of
+    (x1, x2, y1, y2) from its best few column pairs.
+    """
+    best, nodes = _interval_sweep(G, _POLISH_STARTS)
+    if isinstance(F, GridSamplePrimitive):
+        return best
+
+    def abs_corner(p):
+        x = DEFAULT_CHART.inverse(p)
+        x1, x2, y1, y2 = x.T
+        F22, F12, F21, F11 = np.asarray(F.eval(
+            np.concatenate([x2, x1, x2, x1]), np.concatenate([y2, y2, y1, y1]))).reshape(4, -1)
+        return np.abs(F22 - F12 - F21 + F11)
+
+    return max(best, _polish(abs_corner, _chart_nodes(r)[nodes], 2.0 / r))
+
+
+def _grid(F, r):
+    xs = axis_nodes(r)
+    return F.on_grid(xs, xs)
 
 
 def alexiewicz_norm(f, tol=1e-6, start_resolution=32, max_doublings=8) -> QuadResult:
-    """||f|| = sup over the extended plane of |F(x, y)|."""
+    """||f|| = sup over the extended plane of |F(x, y)|.
+
+    Each level is the polished grid maximum of |F| (see _sup_level).
+    """
     F = _primitive_of(f)
 
     def value_at(r):
-        xs = axis_nodes(r)
-        X, Y = np.meshgrid(xs, xs)
-        return float(np.max(np.abs(np.asarray(F.eval(X, Y)))))
+        return _sup_level(F, _grid(F, r), r)
 
     # two consecutive increments within tol: a single flat step can be a
-    # plateau where the refined grid misses a ridge the same way
+    # plateau where two levels start their zoom from the wrong nodes alike
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
 
@@ -131,14 +220,13 @@ def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
 
     For fixed x-limits a < b the interval integral is D(d) - D(c) with
     D(y) = F(b, y) - F(a, y), so the supremum over y-limits is
-    max D - min D; sweeping x-index pairs covers all intervals.
+    max D - min D; sweeping x-index pairs covers all node intervals, and
+    the best few are polished (see _prime_level).
     """
     F = _primitive_of(f)
 
     def value_at(r):
-        xs = axis_nodes(r)
-        X, Y = np.meshgrid(xs, xs)
-        return _interval_sweep(np.asarray(F.eval(X, Y)))
+        return _prime_level(F, _grid(F, r), r)
 
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
@@ -151,7 +239,7 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
     quadrant indicators (variation norm 4), whose pairing with f is
     F(x, y) / 4, plus scaled finite-interval indicators (variation norm 9),
     whose pairing is the corner difference / 9; both reduce to corner
-    evaluations of the primitive.
+    evaluations of the primitive, polished as in the two norms above.
     """
     F = _primitive_of(f)
 
@@ -170,10 +258,8 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
         return QuadResult(best, tol, 0, True, [])
 
     def value_at(r):
-        xs = axis_nodes(r)
-        X, Y = np.meshgrid(xs, xs)
-        G = np.asarray(F.eval(X, Y))
-        return max(float(np.max(np.abs(G))) / 4.0, _interval_sweep(G) / 9.0)
+        G = _grid(F, r)
+        return max(_sup_level(F, G, r) / 4.0, _prime_level(F, G, r) / 9.0)
 
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
@@ -216,8 +302,7 @@ def ftc_residual(f, resolution=64):
     """Largest |cumulative integral - F| over the node lattice, in ulps of F."""
     F = _primitive_of(f)
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
-    G = np.asarray(F.eval(X, Y))
+    G = F.on_grid(xs, xs)
     neg = np.full(xs.shape, NEG_INF)
     col = np.asarray(F.eval(neg, xs))  # F(-inf, y)
     row = np.asarray(F.eval(xs, neg))  # F(x, -inf)

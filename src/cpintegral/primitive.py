@@ -49,6 +49,11 @@ class Primitive:
         out = self.eval(x, y)
         return out if np.ndim(out) else float(out)
 
+    def on_grid(self, xs, ys):
+        """Values G[j, i] = F(xs[i], ys[j]) on the tensor grid of two node rows."""
+        X, Y = np.meshgrid(xs, ys)
+        return np.asarray(self.eval(X, Y))
+
 
 def _require_finite(values, label):
     if np.any(~np.isfinite(values)):
@@ -91,6 +96,11 @@ class SeparablePrimitive(ClosedFormPrimitive):
         by = _require_finite(np.asarray(b(np.asarray(y, dtype=float)), dtype=float), self.label)
         return ax, by
 
+    def on_grid(self, xs, ys):
+        """The outer product of the factors: 2 r evaluations instead of r^2."""
+        ax, by = self.eval_factors(xs, ys)
+        return _require_finite(by[:, None] * ax[None, :], self.label)
+
 
 class CorrectedPrimitive(ClosedFormPrimitive):
     """F(x, y) = G(x, y) + G(-inf, -inf) - G(x, -inf) - G(-inf, y).
@@ -121,6 +131,8 @@ class GridSamplePrimitive(Primitive):
         values = np.asarray(values, dtype=float)
         if values.shape != (len(grid.ys), len(grid.xs)):
             raise ValueError("values shape must be (len(ys), len(xs))")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
         self.grid = grid
         self.values = values
         self.chart = chart
@@ -702,10 +714,16 @@ def export_grid_json(prim: GridSamplePrimitive, path):
 def import_grid_json(path) -> GridSamplePrimitive:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a grid file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("chart") != CHART_NAME:
         raise ValueError(f"unsupported chart {doc.get('chart')!r}")
-    grid = uniform_grid(int(doc["resolution"]))
-    return GridSamplePrimitive(grid, np.asarray(doc["values"], dtype=float), doc.get("label", ""))
+    try:
+        grid = uniform_grid(int(doc["resolution"]))
+        values = np.asarray(doc["values"], dtype=float)
+    except TypeError as exc:  # a resolution or values of the wrong JSON type, such as null
+        raise ValueError(str(exc)) from exc
+    return GridSamplePrimitive(grid, values, doc.get("label", ""))
 
 
 def export_grid_csv(prim: GridSamplePrimitive, path):

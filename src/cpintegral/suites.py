@@ -62,8 +62,7 @@ def catalog_distributions(include_zero=True):
 def _grid_norms(F, resolution=256):
     """(sup |F|, interval sup, probe lower bound) measured on one shared grid."""
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
-    G = np.asarray(F.eval(X, Y))
+    G = F.on_grid(xs, xs)
     a = float(np.max(np.abs(G)))
     p = _interval_sweep(G)
     d = max(a / 4.0, p / 9.0)

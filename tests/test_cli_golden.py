@@ -7,6 +7,9 @@ The recorded values live in tests/data/cli_golden.json.  After a
 deliberate change to a report or a help text, rewrite them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+The reports whose digests hold a polished supremum are also checked
+against exact or independently computed values.
 """
 
 import contextlib
@@ -16,9 +19,13 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from cpintegral import cli
+from cpintegral.integral import alexiewicz_norm
+from cpintegral.primitive import distribution
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 HELP_COLUMNS = "100"
@@ -137,16 +144,23 @@ def _digest(stdout, tmp):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_roster(tmp):
-    """{case id: {"code", "sha256"}} for every case, run in order in tmp."""
+def run_cases(tmp):
+    """{case id: (exit code, stdout)} for every case, run in order in tmp."""
     for name, spec in JOBS.items():
         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
             fh.write(spec if isinstance(spec, str) else json.dumps(spec).replace("{tmp}", tmp))
     results = {}
     for case_id, argv in CASES:
         code, stdout, _ = _call([a.replace("{tmp}", tmp) for a in argv])
-        results[case_id] = {"code": code, "sha256": _digest(stdout, tmp)}
+        results[case_id] = (code, stdout)
     return results
+
+
+def run_roster(tmp, runs=None):
+    """{case id: {"code", "sha256"}} for every case, from run_cases(tmp) unless given."""
+    runs = run_cases(tmp) if runs is None else runs
+    return {case_id: {"code": code, "sha256": _digest(stdout, tmp)}
+            for case_id, (code, stdout) in runs.items()}
 
 
 def help_texts():
@@ -177,13 +191,90 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def roster(tmp_path_factory):
-    return run_roster(str(tmp_path_factory.mktemp("cli-golden")))
+def runs(tmp_path_factory):
+    tmp = str(tmp_path_factory.mktemp("cli-golden"))
+    return tmp, run_cases(tmp)
+
+
+@pytest.fixture(scope="module")
+def roster(runs):
+    return run_roster(*runs)
 
 
 @pytest.mark.parametrize("case_id", [c for c, _ in CASES])
 def test_report_matches_golden(golden, roster, case_id):
     assert roster[case_id] == golden["reports"][case_id]
+
+
+def _ramp(t):
+    return 0.5 + np.arctan(t) / np.pi
+
+
+def _chart_inverse(u):
+    u = np.clip(u, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(u) < 1.0, u / (1.0 - np.abs(u)), np.where(u < 0.0, -np.inf, np.inf))
+
+
+def _sup_reference(fn, n=400):
+    """max of fn(x, y) over the extended plane: the best of a dense chart grid,
+    then a Nelder-Mead search from it in chart coordinates."""
+    u = np.linspace(-1.0, 1.0, n + 1)
+    U, V = np.meshgrid(u, u)
+    values = fn(_chart_inverse(U), _chart_inverse(V))
+    j, i = np.unravel_index(np.argmax(values), values.shape)
+    res = optimize.minimize(lambda p: -float(fn(*_chart_inverse(p))), [u[i], u[j]],
+                            method="Nelder-Mead", options={"xatol": 1e-13, "fatol": 1e-16})
+    return max(float(values[j, i]), -float(res.fun))
+
+
+def _ramp_gauss_sup():
+    """sup of R(x) R(y) exp(-x^2 - y^2) = (max_t R(t) exp(-t^2))^2."""
+    res = optimize.minimize_scalar(lambda t: -_ramp(t) * np.exp(-t * t), bounds=(-3.0, 3.0),
+                                   method="bounded", options={"xatol": 1e-12})
+    return res.fun ** 2
+
+
+def _ramp_gauss_meet_sup():
+    """sup of min(R(x) R(y), exp(-x^2 - y^2)): R(t)^2 at the crease R(t) = exp(-t^2) on the diagonal."""
+    t = optimize.brentq(lambda t: _ramp(t) - np.exp(-t * t), 0.0, 3.0, xtol=1e-15)
+    return _ramp(t) ** 2
+
+
+def _translate_difference_sup():
+    """sup |F(x, y) - F(x - 1, y + 0.5)| for F = prodArctan."""
+    return _sup_reference(lambda x, y: np.abs(_ramp(x) * _ramp(y) - _ramp(x - 1.0) * _ramp(y + 0.5)))
+
+
+# case id -> [(report key, reference, allowed gap)]; the polished suprema are
+# evaluated values of |F|, so they match a smooth maximum to rounding and the
+# crease of the meet to within its last zoom step
+POLISHED = {
+    "norm": [("value", lambda: 0.5, 1e-3)],
+    "job-norm-params": [("value", lambda: 0.5, 1e-3)],
+    "product": [("normOfProduct", _ramp_gauss_sup, 1e-12)],
+    "lattice-out": [("supNorm", _ramp_gauss_meet_sup, 1e-9)],
+    "translate": [("normTranslated", lambda: 1.0, 1e-12),
+                  ("normDifference", _translate_difference_sup, 1e-12)],
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(POLISHED))
+def test_polished_report_values(runs, case_id):
+    code, stdout = runs[1][case_id]
+    report = json.loads(stdout)
+    assert code == 0 and report["converged"]
+    for key, reference, gap in POLISHED[case_id]:
+        assert abs(report[key] - reference()) <= gap, key
+
+
+def test_holder_report_uses_exact_norms(runs):
+    # suite_holder bounds each pairing by ||f|| ||g||; all four of its f have ||f|| = 1
+    code, stdout = runs[1]["job-holder-seed"]
+    assert code == 0 and json.loads(stdout)["suite"]["passed"]
+    for name, params in (("prodArctan", {}), ("gauss2", {"which": "F"}), ("sineStrip", {"n": 2}),
+                         ("expRadial", {})):
+        assert abs(alexiewicz_norm(distribution(name, **params), tol=1e-8).value - 1.0) <= 1e-8
 
 
 def test_help_texts_match_golden(golden):

@@ -1,5 +1,5 @@
-"""Usage errors (exit 64) from malformed flags and job fields, and the
-README's CLI examples against the parser."""
+"""Usage errors (exit 64) from malformed flags and job fields, unreadable
+grid files (exit 66), and the README's CLI examples against the parser."""
 
 import json
 import os
@@ -9,6 +9,7 @@ import shlex
 import pytest
 
 from cpintegral import cli
+from cpintegral.primitive import CHART_NAME
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -31,8 +32,11 @@ def run_cli(capsys, argv):
     ["integrate", "--primitive", "prodArctan", "--params", "[1]"],
     ["norm", "--primitive", "prodArctan", "--tol", "nan"],
     ["norm", "--primitive", "prodArctan", "--tol", "inf"],
+    ["parts", "--primitive", "prodArctan", "--bv", "constant", "--resolution", "1025"],
+    ["variation", "--bv", "diagonalIndicator", "--kind", "trace", "--doublings", "7"],
 ], ids=["mollify-n1", "map-alpha0", "map-kind", "map-list", "nd-lower-above-upper",
-        "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf"])
+        "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf",
+        "resolution-above-cap", "doublings-above-cap"])
 def test_bad_flag_value_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 64
@@ -53,9 +57,10 @@ def test_bad_flag_value_exit_64(capsys, argv):
     {"command": "mollify", "primitive": "prodArctan", "n": "abc"},
     {"command": "convolve-l1", "primitive": "prodArctan", "z": "abc"},
     {"command": "bvnorm", "bv": {"name": "intervalIndicator", "params": {"interval": 5}}},
+    {"command": "order", "primitive": "prodArctan", "primitive2": "gauss2", "resolution": 4096},
 ], ids=["top-level-list", "primitive-number", "file-number", "interval-number", "seed-string",
         "improper-name", "improper-order", "tol-string", "resolution-string", "n-string",
-        "z-string", "bv-interval-number"])
+        "z-string", "bv-interval-number", "resolution-above-cap"])
 def test_bad_job_field_exit_64(tmp_path, capsys, spec):
     job = tmp_path / "job.json"
     job.write_text(json.dumps(spec))
@@ -74,13 +79,45 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
     assert "cannot write grid file" in err
 
 
+def test_size_caps_are_inclusive():
+    assert cli._field({"resolution": cli.MAX_RESOLUTION}, "resolution") == 1024
+    assert cli._field({"doublings": cli.MAX_DOUBLINGS}, "doublings") == 6
+
+
 def test_grid_too_large_to_allocate_exit_1(capsys):
-    # 10^14 float64 values exceed any 64-bit address space, so the allocation fails at once
-    code, out, err = run_cli(capsys, ["order", "--primitive", "prodArctan", "--primitive2", "gauss2",
-                                      "--resolution", str(10**7)])
+    # 10^14 float64 values exceed any 64-bit address space, so the allocation fails at once;
+    # the step count of mollify has no cap, unlike --resolution
+    code, out, err = run_cli(capsys, ["mollify", "--primitive", "prodArctan", "--n", str(10**7)])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    [1],
+    {"label": "g", "resolution": 2, "chart": CHART_NAME,
+     "values": [[0, 0, 0], [0, float("nan"), 0], [0, 0, 1]]},
+    {"label": "g", "resolution": 2, "chart": CHART_NAME,
+     "values": [[0, 0, 0], [0, float("inf"), 0], [0, 0, 1]]},
+    {"label": "g", "resolution": None, "chart": CHART_NAME, "values": [[0]]},
+], ids=["top-level-list", "nan-value", "inf-value", "null-resolution"])
+def test_bad_grid_file_exit_66(tmp_path, capsys, content):
+    path = str(tmp_path / "g.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(content, fh)  # NaN and inf are written as bare tokens, which json.load reads back
+    code, out, err = run_cli(capsys, ["norm", "--grid-file", path])
+    assert code == 66
+    assert out == ""
+    assert err.startswith("error: cannot load grid file") and "Traceback" not in err
+
+
+def test_grid_csv_with_nan_exit_66(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    path.write_text(",-1.0,0.0,1.0\n-1.0,0,0,0\n0.0,0,nan,0\n1.0,0,0,1\n")
+    code, out, err = run_cli(capsys, ["norm", "--grid-file", str(path)])
+    assert code == 66
+    assert out == ""
+    assert err.startswith("error: cannot load grid file")
 
 
 def _readme_examples():

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
+from cpintegral import integral
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import (
     IntervalND,
@@ -20,7 +22,14 @@ from cpintegral.integral import (
     total_integral,
     xpowy_corner_probes,
 )
-from cpintegral.primitive import CATALOG_PRIMITIVES, catalog_bv, catalog_primitive, distribution
+from cpintegral.primitive import (
+    CATALOG_PRIMITIVES,
+    catalog_bv,
+    catalog_primitive,
+    distribution,
+    sample_primitive,
+)
+from cpintegral.suites import catalog_distributions
 
 
 def test_total_integral_prod_arctan():
@@ -100,6 +109,57 @@ def test_interval_sweep_brute_force_on_random_grids():
                 for k, l in itertools.combinations(range(shape[0]), 2)
             )
             assert abs(_interval_sweep(G) - brute) < 1e-12
+
+
+# sup |F| of the catalog primitives where it is known; sinc2d peaks at x = y = pi
+EXACT_SUP = {
+    "prodArctan": 1.0,
+    "gauss2:F": 1.0,
+    "gauss2:G": 1.0,
+    "expRadial": 1.0,
+    "sinc2d": (sici(math.pi)[0] + math.pi / 2) ** 2,
+    **{f"sineStrip({n})": 2.0 / n for n in (1, 2, 4)},
+}
+
+
+def _polish_cases():
+    return catalog_distributions() + [distribution("sineStrip", n=n) for n in (1, 4)]
+
+
+@pytest.mark.parametrize("f", _polish_cases(), ids=lambda f: f.label)
+def test_polished_levels_bracketed_by_grid_and_exact_sup(f):
+    F = f.primitive
+    for r in (16, 32, 64):
+        xs = axis_nodes(r)
+        G = F.on_grid(xs, xs)
+        sup = integral._sup_level(F, G, r)
+        assert sup >= float(np.max(np.abs(G)))
+        if F.label in EXACT_SUP:
+            assert sup <= EXACT_SUP[F.label] + 1e-12
+        assert integral._prime_level(F, G, r) >= _interval_sweep(G)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_polished_norms_of_sine_strip_are_exact(n):
+    f = distribution("sineStrip", n=n)
+    for norm in (alexiewicz_norm, norm_prime):
+        res = norm(f, tol=1e-8)
+        assert res.converged
+        assert abs(res.value - 2.0 / n) <= 1e-12
+
+
+def test_polish_zooms_in_on_a_smooth_maximum():
+    # a 4-d quadratic peak off every stencil point: the zoom ends within 1e-10
+    peak = np.array([0.3, -0.123456789, 0.777, -1.0])
+    best = integral._polish(lambda p: -np.sum((p - peak) ** 2, axis=1), [[0.25, -0.1, 0.8, -0.95]], 0.0625)
+    assert -1e-19 <= best <= 0.0
+
+
+def test_grid_sample_norms_are_node_maxima():
+    # bilinear in the chart, so the extrema sit on nodes and are not polished
+    prim = sample_primitive(catalog_primitive("sinc2d"), 64)
+    assert alexiewicz_norm(prim).value == float(np.max(np.abs(prim.values)))
+    assert norm_prime(prim, start_resolution=64, max_doublings=0).value == _interval_sweep(prim.values)
 
 
 def test_norm_sandwich():

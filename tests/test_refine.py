@@ -3,6 +3,9 @@
 Each case was recorded from the routines as they stood before they shared
 one refinement driver; the values, error estimates, final resolutions,
 converged flags and per-level traces must stay bit for bit the same.
+The norms of sineStrip(1) are checked against their exact values instead,
+since their levels are polished; so is norm_prime(weier2d), against a
+lower bound.
 The convolve_l1 cases record a SHA-256 digest of the sampled H grid.
 The driver's stopping rules are also tested on synthetic level sequences.
 """
@@ -88,14 +91,6 @@ def record(result):
 
 
 GOLDEN = {
-    'alexiewicz_norm-sineStrip-1e-06': (
-        1.9999211192691744, 0.0, 1024, True,
-        [1.9899924966004454, 1.9899924966004454, 1.9921884369511138, 1.9999211192691744, 1.9999211192691744, 1.9999211192691744],
-    ),
-    'alexiewicz_norm-sineStrip-1e-08': (
-        1.9999211192691744, 0.0, 1024, True,
-        [1.9899924966004454, 1.9899924966004454, 1.9921884369511138, 1.9999211192691744, 1.9999211192691744, 1.9999211192691744],
-    ),
     'convolve_l1-expRadial-0.0625': (
         'febf33445d42d0809835ed55822fe9de147c1bb17061cc53a1bc6df690a634dc', 0.00363735368516445, None, False,
         None,
@@ -135,26 +130,6 @@ GOLDEN = {
     'integrate_product-sinc2d-ai1': (
         4.231995767688446, 2.374778335756389e-06, 4096, False,
         [4.219100057473557, 4.228758758342621, 4.231186252524351, 4.231793929036446, 4.2319458983732225, 4.231983893845809, 4.23199339291011, 4.231995767688446],
-    ),
-    'norm_dual-sineStrip-1e-06': (
-        0.49749812415011135, 0.0, 64, True,
-        [0.49749812415011135, 0.49749812415011135, 0.49749812415011135],
-    ),
-    'norm_dual-sineStrip-1e-08': (
-        0.49749812415011135, 0.0, 64, True,
-        [0.49749812415011135, 0.49749812415011135, 0.49749812415011135],
-    ),
-    'norm_prime-sineStrip-1e-06': (
-        1.9899924966004454, 0.0, 64, True,
-        [1.9899924966004454, 1.9899924966004454, 1.9899924966004454],
-    ),
-    'norm_prime-sineStrip-1e-08': (
-        1.9899924966004454, 0.0, 64, True,
-        [1.9899924966004454, 1.9899924966004454, 1.9899924966004454],
-    ),
-    'norm_prime-weier2d': (
-        11.863611130479189, 0.11154178097078216, 512, False,
-        [10.574907222554373, 11.29936411344058, 11.358820798811134, 11.742077000112726, 11.752069349508407, 11.863611130479189],
     ),
     'rs_line_integral-unconverged': (
         1.2428916508425625, 2.2774387930191153e-05, 128, False,
@@ -220,10 +195,30 @@ GOLDEN = {
 }
 
 
+# name -> (exact value, tol) of the norm cases: ||sineStrip(1)|| = ||sineStrip(1)||' = 2
+# and the default norm_dual is max(2 / 4, 2 / 9)
+EXACT = {}
+for _tol in (1e-6, 1e-8):
+    EXACT[f"alexiewicz_norm-sineStrip-{_tol}"] = (2.0, _tol)
+    EXACT[f"norm_prime-sineStrip-{_tol}"] = (2.0, _tol)
+    EXACT[f"norm_dual-sineStrip-{_tol}"] = (0.5, _tol)
+
+# osc(a) osc(b) of the two factors of weier2d on axis_nodes(2**20): the value
+# of one interval, so a lower bound of norm_prime(weier2d)
+WEIER2D_PRIME_BELOW = 11.8908613779
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     result = CASES[name]()
-    assert record(result) == GOLDEN[name]
+    if name in EXACT:
+        exact, tol = EXACT[name]
+        assert result.converged
+        assert abs(result.value - exact) <= tol
+    elif name == "norm_prime-weier2d":
+        assert result.value >= WEIER2D_PRIME_BELOW
+    else:
+        assert record(result) == GOLDEN[name]
     trace = getattr(result, "trace", result[2] if isinstance(result, tuple) else None)
     if trace:
         assert all(set(row) == {"resolution", "value"} for row in trace)

@@ -13,7 +13,7 @@ import pytest
 
 from cpintegral import _kernels_py as kernels
 from cpintegral.convolution import L1Kernel, PoissonKernelL1, convolve_bv, convolve_l1
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.primitive import (
     ClosedFormBV,
     ClosedFormPrimitive,
@@ -89,6 +89,19 @@ def test_separable_eval_is_product_of_factors(name, params):
     X, Y = np.meshgrid(xs, xs)
     a, b = F.eval_factors(xs, xs)
     assert np.array_equal(F.eval(X, Y), np.outer(b, a))
+
+
+@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
+def test_on_grid_is_bit_identical_to_eval(name, params):
+    # the outer product of the factors against eval on the meshgrid, on a
+    # square chart grid and on node rows of different lengths
+    F = catalog_primitive(name, **params)
+    for xs, ys in ((axis_nodes(256), axis_nodes(256)), (axis_nodes(16), axis_nodes(8)[1:-1])):
+        X, Y = np.meshgrid(xs, ys)
+        G = F.on_grid(xs, ys)
+        assert G.shape == (len(ys), len(xs))
+        assert G.tobytes() == np.asarray(F.eval(X, Y)).tobytes()
+        assert G.tobytes() == ClosedFormPrimitive(F.eval).on_grid(xs, ys).tobytes()
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
