@@ -136,10 +136,11 @@ def _one_of(options):
     return read
 
 
-def _reals(count=None, finite=False):
-    """A list of extended reals: exactly count of them, or at least one."""
+def _reals(count=None, finite=False, most=None):
+    """A list of extended reals: exactly count of them, or from one to most."""
     def read(v):
-        _require(isinstance(v, (list, tuple)) and (len(v) == count if count else len(v) > 0), v)
+        _require(isinstance(v, (list, tuple))
+                 and (len(v) == count if count else 0 < len(v) <= (most or len(v))), v)
         xs = [parse_ext(x) for x in v]
         _require(not finite or all(map(math.isfinite, xs)), v)
         return xs
@@ -187,9 +188,13 @@ def _axis_map(v):
 # upper bounds on the sizes a job may ask for: on a 2-core host a parts
 # grid at resolution 1024 takes about 3 s and 1.25 GB, a variation trace of
 # 6 doublings (resolution 4096) about 0.5 s, and each further doubling
-# costs about 4x
+# costs about 4x; a mollify sums (resolution - 1)^2 (n - 1)^2 kernel terms,
+# 2^28 of them in about 3 s; an ndcorner box of 16 dimensions has 65536
+# corners, summed in about 0.5 s
 MAX_RESOLUTION = 1024
 MAX_DOUBLINGS = 6
+MAX_MOLLIFY_TERMS = 2**28
+MAX_DIMS = 16
 
 VARIATION_KINDS = ("hk", "vitali", "sectional1", "sectional2", "trace")
 LATTICE_OPS = ("join", "meet")
@@ -209,14 +214,14 @@ _FIELDS = {
     "order": (_one_of(IMPROPER_ORDERS), "one of " + ", ".join(IMPROPER_ORDERS)),
     "suite": (_one_of(SUITES), "one of " + ", ".join(sorted(SUITES))),
     "z": (_positive, "positive and finite"),
-    "n": (_integer(2), "an integer >= 2"),
+    "n": (_integer(2, MAX_RESOLUTION), f"an integer from 2 to {MAX_RESOLUTION}"),
     "normalize": (_of_type(bool), "true or false"),
     "out": (_optional(_of_type(str)), "a file path"),
     "interval": (_reals(4), "four extended reals a b c d"),
     "point": (_reals(2), "two extended reals"),
     "shift": (_reals(2, finite=True), "two finite reals"),
-    "lower": (_reals(), "a list of extended reals"),
-    "upper": (_reals(), "a list of extended reals"),
+    "lower": (_reals(most=MAX_DIMS), f"a list of 1 to {MAX_DIMS} extended reals"),
+    "upper": (_reals(most=MAX_DIMS), f"a list of 1 to {MAX_DIMS} extended reals"),
     "map": (_axis_map, "an axis map with nonzero finite alpha and beta"),
     "primitive": (_primitive_ref, 'a catalog name, {"name": ..., "params": ...} or {"file": ...}'),
     "primitive2": (_primitive_ref, 'a catalog name, {"name": ..., "params": ...} or {"file": ...}'),
@@ -396,7 +401,12 @@ def _convolve_l1(spec, tol, resolution):
 def _mollify(spec, tol, resolution):
     F = build_primitive(spec)
     z = _field(spec, "z", 0.25)
-    sigma = step_approximate(F, _field(spec, "n", 16))
+    n = _field(spec, "n", 16)
+    terms = ((resolution - 1) * (n - 1)) ** 2
+    if terms > MAX_MOLLIFY_TERMS:
+        raise CliError(f"n and resolution must give at most 2^28 kernel terms, (resolution - 1)^2 (n - 1)^2; "
+                       f"got {terms}", EX_USAGE)
+    sigma = step_approximate(F, n)
     prim = mollify_step(sigma, z, resolution=resolution)
     return {"cornerValue": float(prim(float("inf"), float("inf"))),
             "stepCorner": float(sigma(float("inf"), float("inf"))),

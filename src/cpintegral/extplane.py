@@ -109,12 +109,16 @@ class Grid2:
                 raise ValueError("grid nodes must be strictly ascending")
 
 
-def axis_nodes(resolution: int, chart: Chart = DEFAULT_CHART) -> np.ndarray:
-    """resolution+1 nodes on [-inf, inf], chart-equispaced, endpoints exact."""
+def chart_nodes(resolution: int) -> np.ndarray:
+    """The chart coordinates of axis_nodes(resolution): resolution+1 equispaced points on [-1, 1]."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    u = np.linspace(-1.0, 1.0, resolution + 1)
-    nodes = np.asarray(chart.inverse(u), dtype=float)
+    return np.linspace(-1.0, 1.0, resolution + 1)
+
+
+def axis_nodes(resolution: int, chart: Chart = DEFAULT_CHART) -> np.ndarray:
+    """resolution+1 nodes on [-inf, inf], chart-equispaced, endpoints exact."""
+    nodes = np.asarray(chart.inverse(chart_nodes(resolution)), dtype=float)
     nodes[0] = NEG_INF
     nodes[-1] = POS_INF
     return nodes

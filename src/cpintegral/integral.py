@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate as _sciint
 
-from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, ext, make_interval
-from .primitive import Distribution, GridSamplePrimitive, Primitive
+from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, chart_nodes, ext, make_interval
+from .primitive import Distribution, Primitive
 
 
 def _primitive_of(f):
@@ -122,68 +122,111 @@ def _interval_sweep(G, top=0):
     return best, np.column_stack([i, k, np.argmin(D, axis=0), np.argmax(D, axis=0)])
 
 
-_POLISH_STARTS = 3  # grid maxima each level's zoom starts from
-_POLISH_STOP = 1e-10  # the zoom ends once its step in chart units is below this
+_POLISH_STARTS = 3  # grid maxima each level's search starts from
+_POLISH_STOP = 1e-10  # a centre stops once its step in chart units is below this
+_POLISH_ROUNDS = 200  # and the search ends after this many rounds at the latest
 
 
 def _polish(fun, centres, h):
-    """Largest value of fun found by zooming in on each of the centres.
+    """Largest value of fun found by a pattern search from each of the centres, and its point.
 
     fun maps an (n, dim) array of chart points in [-1, 1]^dim to n values.
-    Each round evaluates the stencil centre + h {-1, 0, 1}^dim around every
-    centre in one call, moves each centre to its best stencil point and
-    halves h, until h < 1e-10.  Points are clipped to [-1, 1], so the
-    infinite edges stay reachable.  Every round keeps the centres in its
-    stencil, so the result is at least fun at the first centres; a NaN
-    value makes it NaN.
+    Each round evaluates, in one call, the stencil centre + step {-1, 0, 1}^dim
+    around every centre, and two copies of it turned by the next two powers
+    of a fixed rotation (see _twist), each centre's step starting at h.  A
+    centre whose best stencil point beats it moves there and doubles its
+    step, up to h; any other centre halves its step.  The turned copies give
+    every round new directions, so the search also climbs a crease, such as
+    the ridge of the min of two primitives, along which no axis or diagonal
+    direction climbs.  The search ends when every step is below 1e-10, or
+    after 200 rounds.  Points are clipped to [-1, 1], so the infinite edges
+    stay reachable.  The stencil holds each centre, so the result is at
+    least fun at the first centres; a NaN value makes it NaN.
     """
-    centres = np.asarray(centres, dtype=float)
+    centres = np.array(centres, dtype=float)
     k, dim = centres.shape
-    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
-    best = -np.inf
-    while h >= _POLISH_STOP:
-        points = np.clip(centres[:, None, :] + h * offsets, -1.0, 1.0)
+    axes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+    still = len(axes) // 2  # the zero offset
+    moves = np.delete(axes, still, axis=0)
+    twist = turn = _twist(dim)
+    rows = np.arange(k)
+    steps = np.full(k, float(h))
+    best, point = -np.inf, centres[0]
+    for _ in range(_POLISH_ROUNDS):
+        if np.all(steps < _POLISH_STOP):
+            break
+        offsets = np.concatenate([axes, moves @ turn.T, moves @ (turn @ twist).T])
+        turn = turn @ twist @ twist
+        points = np.clip(centres[:, None, :] + steps[:, None, None] * offsets, -1.0, 1.0)
         values = np.asarray(fun(points.reshape(-1, dim)), dtype=float).reshape(k, len(offsets))
-        centres = points[np.arange(k), np.argmax(values, axis=1)]
-        best = np.maximum(best, np.max(values))
-        h /= 2
-    return float(best)
+        top = np.argmax(values)  # a NaN comes first
+        if not values.flat[top] <= best:
+            point = points.reshape(-1, dim)[top]
+        best = np.maximum(best, values.flat[top])
+        pick = np.argmax(values, axis=1)
+        moved = values[rows, pick] > values[:, still]
+        centres = points[rows, np.where(moved, pick, still)]
+        steps = np.where(moved, np.minimum(2 * steps, h), steps / 2)
+    return float(best), point
 
 
-def _chart_nodes(r):
-    """The chart coordinates of axis_nodes(r)."""
-    return np.linspace(-1.0, 1.0, r + 1)
+def _twist(dim):
+    """A fixed rotation of R^dim: the golden fraction of an eighth of a turn in each plane of neighbouring axes.
 
-
-def _sup_level(F, G, r):
-    """sup |F| at resolution r from the grid values G = F on axis_nodes(r).
-
-    The grid maximum, polished from the best few nodes.  A grid sample is
-    bilinear in the chart, so its extrema sit on nodes and it is not polished.
+    The stencil {-1, 0, 1}^dim repeats under an eighth of a turn, so its
+    copies turned by successive powers of the twist point in ever new
+    directions.
     """
-    A = np.abs(G)
-    best = float(np.max(A))
-    if isinstance(F, GridSamplePrimitive):
-        return best
-    u = _chart_nodes(r)
-    j, i = np.unravel_index(np.argpartition(A, -_POLISH_STARTS, axis=None)[-_POLISH_STARTS:], A.shape)
+    angle = math.pi / 4 * (math.sqrt(5.0) - 1.0) / 2
+    twist = np.eye(dim)
+    for i in range(dim - 1):
+        plane = np.eye(dim)
+        plane[i : i + 2, i : i + 2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        twist = twist @ plane
+    return twist
+
+
+def _polished(fun, candidates):
+    """Level values at resolution r, from the grid values G of a norm's primitive on axis_nodes(r).
+
+    candidates(G, u) gives the grid's best value and the chart points of its
+    best few candidates, with u = chart_nodes(r).  A level's value is the
+    larger of the grid's best value and the search of fun from those points
+    and from the previous level's best point.  The grids are nested and the
+    search keeps its centres, so the levels never go down.
+    """
+    carried = []
+
+    def level(G, r):
+        best, centres = candidates(G, chart_nodes(r))
+        value, point = _polish(fun, np.concatenate([centres, *carried]), 2.0 / r)
+        carried[:] = [point[None]]
+        return float(np.maximum(best, value))
+
+    return level
+
+
+def _sup_levels(F):
+    """Polished levels of sup |F|, searched in the chart plane (u, v) from the largest nodes of |G|."""
 
     def abs_F(p):
         x = DEFAULT_CHART.inverse(p)
         return np.abs(np.asarray(F.eval(x[:, 0], x[:, 1])))
 
-    return max(best, _polish(abs_F, np.column_stack([u[i], u[j]]), 2.0 / r))
+    def candidates(G, u):
+        A = np.abs(G)
+        j, i = np.unravel_index(np.argpartition(A, -_POLISH_STARTS, axis=None)[-_POLISH_STARTS:], A.shape)
+        return float(np.max(A)), np.column_stack([u[i], u[j]])
+
+    return _polished(abs_F, candidates)
 
 
-def _prime_level(F, G, r):
-    """sup over intervals of |corner difference| at resolution r, from G as in _sup_level.
+def _prime_levels(F):
+    """Polished levels of the sup over intervals of |corner difference|.
 
-    The interval sweep's maximum, polished in the 4-d chart space of
-    (x1, x2, y1, y2) from its best few column pairs.
+    The search runs in the 4-d chart space of (x1, x2, y1, y2), from the best
+    few column pairs of the interval sweep.
     """
-    best, nodes = _interval_sweep(G, _POLISH_STARTS)
-    if isinstance(F, GridSamplePrimitive):
-        return best
 
     def abs_corner(p):
         x = DEFAULT_CHART.inverse(p)
@@ -192,26 +235,27 @@ def _prime_level(F, G, r):
             np.concatenate([x2, x1, x2, x1]), np.concatenate([y2, y2, y1, y1]))).reshape(4, -1)
         return np.abs(F22 - F12 - F21 + F11)
 
-    return max(best, _polish(abs_corner, _chart_nodes(r)[nodes], 2.0 / r))
+    def candidates(G, u):
+        best, nodes = _interval_sweep(G, _POLISH_STARTS)
+        return best, u[nodes]
 
-
-def _grid(F, r):
-    xs = axis_nodes(r)
-    return F.on_grid(xs, xs)
+    return _polished(abs_corner, candidates)
 
 
 def alexiewicz_norm(f, tol=1e-6, start_resolution=32, max_doublings=8) -> QuadResult:
     """||f|| = sup over the extended plane of |F(x, y)|.
 
-    Each level is the polished grid maximum of |F| (see _sup_level).
+    Each level is the polished grid maximum of |F| (see _sup_levels).
     """
     F = _primitive_of(f)
+    sup = _sup_levels(F)
 
     def value_at(r):
-        return _sup_level(F, _grid(F, r), r)
+        xs = axis_nodes(r)
+        return sup(F.on_grid(xs, xs), r)
 
     # two consecutive increments within tol: a single flat step can be a
-    # plateau where two levels start their zoom from the wrong nodes alike
+    # plateau where two levels start their search from the wrong nodes alike
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
 
@@ -221,12 +265,14 @@ def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
     For fixed x-limits a < b the interval integral is D(d) - D(c) with
     D(y) = F(b, y) - F(a, y), so the supremum over y-limits is
     max D - min D; sweeping x-index pairs covers all node intervals, and
-    the best few are polished (see _prime_level).
+    the best few are polished (see _prime_levels).
     """
     F = _primitive_of(f)
+    prime = _prime_levels(F)
 
     def value_at(r):
-        return _prime_level(F, _grid(F, r), r)
+        xs = axis_nodes(r)
+        return prime(F.on_grid(xs, xs), r)
 
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 
@@ -257,9 +303,12 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
             best = max(best, abs(res.value) / scale)
         return QuadResult(best, tol, 0, True, [])
 
+    sup, prime = _sup_levels(F), _prime_levels(F)
+
     def value_at(r):
-        G = _grid(F, r)
-        return max(_sup_level(F, G, r) / 4.0, _prime_level(F, G, r) / 9.0)
+        xs = axis_nodes(r)
+        G = F.on_grid(xs, xs)
+        return float(np.maximum(sup(G, r) / 4.0, prime(G, r) / 9.0))
 
     return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
 

@@ -247,13 +247,13 @@ def _translate_difference_sup():
 
 
 # case id -> [(report key, reference, allowed gap)]; the polished suprema are
-# evaluated values of |F|, so they match a smooth maximum to rounding and the
-# crease of the meet to within its last zoom step
+# evaluated values of |F|, so they match a smooth maximum, and the crease top
+# of the meet, to rounding
 POLISHED = {
     "norm": [("value", lambda: 0.5, 1e-3)],
     "job-norm-params": [("value", lambda: 0.5, 1e-3)],
     "product": [("normOfProduct", _ramp_gauss_sup, 1e-12)],
-    "lattice-out": [("supNorm", _ramp_gauss_meet_sup, 1e-9)],
+    "lattice-out": [("supNorm", _ramp_gauss_meet_sup, 1e-12)],
     "translate": [("normTranslated", lambda: 1.0, 1e-12),
                   ("normDifference", _translate_difference_sup, 1e-12)],
 }

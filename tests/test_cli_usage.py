@@ -5,13 +5,17 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from cpintegral import cli
 from cpintegral.primitive import CHART_NAME
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+SRC = os.path.join(ROOT, "src")
 
 
 def run_cli(capsys, argv):
@@ -34,9 +38,15 @@ def run_cli(capsys, argv):
     ["norm", "--primitive", "prodArctan", "--tol", "inf"],
     ["parts", "--primitive", "prodArctan", "--bv", "constant", "--resolution", "1025"],
     ["variation", "--bv", "diagonalIndicator", "--kind", "trace", "--doublings", "7"],
+    # 1024^2 kernel terms at resolution 2, within 2^28, but a step grid above the cap
+    ["mollify", "--primitive", "prodArctan", "--n", "1025", "--resolution", "2"],
+    # (128 * 129)^2 kernel terms, just above 2^28
+    ["mollify", "--primitive", "prodArctan", "--n", "130", "--resolution", "129"],
+    ["ndcorner", "--lower"] + ["0"] * 17 + ["--upper"] + ["1"] * 17,
 ], ids=["mollify-n1", "map-alpha0", "map-kind", "map-list", "nd-lower-above-upper",
         "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf",
-        "resolution-above-cap", "doublings-above-cap"])
+        "resolution-above-cap", "doublings-above-cap", "n-above-cap", "mollify-terms-above-cap",
+        "nd-dims-above-cap"])
 def test_bad_flag_value_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 64
@@ -82,15 +92,29 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
 def test_size_caps_are_inclusive():
     assert cli._field({"resolution": cli.MAX_RESOLUTION}, "resolution") == 1024
     assert cli._field({"doublings": cli.MAX_DOUBLINGS}, "doublings") == 6
+    assert cli._field({"n": cli.MAX_RESOLUTION}, "n") == 1024
+    assert len(cli._field({"lower": [0] * cli.MAX_DIMS}, "lower")) == 16
 
 
-def test_grid_too_large_to_allocate_exit_1(capsys):
-    # 10^14 float64 values exceed any 64-bit address space, so the allocation fails at once;
-    # the step count of mollify has no cap, unlike --resolution
-    code, out, err = run_cli(capsys, ["mollify", "--primitive", "prodArctan", "--n", str(10**7)])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS as Linux enforces it")
+def test_grid_too_large_to_allocate_exit_1():
+    # every size is capped, so a grid fails to allocate only on a host short of
+    # memory: here a 512 MB address-space limit, under which the largest parts
+    # grid (resolution 1024, about 1.25 GB) cannot be allocated
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cpintegral import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "parts", "--primitive", "prodArctan", "--bv", "constant", "--resolution", "1024"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("content", [

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import sici
 
 from cpintegral import integral
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
+from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import (
     IntervalND,
     _interval_sweep,
@@ -22,8 +23,10 @@ from cpintegral.integral import (
     total_integral,
     xpowy_corner_probes,
 )
+from cpintegral.operators import lattice_meet
 from cpintegral.primitive import (
     CATALOG_PRIMITIVES,
+    Primitive,
     catalog_bv,
     catalog_primitive,
     distribution,
@@ -129,14 +132,19 @@ def _polish_cases():
 @pytest.mark.parametrize("f", _polish_cases(), ids=lambda f: f.label)
 def test_polished_levels_bracketed_by_grid_and_exact_sup(f):
     F = f.primitive
+    sup, prime = integral._sup_levels(F), integral._prime_levels(F)
+    sups, primes = [], []
     for r in (16, 32, 64):
         xs = axis_nodes(r)
         G = F.on_grid(xs, xs)
-        sup = integral._sup_level(F, G, r)
-        assert sup >= float(np.max(np.abs(G)))
+        sups.append(sup(G, r))
+        primes.append(prime(G, r))
+        assert sups[-1] >= float(np.max(np.abs(G)))
         if F.label in EXACT_SUP:
-            assert sup <= EXACT_SUP[F.label] + 1e-12
-        assert integral._prime_level(F, G, r) >= _interval_sweep(G)
+            assert sups[-1] <= EXACT_SUP[F.label] + 1e-12
+        assert primes[-1] >= _interval_sweep(G)
+    # each level also searches from the previous level's best point
+    assert sups == sorted(sups) and primes == sorted(primes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -149,14 +157,67 @@ def test_polished_norms_of_sine_strip_are_exact(n):
 
 
 def test_polish_zooms_in_on_a_smooth_maximum():
-    # a 4-d quadratic peak off every stencil point: the zoom ends within 1e-10
+    # a 4-d quadratic peak off every stencil point: the search ends within 1e-10
     peak = np.array([0.3, -0.123456789, 0.777, -1.0])
-    best = integral._polish(lambda p: -np.sum((p - peak) ** 2, axis=1), [[0.25, -0.1, 0.8, -0.95]], 0.0625)
+    best, point = integral._polish(lambda p: -np.sum((p - peak) ** 2, axis=1), [[0.25, -0.1, 0.8, -0.95]], 0.0625)
     assert -1e-19 <= best <= 0.0
+    assert np.max(np.abs(point - peak)) < 1e-9
+
+
+def test_polish_climbs_a_crease():
+    # a ridge along u = 3 v with its top at (0.6, 0.2); from (0.3, 0.1) on the
+    # ridge every direction of the axis stencil goes down (by 3h at best)
+    def fun(p):
+        u, v = p.T
+        return -np.abs(u - 0.6) - np.abs(v - 0.2) - 4.0 * np.abs(u - 3.0 * v)
+
+    best, point = integral._polish(fun, [[0.3, 0.1]], 0.125)
+    assert best >= -1e-9
+    assert np.max(np.abs(point - [0.6, 0.2])) < 1e-9
+
+
+def test_polish_keeps_a_nan():
+    best, _ = integral._polish(lambda p: np.where(p[:, 0] > 0.5, np.nan, p[:, 0]), [[0.0, 0.0]], 0.25)
+    assert math.isnan(best)
+
+
+class _NanBetweenNodes(Primitive):
+    """Zero on the nodes of axis_nodes(16) in x and NaN between them: only the search sees a NaN."""
+
+    def eval(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        k = (DEFAULT_CHART.forward(x) + 1.0) * 8.0
+        return np.where(np.abs(k - np.round(k)) < 1e-9, 0.0, np.nan)
+
+
+@pytest.mark.parametrize("norm", [alexiewicz_norm, norm_prime, norm_dual])
+def test_nan_found_by_the_search_reaches_the_driver(norm):
+    with pytest.raises(ArithmeticError, match="evaluated to NaN"):
+        norm(_NanBetweenNodes("nan"), start_resolution=16, max_doublings=0)
+
+
+def _ramp_gauss_meet_sup():
+    """sup of min(R(x) R(y), exp(-x^2 - y^2)), R the arctan ramp: R(t)^2 where R(t) = exp(-t^2), t > 0."""
+    ramp = lambda t: 0.5 + math.atan(t) / math.pi
+    return ramp(brentq(lambda t: ramp(t) - math.exp(-t * t), 0.0, 3.0, xtol=1e-15)) ** 2
+
+
+@pytest.mark.parametrize("start", [16, 24, 32])
+def test_norms_of_a_meet_reach_its_crease_top(start):
+    # the sup sits on the crease of the min; a search along the stencil axes
+    # stalled below it, the same at every level, and reported that as converged
+    meet = lattice_meet(catalog_primitive("prodArctan"), catalog_primitive("gauss2"))
+    top = _ramp_gauss_meet_sup()
+    for norm, exact in ((alexiewicz_norm, top), (norm_prime, top), (norm_dual, top / 4.0)):
+        res = norm(meet, start_resolution=start)
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-12, norm.__name__
+        levels = [row["value"] for row in res.trace]
+        assert levels == sorted(levels), norm.__name__
 
 
 def test_grid_sample_norms_are_node_maxima():
-    # bilinear in the chart, so the extrema sit on nodes and are not polished
+    # bilinear in the chart, so the extrema sit on nodes, and the search finds no more
     prim = sample_primitive(catalog_primitive("sinc2d"), 64)
     assert alexiewicz_norm(prim).value == float(np.max(np.abs(prim.values)))
     assert norm_prime(prim, start_resolution=64, max_doublings=0).value == _interval_sweep(prim.values)
