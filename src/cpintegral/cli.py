@@ -15,6 +15,7 @@ the flags it takes besides the common ones.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -558,7 +559,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing leaves no state in it; callers must not mutate it (no
+    add_argument or set_defaults), since every later call would see that.
+    """
     parser = _Parser(
         prog="cpintegral",
         description="Integrals, norms and operators for distributions given by "

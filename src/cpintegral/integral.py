@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,15 +109,37 @@ def _interval_sweep(G, top=0):
     With top > 0 it returns (best, nodes) instead: row m of nodes is
     (i, k, argmin D, argmax D) for one of the `top` best column pairs, the
     corners of its best interval.
+
+    With top == 0 only the column pairs that can beat the running best are
+    swept.  Rounded subtraction is monotone, so with column maxima M and
+    minima m the computed max D - min D of the pair (i, k) never exceeds
+    bound[i, k] = fl(fl(M_k - m_i) - fl(m_k - M_i)).  Rows are visited from
+    the largest bound down, and a pair is swept unless its bound is <= the
+    best so far; the value is the full sweep's, bit for bit.  A NaN bound is
+    always swept, and an infinite best counts as the largest finite float,
+    so only pairs with finite bounds, which cannot sweep to NaN, are
+    skipped: a NaN in G, or differences that overflow to inf - inf, still
+    give NaN.
     """
+    if not top:
+        M, m = np.max(G, axis=0), np.min(G, axis=0)
+        bound = np.triu((M - m[:, None]) - (m - M[:, None]), 1)
+        rows = np.max(bound, axis=1)
+        best = 0.0
+        for i in np.argsort(rows)[::-1]:  # a NaN row comes first
+            cut = min(best, sys.float_info.max)
+            if rows[i] <= cut:
+                break
+            k = np.flatnonzero(~(bound[i] <= cut))
+            D = G[:, k] - G[:, i : i + 1]
+            best = np.maximum(best, np.max(np.max(D, axis=0) - np.min(D, axis=0)))
+        return float(best)
     n = G.shape[1]
     osc = np.zeros((n, n))
     for i in range(n - 1):
         D = G[:, i + 1 :] - G[:, i : i + 1]
         osc[i, i + 1 :] = np.max(D, axis=0) - np.min(D, axis=0)
     best = float(np.max(osc))
-    if not top:
-        return best
     i, k = np.unravel_index(np.argpartition(osc, -top, axis=None)[-top:], osc.shape)
     D = G[:, k] - G[:, i]
     return best, np.column_stack([i, k, np.argmin(D, axis=0), np.argmax(D, axis=0)])

@@ -718,10 +718,13 @@ def import_grid_json(path) -> GridSamplePrimitive:
         raise ValueError(f"a grid file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("chart") != CHART_NAME:
         raise ValueError(f"unsupported chart {doc.get('chart')!r}")
+    resolution = doc.get("resolution")
+    if not isinstance(resolution, int) or isinstance(resolution, bool):
+        raise ValueError(f"resolution must be a JSON integer, got {resolution!r}")
+    grid = uniform_grid(resolution)
     try:
-        grid = uniform_grid(int(doc["resolution"]))
         values = np.asarray(doc["values"], dtype=float)
-    except TypeError as exc:  # a resolution or values of the wrong JSON type, such as null
+    except TypeError as exc:  # values of the wrong JSON type, such as null
         raise ValueError(str(exc)) from exc
     return GridSamplePrimitive(grid, values, doc.get("label", ""))
 

@@ -43,6 +43,22 @@ def test_norm_command(capsys):
     assert report["converged"] is True
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    tols = []
+
+    def norm(f, tol):
+        tols.append(tol)
+        return alexiewicz_norm(f, tol=tol)
+
+    monkeypatch.setattr(cli.integral, "alexiewicz_norm", norm)
+    assert cli.make_parser() is cli.make_parser()
+    code, first, _ = run_cli(capsys, ["norm", "--primitive", "sineStrip", "--tol", "1e-3"])
+    assert code == 0 and first["spec"]["tol"] == 1e-3
+    code, second, _ = run_cli(capsys, ["norm", "--primitive", "sineStrip"])
+    assert code == 0 and "tol" not in second["spec"]
+    assert tols == [1e-3, 1e-6]
+
+
 def test_bvnorm_command(capsys):
     code, report, _ = run_cli(capsys, ["bvnorm", "--bv", "quadrantIndicator"])
     assert code == 0

@@ -124,7 +124,11 @@ def test_grid_too_large_to_allocate_exit_1():
     {"label": "g", "resolution": 2, "chart": CHART_NAME,
      "values": [[0, 0, 0], [0, float("inf"), 0], [0, 0, 1]]},
     {"label": "g", "resolution": None, "chart": CHART_NAME, "values": [[0]]},
-], ids=["top-level-list", "nan-value", "inf-value", "null-resolution"])
+    *({"label": "g", "resolution": r, "chart": CHART_NAME, "values": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}
+      for r in (2.5, 2.0, "2", True)),
+    {"label": "g", "chart": CHART_NAME, "values": [[0]]},
+], ids=["top-level-list", "nan-value", "inf-value", "null-resolution", "fractional-resolution",
+        "float-resolution", "string-resolution", "bool-resolution", "missing-resolution"])
 def test_bad_grid_file_exit_66(tmp_path, capsys, content):
     path = str(tmp_path / "g.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from cpintegral import integral
+from cpintegral import cli, integral
 from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import (
     IntervalND,
@@ -32,7 +34,7 @@ from cpintegral.primitive import (
     distribution,
     sample_primitive,
 )
-from cpintegral.suites import catalog_distributions
+from cpintegral.suites import SUITES, catalog_distributions, run_suite
 
 
 def test_total_integral_prod_arctan():
@@ -112,6 +114,71 @@ def test_interval_sweep_brute_force_on_random_grids():
                 for k, l in itertools.combinations(range(shape[0]), 2)
             )
             assert abs(_interval_sweep(G) - brute) < 1e-12
+
+
+def _random_sweep_grid(rng):
+    """A random grid of 1x1 to 40x40 with magnitudes from 1e-5 to 1e5, often with ties."""
+    rows, cols = (int(n) for n in rng.integers(1, 41, size=2))
+    scale = 10.0 ** rng.uniform(-5, 5)
+    G = rng.standard_normal((rows, cols)) * scale
+    if rng.random() < 0.5:  # a few rounded levels, so values and pair sweeps tie
+        G = np.round(G / scale * rng.integers(1, 4)) * (scale / 3)
+    for c in rng.integers(0, cols, size=int(rng.integers(0, 3))):
+        G[:, c] = 0.0 if rng.random() < 0.5 else G[0, c]  # all-zero or constant columns
+    return G
+
+
+def test_pruned_interval_sweep_is_the_full_sweep_bit_for_bit():
+    # top > 0 sweeps every column pair; top == 0 skips pairs by the rounding-safe bound
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        G = _random_sweep_grid(rng)
+        assert _interval_sweep(G) == _interval_sweep(G, 1)[0], G.shape
+    for G in (np.zeros((1, 1)), np.zeros((5, 4)), np.full((3, 6), 7.5), np.arange(12.0).reshape(3, 4)):
+        assert _interval_sweep(G) == _interval_sweep(G, 1)[0]
+
+
+def test_interval_sweep_of_nan_grid_is_nan():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((4, 5))
+    for j, i in itertools.product(range(4), range(5)):
+        G = base.copy()
+        G[j, i] = np.nan
+        assert np.isnan(_interval_sweep(G)), (j, i)
+    for _ in range(20):
+        G = _random_sweep_grid(rng)
+        G[tuple(rng.integers(0, n) for n in G.shape)] = np.nan
+        # a single column has no pairs, so both sweeps give 0 there
+        assert np.isnan(_interval_sweep(G)) == (G.shape[1] > 1) == np.isnan(_interval_sweep(G, 1)[0])
+    # columns 0 and 1 differ by +inf in every row, so their sweep is inf - inf,
+    # though their bound is inf, not NaN, and columns 2 and 3 already sweep to inf
+    big = 1.7e308
+    G = np.array([[-0.5e308, big, 0.0, big], [-big, 0.5e308, 0.0, -big]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_interval_sweep(G, 1)[0])
+        assert np.isnan(_interval_sweep(G))
+
+
+# SHA-256 of every run_suite report (JSON, sorted keys), recorded before the
+# interval sweep skipped column pairs; the norms suite runs the sweep at r = 256
+SUITE_DIGESTS = {
+    "algebra": "f20a84295110de23e83e72318f381afdd7f997f6b3f19ace4fc043648c4eb563",
+    "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
+    "convolution": "584263cb4ead8bdedb266ed43e9203a47245939352a654038a1414d8cae5b0bb",
+    "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
+    "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
+    "holder": "6e8885840329baad1fa380a3421b60e7d50b20ea2ec17f6f2c27bfe0e7f2d218",
+    "lattice": "9eae44ba7e3bfa104274fb841a933066d2ab85d4343bcbb65314e1b4ceab7122",
+    "mspace": "794336616d130bff1afc52ca33f8bed594a07e42f24a2541c227ca9138a0f804",
+    "norms": "ca62f9a02ee254d68794d8243c093bcac89470c0292c984ff5bcaaad76f2de95",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_suite_reports_unchanged(name):
+    assert sorted(SUITE_DIGESTS) == sorted(SUITES)
+    report = json.dumps(cli._jsonable(run_suite(name)), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == SUITE_DIGESTS[name]
 
 
 # sup |F| of the catalog primitives where it is known; sinc2d peaks at x = y = pi
@@ -217,7 +284,8 @@ def test_norms_of_a_meet_reach_its_crease_top(start):
 
 
 def test_grid_sample_norms_are_node_maxima():
-    # bilinear in the chart, so the extrema sit on nodes, and the search finds no more
+    # bilinear in the chart, so the extrema sit on nodes; on this grid the search
+    # finds no more, though on others rounding lets it gain 1 or 2 ulps
     prim = sample_primitive(catalog_primitive("sinc2d"), 64)
     assert alexiewicz_norm(prim).value == float(np.max(np.abs(prim.values)))
     assert norm_prime(prim, start_resolution=64, max_doublings=0).value == _interval_sweep(prim.values)
@@ -233,6 +301,14 @@ def test_norm_sandwich():
         # on a shared grid the sandwich inequalities hold exactly
         assert a <= p + 1e-12 <= 4 * a + 1e-9
         assert a / 4 <= d + 1e-12 <= a + 1e-12
+
+
+@pytest.mark.parametrize("levels", ["_sup_levels", "_prime_levels"])
+def test_norm_dual_raises_on_a_nan_level(monkeypatch, levels):
+    # Python max(sup / 4, prime / 9) would drop a NaN prime level; np.maximum keeps it
+    monkeypatch.setattr(integral, levels, lambda F: lambda G, r: float("nan"))
+    with pytest.raises(ArithmeticError, match="evaluated to NaN"):
+        norm_dual(distribution("prodArctan"))
 
 
 def test_norm_dual_with_probes():
