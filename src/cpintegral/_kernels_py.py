@@ -3,19 +3,24 @@
 import numpy as np
 
 
-def hk_components(G):
-    """Variation components of a value matrix G[j, i] = g(x_i, y_j).
+def hk_fold(G, prev, colvar, acc):
+    """Fold the value rows G[j, i] = g(x_i, y_j) into running variation components.
 
-    Returns (sup |G|, max row variation, max column variation, Vitali sum),
-    i.e. the grid estimates of ||g||_inf, ||V1 g||_inf, ||V2 g||_inf, V12 g.
+    prev is the last row folded so far (no rows before the first fold).
+    acc = [max |G|, max row variation, Vitali sum] and colvar, the variation
+    of each column, cover the rows folded so far and are updated in place.
+    Folded over all rows in order, acc and max(colvar) are the grid
+    estimates of ||g||_inf, ||V1 g||_inf, V12 g and ||V2 g||_inf.  Columns
+    gain their increments one row at a time, in the order of a one-pass sum
+    down each column, so v2 does not depend on where the folds split.
     """
-    G = np.asarray(G, dtype=float)
-    sup = float(np.max(np.abs(G))) if G.size else 0.0
-    v1 = float(np.max(np.sum(np.abs(np.diff(G, axis=1)), axis=1))) if G.shape[1] > 1 else 0.0
-    v2 = float(np.max(np.sum(np.abs(np.diff(G, axis=0)), axis=0))) if G.shape[0] > 1 else 0.0
+    acc[0] = np.maximum(acc[0], np.max(np.abs(G)))
+    acc[1] = np.maximum(acc[1], np.max(np.sum(np.abs(np.diff(G, axis=1)), axis=1)))
+    G = np.vstack([prev, G])
+    for row in np.abs(np.diff(G, axis=0)):
+        colvar += row
     corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
-    v12 = float(np.sum(np.abs(corner)))
-    return sup, v1, v2, v12
+    acc[2] += np.sum(np.abs(corner))
 
 
 def corner_weighted_sum(T, G):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate as _sciint
 
-from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, chart_nodes, ext, make_interval
+from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, chart_nodes, ext
 from .primitive import Distribution, Primitive
 
 
@@ -101,6 +101,9 @@ def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None)
     return QuadResult(value, err, trace[-1]["resolution"], converged, trace)
 
 
+_SWEEP_BLOCK = 32  # rows per block of the column extremes that bound the sweep
+
+
 def _interval_sweep(G, top=0):
     """Largest |corner difference| of the grid values G[j, i] over node intervals.
 
@@ -111,19 +114,26 @@ def _interval_sweep(G, top=0):
     corners of its best interval.
 
     With top == 0 only the column pairs that can beat the running best are
-    swept.  Rounded subtraction is monotone, so with column maxima M and
-    minima m the computed max D - min D of the pair (i, k) never exceeds
-    bound[i, k] = fl(fl(M_k - m_i) - fl(m_k - M_i)).  Rows are visited from
-    the largest bound down, and a pair is swept unless its bound is <= the
-    best so far; the value is the full sweep's, bit for bit.  A NaN bound is
-    always swept, and an infinite best counts as the largest finite float,
-    so only pairs with finite bounds, which cannot sweep to NaN, are
-    skipped: a NaN in G, or differences that overflow to inf - inf, still
-    give NaN.
+    swept.  Rounded subtraction is monotone, so with column maxima M_b and
+    minima m_b over each block b of _SWEEP_BLOCK rows the computed
+    max D - min D of the pair (i, k) never exceeds
+    fl(max_b fl(M_b[k] - m_b[i]) - min_b fl(m_b[k] - M_b[i])).  Rounding is
+    symmetric, so with hi[i, k] = max_b fl(M_b[k] - m_b[i]) the second term
+    is -hi[k, i], and the bound is bound[i, k] = fl(hi[i, k] + hi[k, i]).
+    Rows are visited from the largest bound down, and a pair is swept unless
+    its bound is <= the best so far; the value is the full sweep's, bit for
+    bit.  A NaN bound is always swept, and an infinite best counts as the
+    largest finite float, so only pairs with finite bounds, which cannot
+    sweep to NaN, are skipped: a NaN in G, or differences that overflow to
+    inf - inf, still give NaN.
     """
     if not top:
-        M, m = np.max(G, axis=0), np.min(G, axis=0)
-        bound = np.triu((M - m[:, None]) - (m - M[:, None]), 1)
+        starts = np.arange(0, G.shape[0], _SWEEP_BLOCK)
+        M, m = np.maximum.reduceat(G, starts), np.minimum.reduceat(G, starts)
+        hi = M[0] - m[0][:, None]
+        for Mb, mb in zip(M[1:], m[1:]):
+            np.maximum(hi, Mb - mb[:, None], out=hi)
+        bound = np.triu(hi + hi.T, 1)
         rows = np.max(bound, axis=1)
         best = 0.0
         for i in np.argsort(rows)[::-1]:  # a NaN row comes first

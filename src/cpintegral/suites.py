@@ -10,11 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate as _sciint
 
-from .extplane import NEG_INF, POS_INF, FULL_PLANE, axis_nodes, make_interval
+from .extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from .integral import (
     _interval_sweep,
     alexiewicz_norm,
-    corner_integral,
     ftc_residual,
     improper_example,
     xpowy_corner_probes,
@@ -23,20 +22,12 @@ from .operators import (
     algebra_product,
     convergence_limit,
     lattice_join,
-    lattice_meet,
     order_leq,
     translate,
 )
-from .primitive import (
-    ClosedFormPrimitive,
-    Distribution,
-    approx_identity,
-    catalog_bv,
-    catalog_primitive,
-    distribution,
-)
+from .primitive import approx_identity, catalog_bv, distribution
 from .stieltjes import integrate_product
-from .variation import grid_components, hk_norm, variation_trace
+from .variation import hk_norm
 from .convolution import PoissonKernelL1, convolve_bv, convolve_l1, poisson_kernel
 
 

@@ -20,7 +20,7 @@ from .integral import _refine
 from .primitive import ProductBV
 
 GUARD = 1e12
-STREAM_LIMIT = 2049  # build the full matrix below this many axis nodes
+SLICE_VALUES = 1 << 14  # values of g reduced at a time: 128 KB of floats, a slice that stays in cache
 
 
 def axis_with_jumps(resolution, jumps=()):
@@ -63,28 +63,6 @@ class VariationEstimate:
         }
 
 
-def _components_stream(g, xs, ys, chunk=128):
-    """hk components without materializing the full value matrix."""
-    sup = 0.0
-    v1 = 0.0
-    colvar = np.zeros(len(xs))
-    v12 = 0.0
-    prev = None
-    for start in range(0, len(ys), chunk):
-        X, Y = np.meshgrid(xs, ys[start : start + chunk])
-        G = np.asarray(g.eval(X, Y), dtype=float)
-        if prev is not None:
-            G = np.vstack([prev, G])
-        sup = max(sup, float(np.max(np.abs(G))))
-        v1 = max(v1, float(np.max(np.sum(np.abs(np.diff(G, axis=1)), axis=1))))
-        if G.shape[0] > 1:
-            colvar += np.sum(np.abs(np.diff(G, axis=0)), axis=0)
-            corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
-            v12 += float(np.sum(np.abs(corner)))
-        prev = G[-1:].copy()
-    return sup, v1, float(np.max(colvar)), v12
-
-
 def _sup_and_variation(values):
     """(max |values|, sum of |increments|) of one factor's node values."""
     return float(np.max(np.abs(values))), float(np.sum(np.abs(np.diff(values))))
@@ -95,6 +73,8 @@ def grid_components(g, resolution):
 
     For a ProductBV g = u(x) v(y) the value matrix is the outer product of
     the factors, so its components are products of 1-d sups and variations.
+    Any other g is evaluated and reduced in slices of whole rows, each of
+    about SLICE_VALUES values.
     """
     xs = axis_with_jumps(resolution, getattr(g, "jump_x", ()))
     ys = axis_with_jumps(resolution, getattr(g, "jump_y", ()))
@@ -103,10 +83,14 @@ def grid_components(g, resolution):
         su, vu = _sup_and_variation(ux)
         sv, vv = _sup_and_variation(vy)
         return su * sv, vu * sv, su * vv, vu * vv
-    if len(xs) >= STREAM_LIMIT or len(ys) >= STREAM_LIMIT:
-        return _components_stream(g, xs, ys)
-    X, Y = np.meshgrid(xs, ys)
-    return kernels.hk_components(np.asarray(g.eval(X, Y), dtype=float))
+    prev, colvar, acc = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3)
+    rows = max(1, SLICE_VALUES // len(xs))
+    for start in range(0, len(ys), rows):
+        G = np.asarray(g.eval(*np.broadcast_arrays(xs, ys[start : start + rows, None])), dtype=float)
+        kernels.hk_fold(G, prev, colvar, acc)
+        prev = G[-1:]
+    sup, v1, v12 = acc.tolist()
+    return sup, v1, float(np.max(colvar)), v12
 
 
 def _diverging(tol):

@@ -157,6 +157,50 @@ def test_interval_sweep_of_nan_grid_is_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(_interval_sweep(G, 1)[0])
         assert np.isnan(_interval_sweep(G))
+    # the same pair with its two rows in separate row blocks: both block bounds are inf
+    B = integral._SWEEP_BLOCK
+    G = np.vstack([np.tile(G[0], (B, 1)), np.tile(G[1], (B + 3, 1))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_interval_sweep(G, 1)[0])
+        assert np.isnan(_interval_sweep(G))
+
+
+def test_row_block_sweep_bound_is_the_full_sweep_bit_for_bit():
+    # row counts below one block, at and around block edges, and several blocks
+    B = integral._SWEEP_BLOCK
+    rng = np.random.default_rng(20261019)
+    for rows in (1, 2, 7, 9, B - 1, B, B + 1, 2 * B + 1, 3 * B):
+        for _ in range(8):
+            G = rng.standard_normal((rows, int(rng.integers(1, 25)))) * 10.0 ** rng.uniform(-3, 3)
+            if rng.random() < 0.5:
+                G = np.round(G)  # ties between values and between pair sweeps
+            assert _interval_sweep(G) == _interval_sweep(G, 1)[0], G.shape
+
+
+def test_row_block_sweep_keeps_a_pair_whose_extremes_sit_in_different_blocks():
+    # column 0 holds the max of D = G[:, k] - G[:, 0] in block 2 and its min in
+    # block 0, so the pairs (0, k) sweep to 20; the pair (1, 2) sweeps to 14 inside
+    # block 1.  A bound that paired maxima and minima of the same block only
+    # would give the pairs (0, k) 10, visit row 1 first and stop at 14.
+    B = integral._SWEEP_BLOCK
+    G = np.random.default_rng(7).standard_normal((3 * B, 3)) * 1e-3
+    G[5, 0] += 10.0
+    G[2 * B + 3, 0] -= 10.0
+    G[B + 1, 1] += 7.0
+    G[B + 4, 2] += 7.0
+    best = _interval_sweep(G)
+    assert best == _interval_sweep(G, 1)[0]
+    assert best > 19.99
+
+
+def test_row_block_sweep_of_nan_in_one_block_is_nan():
+    B = integral._SWEEP_BLOCK
+    base = np.random.default_rng(11).standard_normal((3 * B + 5, 9))
+    for j in (0, B - 1, B, 2 * B + 7, 3 * B + 4):
+        for i in (0, 4, 8):
+            G = base.copy()
+            G[j, i] = np.nan
+            assert np.isnan(_interval_sweep(G)), (j, i)
 
 
 # SHA-256 of every run_suite report (JSON, sorted keys), recorded before the

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cpintegral import _kernels_py as kernels
+from cpintegral import variation
 from cpintegral.primitive import ClosedFormBV, catalog_bv
 from cpintegral.variation import (
     axis_with_jumps,
@@ -110,3 +112,68 @@ def test_variation_trace_resolutions():
     trace = variation_trace(catalog_bv("quadrantIndicator"), start_resolution=32, doublings=2)
     assert [row["resolution"] for row in trace] == [32, 64, 128]
     assert all(row["value"] == 4.0 for row in trace)
+
+
+def _full_matrix_components(G):
+    """(sup, v1, v2, v12) of a whole value matrix G[j, i] = g(x_i, y_j), each in one reduction."""
+    G = np.asarray(G, dtype=float)
+    sup = float(np.max(np.abs(G)))
+    v1 = float(np.max(np.sum(np.abs(np.diff(G, axis=1)), axis=1)))
+    v2 = float(np.max(np.sum(np.abs(np.diff(G, axis=0)), axis=0)))
+    corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
+    return sup, v1, v2, float(np.sum(np.abs(corner)))
+
+
+def _grid_values(g, resolution):
+    X, Y = np.meshgrid(axis_with_jumps(resolution, g.jump_x), axis_with_jumps(resolution, g.jump_y))
+    return g.eval(X, Y)
+
+
+def _smooth(x, y):
+    return np.sin(3.0 * np.arctan(x)) * np.cos(2.0 * np.arctan(y) + np.arctan(x))
+
+
+# jump nodes add straddling triples, so row and column counts are uneven
+SMOOTH_BV = {
+    "straddled": ClosedFormBV(_smooth, "smooth", jump_x=(0.3, 1.7), jump_y=(-0.2,)),
+    "plain": ClosedFormBV(_smooth, "smooth"),
+}
+
+
+@pytest.mark.parametrize("name, resolution", [("straddled", 5), ("straddled", 61), ("plain", 2048)])
+def test_sliced_components_match_the_full_matrix(name, resolution, monkeypatch):
+    # slices of one row, and grids of one slice less one row, one slice and one
+    # slice plus one row; then the default slices (2049 rows at resolution 2048)
+    g = SMOOTH_BV[name]
+    sup, v1, v2, v12 = _full_matrix_components(_grid_values(g, resolution))
+    nx = len(axis_with_jumps(resolution, g.jump_x))
+    ny = len(axis_with_jumps(resolution, g.jump_y))
+    for rows in (1, ny + 1, ny, ny - 1, None):
+        with monkeypatch.context() as m:
+            if rows is not None:
+                m.setattr(variation, "SLICE_VALUES", rows * nx)
+            got = grid_components(g, resolution)
+        assert got[:3] == (sup, v1, v2), rows
+        assert abs(got[3] - v12) <= 1e-14 * v12, rows
+
+
+def test_fold_of_a_single_row():
+    row = _smooth(axis_with_jumps(9, (0.3,)), 0.5)[None, :]
+    colvar, acc = np.zeros(row.shape[1]), np.zeros(3)
+    kernels.hk_fold(row, np.empty((0, row.shape[1])), colvar, acc)
+    assert (acc[0], acc[1], float(np.max(colvar)), acc[2]) == _full_matrix_components(row)
+
+
+def test_sliced_components_of_a_nan_value_are_nan():
+    g = ClosedFormBV(lambda x, y: np.where((x == 0.0) & (y > 1.0), np.nan, _smooth(x, y)), "nanAtZero")
+    assert all(np.isnan(grid_components(g, 512)))
+    with pytest.raises(ArithmeticError):
+        hk_norm(g, start_resolution=512, max_doublings=0)
+
+
+def test_diagonal_trace_matches_the_full_matrix_bit_for_bit():
+    g = catalog_bv("diagonalIndicator")
+    for row in variation_trace(g, start_resolution=64, doublings=5):
+        sup, v1, v2, v12 = _full_matrix_components(_grid_values(g, row["resolution"]))
+        assert grid_components(g, row["resolution"]) == (sup, v1, v2, v12)
+        assert (row["value"], row["v12"]) == (sup + v1 + v2 + v12, v12)
