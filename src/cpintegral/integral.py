@@ -2,8 +2,11 @@
 
 Every integral over an interval is the four-corner difference of the
 primitive; it is exact, not a quadrature.  The norms are suprema of
-continuous functionals and are estimated by chart-uniform grid refinement,
-each level's grid maxima polished by a local zoom in chart coordinates.
+continuous functionals.  A grid sample's are exact reductions of its node
+values; a separable primitive's are products of the extremes of its two
+factors, each estimated by 1-d refinement; any other primitive's are
+estimated by chart-uniform grid refinement, each level's grid maxima
+polished by a local zoom in chart coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, chart_nodes, ext
-from .primitive import Distribution, Primitive
+from .primitive import Distribution, GridSamplePrimitive, Primitive, SeparablePrimitive
 
 
 def _primitive_of(f):
@@ -275,21 +278,125 @@ def _prime_levels(F):
     return _polished(abs_corner, candidates)
 
 
+_ZOOM_SAMPLES = 33  # equispaced samples across each bracket of the 1-d zoom
+_ZOOM_SHRINK = 16  # and the bracket's shrink factor per round
+
+
+def _zoom(fun, centres, h):
+    """Largest value of each of m 1-d objectives found by a bracket zoom, and its point.
+
+    fun maps an (m, n) array of chart points in [-1, 1], row i for objective
+    i, to the (m, n) objective values.  centres is (m, k): k start points per
+    objective.  Each round samples, in one call of fun, _ZOOM_SAMPLES
+    equispaced points across centre +- w around every centre, moves each
+    centre to its best sample and shrinks w by _ZOOM_SHRINK; w starts at h and
+    the zoom ends once w is below _POLISH_STOP.  The samples hold each centre,
+    so no centre's value goes down; points are clipped to [-1, 1], so the
+    infinite ends stay reachable.  Returns the (m,) best values and points.
+    """
+    centres = np.array(centres, dtype=float)
+    m, k = centres.shape
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_SAMPLES)
+    rows = np.arange(m)
+    best, point = np.full(m, -np.inf), centres[:, 0]
+    w = float(h)
+    while w >= _POLISH_STOP:
+        points = np.clip(centres[:, :, None] + w * offsets, -1.0, 1.0).reshape(m, -1)
+        values = np.asarray(fun(points), dtype=float)
+        top = np.argmax(values, axis=1)  # a NaN comes first
+        point = np.where(values[rows, top] > best, points[rows, top], point)
+        best = np.maximum(best, values[rows, top])
+        pick = np.argmax(values.reshape(m, k, -1), axis=2)
+        centres = np.take_along_axis(points.reshape(m, k, -1), pick[:, :, None], axis=2)[:, :, 0]
+        w /= _ZOOM_SHRINK
+    return best, point
+
+
+def _factor_extremes(F):
+    """Level function r -> E of a separable F = a(x) b(y), by 1-d zooms of its factors.
+
+    E[f] = (max, -min) of factor f, a then b.  Each level evaluates the
+    factors once on axis_nodes(r) and zooms each of the four objectives from
+    its _POLISH_STARTS best nodes and its best point of the previous level,
+    all in one eval_factors call per round (see _zoom).  The nodes are nested
+    and the zoom keeps its centres, so the levels never go down.
+    """
+    carried = []
+    signs = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+
+    def fun(p):
+        x = DEFAULT_CHART.inverse(p)
+        ax, by = F.eval_factors(x[:2].ravel(), x[2:].ravel())
+        return signs * np.concatenate([ax, by]).reshape(4, -1)
+
+    def level(r):
+        xs = axis_nodes(r)
+        ax, by = F.eval_factors(xs, xs)
+        nodes = signs * np.stack([ax, ax, by, by])
+        top = np.argpartition(nodes, -_POLISH_STARTS, axis=1)[:, -_POLISH_STARTS:]
+        value, point = _zoom(fun, np.concatenate([chart_nodes(r)[top], *carried], axis=1), 2.0 / r)
+        carried[:] = [point[:, None]]
+        return np.maximum(np.max(nodes, axis=1), value).reshape(2, 2)
+
+    return level
+
+
+def _norm(F, tol, start_resolution, max_doublings, exact, factored, gridded):
+    """One norm of the primitive F, by the method its type allows.
+
+    A grid sample is bilinear in chart coordinates on each cell, so its
+    norm is exact(V) of its node values V: resolution the sample's,
+    converged, errorEstimate 0 and one trace row.  A separable F's levels
+    are factored(E) of its factor extremes (see _factor_extremes); any other
+    F's levels are gridded(F)(G, r) of its values G on axis_nodes(r).  Both
+    refine with two consecutive increments within tol: a single flat step can
+    be a plateau where two levels start their search from the wrong nodes
+    alike.
+    """
+    if isinstance(F, GridSamplePrimitive):
+        value, r = float(exact(F.values)), F.grid.resolution
+        return QuadResult(value, 0.0, r, True, [{"resolution": r, "value": value}])
+    if isinstance(F, SeparablePrimitive):
+        extremes = _factor_extremes(F)
+
+        def value_at(r):
+            return float(factored(extremes(r)))
+    else:
+        level = gridded(F)
+
+        def value_at(r):
+            xs = axis_nodes(r)
+            return level(F.on_grid(xs, xs), r)
+
+    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
+
+
+def _node_sup(V):
+    return np.max(np.abs(V))
+
+
+def _factor_sup(E):
+    """sup |a| sup |b|."""
+    return np.prod(np.max(E, axis=1))
+
+
+def _factor_osc(E):
+    """osc(a) osc(b), the largest |corner difference| (a(x2) - a(x1)) (b(y2) - b(y1))."""
+    return np.prod(np.sum(E, axis=1))
+
+
+def _probe_bound(sup, prime):
+    """The larger of the quadrant probes' sup / 4 and the interval probes' prime / 9."""
+    return np.maximum(sup / 4.0, prime / 9.0)
+
+
 def alexiewicz_norm(f, tol=1e-6, start_resolution=32, max_doublings=8) -> QuadResult:
     """||f|| = sup over the extended plane of |F(x, y)|.
 
-    Each level is the polished grid maximum of |F| (see _sup_levels).
+    max |V| for a grid sample, sup |a| sup |b| for a separable F; any other
+    F's levels are polished grid maxima of |F| (see _sup_levels).
     """
-    F = _primitive_of(f)
-    sup = _sup_levels(F)
-
-    def value_at(r):
-        xs = axis_nodes(r)
-        return sup(F.on_grid(xs, xs), r)
-
-    # two consecutive increments within tol: a single flat step can be a
-    # plateau where two levels start their search from the wrong nodes alike
-    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
+    return _norm(_primitive_of(f), tol, start_resolution, max_doublings, _node_sup, _factor_sup, _sup_levels)
 
 
 def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
@@ -297,17 +404,13 @@ def norm_prime(f, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
 
     For fixed x-limits a < b the interval integral is D(d) - D(c) with
     D(y) = F(b, y) - F(a, y), so the supremum over y-limits is
-    max D - min D; sweeping x-index pairs covers all node intervals, and
-    the best few are polished (see _prime_levels).
+    max D - min D; sweeping x-index pairs covers all node intervals.  That
+    sweep is exact for a grid sample, whose extrema sit on nodes.  For a
+    separable F every corner difference is (a(x2) - a(x1)) (b(y2) - b(y1)),
+    so the norm is osc(a) osc(b).  Any other F's levels polish the best few
+    node intervals (see _prime_levels).
     """
-    F = _primitive_of(f)
-    prime = _prime_levels(F)
-
-    def value_at(r):
-        xs = axis_nodes(r)
-        return prime(F.on_grid(xs, xs), r)
-
-    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
+    return _norm(_primitive_of(f), tol, start_resolution, max_doublings, _interval_sweep, _factor_osc, _prime_levels)
 
 
 def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) -> QuadResult:
@@ -317,8 +420,8 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
     with f by parts integration.  The default probe family is scaled
     quadrant indicators (variation norm 4), whose pairing with f is
     F(x, y) / 4, plus scaled finite-interval indicators (variation norm 9),
-    whose pairing is the corner difference / 9; both reduce to corner
-    evaluations of the primitive, polished as in the two norms above.
+    whose pairing is the corner difference / 9; both reduce to the two
+    norms above, computed the same way on each level.
     """
     F = _primitive_of(f)
 
@@ -336,14 +439,13 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
             best = max(best, abs(res.value) / scale)
         return QuadResult(best, tol, 0, True, [])
 
-    sup, prime = _sup_levels(F), _prime_levels(F)
+    def gridded(F):
+        sup, prime = _sup_levels(F), _prime_levels(F)
+        return lambda G, r: float(_probe_bound(sup(G, r), prime(G, r)))
 
-    def value_at(r):
-        xs = axis_nodes(r)
-        G = F.on_grid(xs, xs)
-        return float(np.maximum(sup(G, r) / 4.0, prime(G, r) / 9.0))
-
-    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
+    return _norm(F, tol, start_resolution, max_doublings,
+                 lambda V: _probe_bound(_node_sup(V), _interval_sweep(V)),
+                 lambda E: _probe_bound(_factor_sup(E), _factor_osc(E)), gridded)
 
 
 def iterated_consistency(f, interval: Interval2, resolution=128):

@@ -11,20 +11,29 @@ import numpy as np
 
 from .extplane import Interval2, ext, make_interval
 from .integral import _primitive_of, corner_integral
-from .primitive import BVFunction, ClosedFormPrimitive, Distribution, corrected_primitive
+from .primitive import BVFunction, ClosedFormPrimitive, Distribution, SeparablePrimitive, corrected_primitive
 
 
 def translate(f, s, t) -> Distribution:
-    """Translation by a finite shift: the primitive becomes F(x - s, y - t)."""
+    """Translation by a finite shift: the primitive becomes F(x - s, y - t).
+
+    A separable F = a(x) b(y) stays separable, with factors a(x - s) and
+    b(y - t).
+    """
     s, t = float(s), float(t)
     if not (math.isfinite(s) and math.isfinite(t)):
         raise ValueError("translation shifts must be finite")
     F = _primitive_of(f)
+    label = f"translate({F.label},{s},{t})"
+    if isinstance(F, SeparablePrimitive):
+        a, b = F.factors
+        return Distribution(SeparablePrimitive(
+            (lambda x: a(np.asarray(x, dtype=float) - s), lambda y: b(np.asarray(y, dtype=float) - t)), label))
 
     def fn(x, y):
         return np.asarray(F.eval(x - s, y - t))
 
-    return Distribution(ClosedFormPrimitive(fn, f"translate({F.label},{s},{t})"))
+    return Distribution(ClosedFormPrimitive(fn, label))
 
 
 @dataclass(frozen=True)
@@ -175,12 +184,22 @@ def order_compare(f1, f2, resolution=64, slack=1e-12) -> str:
 
 
 def algebra_product(f1, f2) -> Distribution:
-    """Product distribution: the one whose primitive is F1 F2 pointwise."""
+    """Product distribution: the one whose primitive is F1 F2 pointwise.
+
+    The product of two separable primitives a1(x) b1(y) and a2(x) b2(y) is
+    separable, with factors a1 a2 and b1 b2.
+    """
     F1 = _primitive_of(f1)
     F2 = _primitive_of(f2)
+    label = f"({F1.label})*({F2.label})"
+    if isinstance(F1, SeparablePrimitive) and isinstance(F2, SeparablePrimitive):
+        (a1, b1), (a2, b2) = F1.factors, F2.factors
+        return Distribution(SeparablePrimitive(
+            (lambda x: np.asarray(a1(x), dtype=float) * np.asarray(a2(x), dtype=float),
+             lambda y: np.asarray(b1(y), dtype=float) * np.asarray(b2(y), dtype=float)), label))
     prim = ClosedFormPrimitive(
         lambda x, y: np.asarray(F1.eval(x, y)) * np.asarray(F2.eval(x, y)),
-        f"({F1.label})*({F2.label})",
+        label,
     )
     return Distribution(prim)
 

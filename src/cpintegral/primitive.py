@@ -137,17 +137,27 @@ class GridSamplePrimitive(Primitive):
         self.values = values
         self.chart = chart
 
+    def _cells(self, t, nodes):
+        """Cell index and chart fraction of each coordinate t along one axis.
+
+        A coordinate equal to a node takes fraction 0 in the cell it starts
+        (1 in the last cell for the last node), so eval returns the stored
+        value there exactly rather than after a chart round trip.
+        """
+        r = self.grid.resolution
+        u = (np.asarray(self.chart.forward(t)) + 1.0) * (r / 2.0)
+        i = np.clip(np.floor(u).astype(int), 0, r - 1)
+        k = np.minimum(np.searchsorted(nodes, t), r)
+        hit = nodes[k] == t
+        i = np.where(hit, np.minimum(k, r - 1), i)
+        return i, np.where(hit, k - i, u - i)
+
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
         if np.isnan(x).any() or np.isnan(y).any():
             raise ArithmeticError(f"primitive '{self.label}' evaluated at a NaN coordinate")
-        r = self.grid.resolution
-        u = (np.asarray(self.chart.forward(x)) + 1.0) * (r / 2.0)
-        v = (np.asarray(self.chart.forward(y)) + 1.0) * (r / 2.0)
-        i = np.clip(np.floor(u).astype(int), 0, r - 1)
-        j = np.clip(np.floor(v).astype(int), 0, r - 1)
-        fu = u - i
-        fv = v - j
+        i, fu = self._cells(x, self.grid.xs)
+        j, fv = self._cells(y, self.grid.ys)
         V = self.values
         out = (
             V[j, i] * (1 - fu) * (1 - fv)
@@ -711,9 +721,24 @@ def export_grid_json(prim: GridSamplePrimitive, path):
         json.dump(doc, fh)
 
 
+def _square_values(values, resolution):
+    """values as a (resolution+1, resolution+1) float array, checked before any grid is built.
+
+    The grid's size is then bounded by the file's, so no resolution a file
+    declares can ask for more memory than its values take.
+    """
+    if values.shape != (resolution + 1, resolution + 1):
+        raise ValueError(f"values must be {resolution + 1} x {resolution + 1} for resolution {resolution}, "
+                         f"got shape {values.shape}")
+    return values
+
+
 def import_grid_json(path) -> GridSamplePrimitive:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # arrays nested deeper than the parser's stack
+            raise ValueError("grid file nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"a grid file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("chart") != CHART_NAME:
@@ -721,12 +746,12 @@ def import_grid_json(path) -> GridSamplePrimitive:
     resolution = doc.get("resolution")
     if not isinstance(resolution, int) or isinstance(resolution, bool):
         raise ValueError(f"resolution must be a JSON integer, got {resolution!r}")
-    grid = uniform_grid(resolution)
     try:
         values = np.asarray(doc["values"], dtype=float)
     except TypeError as exc:  # values of the wrong JSON type, such as null
         raise ValueError(str(exc)) from exc
-    return GridSamplePrimitive(grid, values, doc.get("label", ""))
+    values = _square_values(values, resolution)
+    return GridSamplePrimitive(uniform_grid(resolution), values, doc.get("label", ""))
 
 
 def export_grid_csv(prim: GridSamplePrimitive, path):
@@ -741,14 +766,20 @@ def export_grid_csv(prim: GridSamplePrimitive, path):
 
 def import_grid_csv(path, label="") -> GridSamplePrimitive:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # such as a cell over the reader's field size limit
+            raise ValueError(str(exc)) from exc
     if len(rows) < 2:
         raise ValueError("grid CSV needs a header row and at least one data row")
+    if len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("every row of a grid CSV, a blank line too, needs the header's number of cells, "
+                         "at least 2")
+    cells = np.array([[float(v) for v in r] for r in rows[1:]])
     ux = np.array([float(v) for v in rows[0][1:]])
-    body = rows[1:]
-    uy = np.array([float(r[0]) for r in body])
-    values = np.array([[float(v) for v in r[1:]] for r in body])
+    uy, values = cells[:, 0], cells[:, 1:]
     resolution = len(ux) - 1
+    values = _square_values(values, resolution)
     grid = uniform_grid(resolution)
     if not (np.allclose(DEFAULT_CHART.forward(grid.xs), ux) and np.allclose(DEFAULT_CHART.forward(grid.ys), uy)):
         raise ValueError("CSV nodes are not chart-uniform for the default chart")

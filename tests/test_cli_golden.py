@@ -268,6 +268,20 @@ def test_polished_report_values(runs, case_id):
         assert abs(report[key] - reference()) <= gap, key
 
 
+@pytest.mark.parametrize("case_id", ["norm-grid-file", "job-grid-norm"])
+def test_grid_file_norm_is_the_node_maximum(runs, case_id):
+    # a grid sample is bilinear in the chart, so its norm is max |V| of the file, exactly
+    tmp, results = runs
+    code, stdout = results[case_id]
+    report = json.loads(stdout)
+    with open(os.path.join(tmp, "parts.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert code == 0 and report["converged"]
+    assert report["value"] == float(np.max(np.abs(doc["values"])))
+    assert report["resolution"] == doc["resolution"]
+    assert report["errorEstimate"] == 0.0
+
+
 def test_holder_report_uses_exact_norms(runs):
     # suite_holder bounds each pairing by ||f|| ||g||; all four of its f have ||f|| = 1
     code, stdout = runs[1]["job-holder-seed"]

@@ -148,6 +148,86 @@ def test_grid_csv_with_nan_exit_66(tmp_path, capsys):
     assert err.startswith("error: cannot load grid file")
 
 
+_CSV_HEADER = ",-1.0,0.0,1.0\n"
+_CSV_BODY = ["-1.0,0,0,0\n", "0.0,0,0.5,0\n", "1.0,0,0,1\n"]
+
+
+def _json_grid(resolution=2, values=((0, 0, 0), (0, 0.5, 0), (0, 0, 1))):
+    return json.dumps({"label": "g", "resolution": resolution, "chart": CHART_NAME, "values": values})
+
+
+MALFORMED_GRID_FILES = {
+    "json-ragged-rows": _json_grid(values=[[0, 0, 0], [0, 0], [0, 0, 1]]),
+    "json-too-few-rows": _json_grid(values=[[0, 0, 0], [0, 0, 1]]),
+    "json-not-square": _json_grid(values=[[0, 0], [0, 0], [0, 1]]),
+    "json-shape-of-another-resolution": _json_grid(resolution=3),
+    "json-flat-values": _json_grid(values=[0, 0, 0, 0, 0.5, 0, 0, 0, 1]),
+    "json-negative-resolution": _json_grid(resolution=-1, values=[]),
+    "json-resolution-1": _json_grid(resolution=1, values=[[0, 0], [0, 1]]),
+    "json-string-cell": _json_grid(values=[[0, 0, 0], [0, "abc", 0], [0, 0, 1]]),
+    "json-object-cell": _json_grid(values=[[0, 0, 0], [0, {"a": 1}, 0], [0, 0, 1]]),
+    "json-null-cell": _json_grid(values=[[0, 0, 0], [0, None, 0], [0, 0, 1]]),
+    "json-minus-infinity-cell": _json_grid().replace("0.5", "-Infinity"),
+    "json-empty-file": "",
+    "json-truncated": _json_grid()[:40],
+    "json-deeply-nested": "[" * 100000 + "]" * 100000,
+    "json-not-utf8": b"\xff\xfe{\x00".decode("latin-1"),
+    "csv-ragged-row": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,0.5\n" + _CSV_BODY[2],
+    "csv-long-row": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,0.5,0,0\n" + _CSV_BODY[2],
+    "csv-too-few-rows": _CSV_HEADER + _CSV_BODY[0] + _CSV_BODY[2],
+    "csv-too-many-rows": _CSV_HEADER + "".join(_CSV_BODY) + _CSV_BODY[2],
+    "csv-string-cell": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,abc,0\n" + _CSV_BODY[2],
+    "csv-empty-cell": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,,0\n" + _CSV_BODY[2],
+    "csv-string-node": _CSV_HEADER + _CSV_BODY[0] + "zero,0,0.5,0\n" + _CSV_BODY[2],
+    "csv-inf-cell": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,inf,0\n" + _CSV_BODY[2],
+    "csv-inf-node": ",-1.0,inf,1.0\n" + "".join(_CSV_BODY),
+    "csv-blank-line-inside": _CSV_HEADER + _CSV_BODY[0] + "\n" + _CSV_BODY[1] + _CSV_BODY[2],
+    "csv-blank-line-at-end": _CSV_HEADER + "".join(_CSV_BODY) + "\n",
+    "csv-blank-first-line": "\n" + _CSV_HEADER + "".join(_CSV_BODY),
+    "csv-empty-file": "",
+    "csv-header-only": _CSV_HEADER,
+    "csv-one-node": ",0.0\n0.0,1\n",
+    "csv-two-nodes": ",-1.0,1.0\n-1.0,0,0\n1.0,0,1\n",
+    "csv-nodes-not-uniform": ",-1.0,0.25,1.0\n" + "".join(_CSV_BODY),
+    "csv-nul-byte": _CSV_HEADER + _CSV_BODY[0] + "0.0,0,0.5\x00,0\n" + _CSV_BODY[2],
+    "csv-oversized-cell": _CSV_HEADER + _CSV_BODY[0] + "0.0,0," + "1" * 200000 + ",0\n" + _CSV_BODY[2],
+    "csv-not-utf8": b"\xff\xfe,1\n".decode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRID_FILES))
+def test_malformed_grid_file_exit_66(tmp_path, capsys, case):
+    # latin-1 writes each character as one byte, so the not-utf8 cases stay invalid UTF-8
+    path = tmp_path / ("g." + case.split("-")[0])
+    path.write_text(MALFORMED_GRID_FILES[case], encoding="latin-1")
+    code, out, err = run_cli(capsys, ["norm", "--grid-file", str(path)])
+    assert code == 66
+    assert out == ""
+    assert err.startswith("error: cannot load grid file") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS as Linux enforces it")
+def test_grid_file_with_a_huge_resolution_exit_66(tmp_path):
+    # a 3 x 3 file that declares resolution 10^9: its grid nodes alone would take
+    # 7.45 GiB, so the shape is checked first; run under a 512 MB address-space limit
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    path = tmp_path / "g.json"
+    path.write_text(_json_grid(resolution=10**9))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cpintegral import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "norm", "--grid-file", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 66
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot load grid file") and "Traceback" not in proc.stderr
+
+
 def _readme_examples():
     with open(README, encoding="utf-8") as fh:
         text = fh.read()

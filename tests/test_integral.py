@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from cpintegral import cli, integral
-from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
+from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.integral import (
     IntervalND,
     _interval_sweep,
@@ -25,10 +25,13 @@ from cpintegral.integral import (
     total_integral,
     xpowy_corner_probes,
 )
-from cpintegral.operators import lattice_meet
+from cpintegral.operators import algebra_product, lattice_meet, translate
 from cpintegral.primitive import (
     CATALOG_PRIMITIVES,
+    ClosedFormPrimitive,
+    GridSamplePrimitive,
     Primitive,
+    SeparablePrimitive,
     catalog_bv,
     catalog_primitive,
     distribution,
@@ -204,9 +207,11 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 
 
 # SHA-256 of every run_suite report (JSON, sorted keys), recorded before the
-# interval sweep skipped column pairs; the norms suite runs the sweep at r = 256
+# interval sweep skipped column pairs; the norms suite runs the sweep at r = 256.
+# algebra was re-recorded when the product of two separables became separable:
+# 8 of its productSup values moved by 1 ulp, and no passed flag changed
 SUITE_DIGESTS = {
-    "algebra": "f20a84295110de23e83e72318f381afdd7f997f6b3f19ace4fc043648c4eb563",
+    "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
     "convolution": "584263cb4ead8bdedb266ed43e9203a47245939352a654038a1414d8cae5b0bb",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
@@ -328,11 +333,16 @@ def test_norms_of_a_meet_reach_its_crease_top(start):
 
 
 def test_grid_sample_norms_are_node_maxima():
-    # bilinear in the chart, so the extrema sit on nodes; on this grid the search
-    # finds no more, though on others rounding lets it gain 1 or 2 ulps
-    prim = sample_primitive(catalog_primitive("sinc2d"), 64)
-    assert alexiewicz_norm(prim).value == float(np.max(np.abs(prim.values)))
-    assert norm_prime(prim, start_resolution=64, max_doublings=0).value == _interval_sweep(prim.values)
+    # bilinear in the chart, so the extrema sit on nodes: the norms are exact node reductions
+    normal = np.random.default_rng(5).standard_normal((33, 33))
+    for prim in (sample_primitive(catalog_primitive("sinc2d"), 64), GridSamplePrimitive(uniform_grid(32), normal)):
+        V, r = prim.values, prim.grid.resolution
+        sup, prime = float(np.max(np.abs(V))), _interval_sweep(V)
+        for norm, value in ((alexiewicz_norm, sup), (norm_prime, prime), (norm_dual, max(sup / 4, prime / 9))):
+            res = norm(prim)
+            assert res.value == value, norm.__name__
+            assert (res.error_estimate, res.resolution, res.converged) == (0.0, r, True)
+            assert res.trace == [{"resolution": r, "value": value}]
 
 
 def test_norm_sandwich():
@@ -349,10 +359,52 @@ def test_norm_sandwich():
 
 @pytest.mark.parametrize("levels", ["_sup_levels", "_prime_levels"])
 def test_norm_dual_raises_on_a_nan_level(monkeypatch, levels):
-    # Python max(sup / 4, prime / 9) would drop a NaN prime level; np.maximum keeps it
+    # Python max(sup / 4, prime / 9) would drop a NaN prime level; np.maximum keeps it.
+    # expRadial is not separable, so its levels are the polished grid levels
     monkeypatch.setattr(integral, levels, lambda F: lambda G, r: float("nan"))
     with pytest.raises(ArithmeticError, match="evaluated to NaN"):
-        norm_dual(distribution("prodArctan"))
+        norm_dual(distribution("expRadial"))
+
+
+def test_factored_norm_dual_raises_on_a_nan_level():
+    # osc(a) overflows to inf and b is 0, so the prime level is inf * 0 = NaN
+    # while the sup level is 0; the factored dual keeps the NaN too
+    F = SeparablePrimitive((lambda x: 1.5e308 * np.tanh(x), lambda y: np.zeros(np.shape(y))), "overflow")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="evaluated to NaN"):
+        norm_dual(F)
+
+
+SEPARABLE_CASES = [("sineStrip", {"n": 1}), ("sineStrip", {"n": 4}), ("prodArctan", {}), ("sinc2d", {}),
+                   ("sincQuadrant", {}), ("weier2d", {}), ("cantor2d", {}), ("oscill", {}),
+                   ("gauss2", {"which": "F"}), ("gauss2", {"which": "G"})]
+
+
+@pytest.mark.parametrize("name, params", SEPARABLE_CASES,
+                         ids=[name + "".join(map(str, p.values())) for name, p in SEPARABLE_CASES])
+def test_factored_norms_match_the_polished_grid_norms(name, params):
+    # the same values without factors take the 2-d polished search
+    F = catalog_primitive(name, **params)
+    reference = ClosedFormPrimitive(F.eval, F.label)
+    for norm in (alexiewicz_norm, norm_prime, norm_dual):
+        fast, slow = norm(F), norm(reference)
+        assert fast.converged and slow.converged, norm.__name__
+        assert abs(fast.value - slow.value) <= 1e-12 * slow.value, norm.__name__
+        levels = [row["value"] for row in fast.trace]
+        assert levels == sorted(levels), norm.__name__
+
+
+@pytest.mark.parametrize("norm", [alexiewicz_norm, norm_prime, norm_dual])
+def test_structured_norms_never_evaluate_the_plane(monkeypatch, norm):
+    # a separable norm reads only eval_factors, a grid sample's only its values
+    def refuse(self, x, y):
+        raise AssertionError(f"{type(self).__name__}.eval called")
+
+    monkeypatch.setattr(SeparablePrimitive, "eval", refuse)
+    monkeypatch.setattr(GridSamplePrimitive, "eval", refuse)
+    assert norm(catalog_primitive("sinc2d")).converged
+    assert norm(translate(distribution("gauss2"), 1.0, -0.5)).converged
+    assert norm(algebra_product(distribution("prodArctan"), distribution("gauss2"))).converged
+    assert norm(GridSamplePrimitive(uniform_grid(8), np.arange(81.0).reshape(9, 9))).converged
 
 
 def test_norm_dual_with_probes():

@@ -17,7 +17,7 @@ from cpintegral.operators import (
     translate,
     transform_distribution,
 )
-from cpintegral.primitive import approx_identity, catalog_bv, distribution
+from cpintegral.primitive import ClosedFormPrimitive, SeparablePrimitive, approx_identity, catalog_bv, distribution
 
 
 def test_translate_shifts_primitive():
@@ -146,6 +146,28 @@ def test_algebra_product_primitive_is_pointwise_product():
     prod = algebra_product(f1, f2)
     for x, y in [(0.0, 0.0), (1.0, -2.0), (POS_INF, POS_INF)]:
         assert prod.F(x, y) == f1.F(x, y) * f2.F(x, y)
+
+
+@pytest.mark.parametrize("name", ["prodArctan", "sinc2d", "weier2d", "sineStrip"])
+def test_translated_separable_is_the_shifted_closed_form_bit_for_bit(name):
+    F = distribution(name).primitive
+    tau = translate(F, 0.75, -2.5).primitive
+    assert isinstance(tau, SeparablePrimitive)
+    shifted = ClosedFormPrimitive(lambda x, y: np.asarray(F.eval(x - 0.75, y + 2.5)), tau.label)
+    xs = axis_nodes(64)
+    X, Y = np.meshgrid(xs, xs)
+    assert np.array_equal(tau.eval(X, Y), shifted.eval(X, Y))
+    assert np.array_equal(tau.on_grid(xs, xs), shifted.on_grid(xs, xs))
+
+
+def test_product_of_separables_is_separable_to_rounding():
+    F1, F2 = distribution("prodArctan").primitive, distribution("gauss2", which="G").primitive
+    prod = algebra_product(F1, F2).primitive
+    assert isinstance(prod, SeparablePrimitive)
+    xs = axis_nodes(64)
+    pointwise = F1.on_grid(xs, xs) * F2.on_grid(xs, xs)
+    assert np.allclose(prod.on_grid(xs, xs), pointwise, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert not isinstance(algebra_product(F1, distribution("expRadial")).primitive, SeparablePrimitive)
 
 
 def test_algebra_zero_divisors():

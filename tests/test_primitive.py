@@ -253,9 +253,8 @@ def test_unknown_catalog_names_raise():
         catalog_bv("nope")
 
 
-@pytest.mark.xfail(strict=True, reason="open fault, a FOUND line in CHANGES.md: GridSamplePrimitive.eval sends "
-                   "its own nodes through forward(inverse(u)), so on_grid misses the stored values by rounding errors")
 def test_grid_sample_returns_its_values_at_its_own_nodes():
+    # a node takes its stored value by a hit test, not through forward(inverse(u))
     rng = np.random.default_rng(20261018)
     for r in rng.integers(2, 65, size=50):
         V = rng.standard_normal((r + 1, r + 1))
