@@ -393,7 +393,11 @@ def _convolve_bv(spec, tol, resolution):
 
 def _convolve_l1(spec, tol, resolution):
     F = build_primitive(spec)
-    conv = convolve_l1(F, PoissonKernelL1(_field(spec, "z", 1.0)), resolution=resolution, tol=tol,
+    try:
+        kernel = PoissonKernelL1(_field(spec, "z", 1.0))
+    except ValueError as exc:  # a z too small or too large for the kernel's floats
+        raise CliError(str(exc), EX_USAGE)
+    conv = convolve_l1(F, kernel, resolution=resolution, tol=tol,
                        normalize=_field(spec, "normalize", False))
     return {"totalIntegral": integral.total_integral(conv), "errorEstimate": conv.error_estimate,
             "converged": conv.converged, **_written(spec, lambda: conv.primitive)}

@@ -36,8 +36,8 @@ TWO_PI = 2.0 * math.pi
 
 def poisson_kernel(x, y, z):
     """Half-space Poisson kernel z (x^2 + y^2 + z^2)^(-3/2) / (2 pi)."""
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be positive and finite, got {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = z / (TWO_PI * (x**2 + y**2 + z**2) ** 1.5)
@@ -134,14 +134,25 @@ class PoissonKernelL1(L1Kernel):
     Support is the square of half-width 500 z; the exact mass outside the
     enclosed disc is z / sqrt(R^2 + z^2), declared as the tail bound.
     Quadrature nodes use the substitution xi = z sinh(u), which flattens the
-    kernel's radial decay.
+    kernel's radial decay.  A z is rejected unless the support radius and
+    the kernel, computed as poisson_kernel does, are finite and non-zero
+    from its peak 1 / (2 pi z^2) at the origin to its least value at the
+    support's corners; otherwise the node values and the tail bound would
+    overflow or divide by zero.
     """
 
     def __init__(self, z, radius_factor=500.0):
-        if z <= 0:
-            raise ValueError("z must be positive")
-        self.z = float(z)
-        radius = radius_factor * self.z
+        z = float(z)
+        if not (math.isfinite(z) and z > 0):
+            raise ValueError(f"z must be positive and finite, got {z}")
+        radius = radius_factor * z
+        with np.errstate(over="ignore", divide="ignore"):
+            peak, least = z / (TWO_PI * (np.array([0.0, 2.0 * radius * radius]) + z * z) ** 1.5)
+        if not (0.0 < least <= peak < math.inf and 0.0 < radius < math.inf):
+            raise ValueError(f"z = {z} is out of range: the kernel peak ({peak:g}), its least value on "
+                             f"the support ({least:g}) and the support radius ({radius:g}) "
+                             "must be finite and non-zero")
+        self.z = z
         tail = self.z / math.sqrt(radius**2 + self.z**2)
         super().__init__(
             lambda x, y: poisson_kernel(x, y, self.z),
@@ -160,21 +171,39 @@ class PoissonKernelL1(L1Kernel):
         return self.z * np.sinh(u), U * w * self.z * np.cosh(u)
 
 
+def _eval_block(eval2, x, y):
+    """eval2(x, y) as a float array of the broadcast shape of x and y."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.broadcast_to(np.asarray(eval2(x, y), dtype=float), shape)
+
+
 def _broadcast_sum(eval2, grid_xs, px, py, K):
     """H[j, i] = sum over l, k of K[l, k] eval2(x_i - p_k, y_j - q_l).
 
-    Evaluates on (chunk of kernel nodes) x grid arrays of about 2^18 points.
+    The kernel nodes are finite, so at an infinite grid node x_i - p_k is
+    x_i itself: an infinite column is the 1-d sum over l of
+    (sum_k K[l, k]) eval2(x_i, y_j - q_l), an infinite row the 1-d sum over
+    k of (sum_l K[l, k]) eval2(x_i - p_k, y_j), and a corner is
+    eval2(x_i, y_j) sum K.  Only the finite grid nodes are summed in 3-d.
+    eval2 gets the per-axis differences x_i - p_k and y_j - q_l shaped to
+    broadcast against each other, in blocks of kernel rows of about 2^18
+    points.
     """
-    X, Y = np.meshgrid(grid_xs, grid_xs)
-    XI, ETA = np.meshgrid(px, py)
-    xi, eta, w = XI.ravel(), ETA.ravel(), K.ravel()
-    chunk = max(1, 2**18 // X.size)
-    H = np.zeros(X.shape)
-    for start in range(0, len(w), chunk):
-        xs = X[None, :, :] - xi[start : start + chunk, None, None]
-        ys = Y[None, :, :] - eta[start : start + chunk, None, None]
-        vals = np.asarray(eval2(xs, ys), dtype=float)
-        H += np.tensordot(w[start : start + chunk], vals, axes=(0, 0))
+    fin = np.isfinite(grid_xs)
+    xs, ends = grid_xs[fin], grid_xs[~fin]
+    dx = xs[None, :] - px[:, None]  # dx[k, i] = x_i - p_k
+    dy = xs[None, :] - py[:, None]  # dy[l, j] = y_j - q_l
+    H = np.empty((len(grid_xs), len(grid_xs)))
+    H[np.ix_(fin, ~fin)] = np.tensordot(K.sum(axis=1), _eval_block(eval2, ends, dy[:, :, None]), axes=1)
+    H[np.ix_(~fin, fin)] = np.tensordot(K.sum(axis=0), _eval_block(eval2, dx[:, None, :], ends[:, None]), axes=1)
+    H[np.ix_(~fin, ~fin)] = _eval_block(eval2, ends, ends[:, None]) * np.sum(K)
+    inner = np.zeros((len(xs), len(xs)))
+    X = dx[None, :, None, :]  # axes [l, k, j, i]
+    rows = max(1, 2**18 // max(1, dx.size * len(xs)))
+    for start in range(0, len(py), rows):
+        vals = _eval_block(eval2, X, dy[start : start + rows, None, :, None])
+        inner += (K[start : start + rows].ravel() @ vals.reshape(-1, inner.size)).reshape(inner.shape)
+    H[np.ix_(fin, fin)] = inner
     return H
 
 
@@ -182,11 +211,13 @@ def _convolved_values(F, grid_xs, px, py, K):
     """H[j, i] = sum over l, k of K[l, k] F(x_i - p_k, y_j - q_l) on the grid.
 
     A separable F = a(x) b(y) gives H = B K A^T with A[i, k] = a(x_i - p_k)
-    and B[j, l] = b(y_j - q_l).  A corrected primitive sums only G over the
-    grid x kernel nodes; its edge terms G(x, -inf) and G(-inf, y) depend on
-    one coordinate and reduce against K's column and row sums.  Anything
-    else with an eval is summed point by point.  (Step functions never get
-    here: mollify_step sums the kernel's closed-form CDF instead.)
+    and B[j, l] = b(y_j - q_l).  A corrected primitive sums only G by
+    _broadcast_sum; its edge terms G(x, -inf) and G(-inf, y) depend on one
+    coordinate and reduce against K's column and row sums.  Anything else
+    with an eval is summed by _broadcast_sum on F.eval.  There the finite
+    grid nodes take the 3-d (grid x kernel nodes) sum and the +-inf rows and
+    columns 1-d sums against K's row and column sums.  (Step functions never
+    get here: mollify_step sums the kernel's closed-form CDF instead.)
     """
     shifted_x = grid_xs[:, None] - px[None, :]
     shifted_y = grid_xs[:, None] - py[None, :]
@@ -213,6 +244,9 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     The output primitive is H(x, y) = integral of kernel(xi, eta)
     F(x - xi, y - eta), evaluated by tensor quadrature over the kernel's
     effective support and refined until the grid sup-difference meets tol.
+    A kernel node is finite, so at an infinite grid coordinate H is a 1-d
+    convolution of F's marginal with the kernel's marginal; only the finite
+    grid nodes need the full sum over kernel nodes (see _convolved_values).
     With normalize=True the quadrature weights are rescaled so the discrete
     kernel mass is exactly 1 (for probability kernels).
     """

@@ -80,8 +80,11 @@ def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None)
     give_up(trace) is true or the doublings run out.  A level whose value
     contains NaN raises ArithmeticError.  Returns a QuadResult with the last
     level's value, the last increment as errorEstimate (inf after a single
-    level) and one {"resolution", "value"} trace row per level.
+    level) and one {"resolution", "value"} trace row per level.  A negative
+    max_doublings, which would leave no level at all, raises ValueError.
     """
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     trace = []
     err = float("inf")
     within = 0

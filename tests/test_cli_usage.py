@@ -43,10 +43,13 @@ def run_cli(capsys, argv):
     # (128 * 129)^2 kernel terms, just above 2^28
     ["mollify", "--primitive", "prodArctan", "--n", "130", "--resolution", "129"],
     ["ndcorner", "--lower"] + ["0"] * 17 + ["--upper"] + ["1"] * 17,
+    # positive and finite, but the kernel peak 1 / (2 pi z^2) is inf or 0
+    ["convolve-l1", "--primitive", "prodArctan", "--z", "1e-320"],
+    ["convolve-l1", "--primitive", "prodArctan", "--z", "1e300"],
 ], ids=["mollify-n1", "map-alpha0", "map-kind", "map-list", "nd-lower-above-upper",
         "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf",
         "resolution-above-cap", "doublings-above-cap", "n-above-cap", "mollify-terms-above-cap",
-        "nd-dims-above-cap"])
+        "nd-dims-above-cap", "z-peak-inf", "z-peak-zero"])
 def test_bad_flag_value_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 64

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpintegral.convolution import (
+    L1Kernel,
     PoissonKernelL1,
     StepFunction2,
+    _broadcast_sum,
+    _convolved_values,
     convolve_bv,
     convolve_l1,
     mollify_step,
@@ -16,13 +19,25 @@ from cpintegral.convolution import (
 )
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import corner_integral, total_integral
-from cpintegral.primitive import catalog_bv, distribution, sample_primitive
+from cpintegral.primitive import (
+    ClosedFormPrimitive,
+    catalog_bv,
+    corrected_primitive,
+    distribution,
+    sample_primitive,
+)
 
 
 def test_poisson_kernel_values():
     assert abs(poisson_kernel(0.0, 0.0, 2.0) - 1.0 / (2 * math.pi * 4.0)) < 1e-15
     with pytest.raises(ValueError):
         poisson_kernel(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_poisson_kernel_rejects_nonfinite_height(z):
+    with pytest.raises(ValueError, match="z must be positive and finite"):
+        poisson_kernel(0.0, 0.0, z)
 
 
 def test_convolve_bv_with_constant_one():
@@ -62,6 +77,27 @@ def test_poisson_l1_kernel_mass_and_tail():
     assert abs(k.tail_bound - 0.5 / math.sqrt(radius**2 + 0.25)) < 1e-15
     with pytest.raises(ValueError):
         PoissonKernelL1(-1.0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, 5e-324, 1e-320, 1e-160, 1e-110, 1e100, 1e150, 1e300])
+def test_poisson_l1_kernel_rejects_heights_out_of_float_range(z):
+    # a peak 1 / (2 pi z^2), a least value on the support or a support radius
+    # of 0 or inf: the node values and the tail bound would divide by zero
+    # or overflow
+    with pytest.raises(ValueError, match="z"):
+        PoissonKernelL1(z)
+
+
+@pytest.mark.parametrize("z", [1e-100, 1e-6, 0.0625, 0.5, 3.0, 1e95])
+def test_poisson_l1_kernel_over_its_range(z):
+    k = PoissonKernelL1(z)
+    radius = 500.0 * z
+    assert k.tail_bound == z / math.sqrt(radius**2 + z**2)
+    px, py, W = k.quad_points(0)
+    vals = k.node_values(px, py)
+    assert np.all(np.isfinite(W)) and np.all(W > 0)
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+    assert abs(np.sum(W * vals) - 1.0) <= 2.0 * k.tail_bound
 
 
 def test_convolve_l1_preserves_mass():
@@ -249,3 +285,87 @@ def test_mollify_step_many_cells_at_the_default_resolution():
     for i, j in ((32, 32), (10, 50), (47, 5), (63, 1)):
         assert abs(H[j, i] - _reference(sigma, 0.3, xs[i], xs[j])) <= 1e-13
     assert abs(H[-1, -1] - sigma(POS_INF, POS_INF)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the non-separable sum against a direct sum over every (grid, kernel) node
+
+
+def _edge_terms_G(x, y):
+    # nonzero edge terms G(x, -inf) and G(-inf, y)
+    return np.arctan(x) + np.arctan(2.0 * y) + np.arctan(x) * np.arctan(y) + np.exp(-np.hypot(x, y))
+
+
+def _plain(x, y):
+    return (np.arctan(x) / np.pi + 0.5) * (np.arctan(2.0 * y) / np.pi + 0.5) * (1.0 + 0.5 * np.exp(-np.hypot(x, y)))
+
+
+SKEW_GAUSS = L1Kernel(lambda x, y: np.exp(-(x**2) - 2.0 * (y - 0.5) ** 2),
+                      make_interval(-4.0, 3.0, -2.0, 3.5), label="skewGauss")
+
+NON_SEPARABLE = {
+    "expRadial": (lambda: distribution("expRadial").primitive, PoissonKernelL1(0.5)),
+    "edgeTerms": (lambda: corrected_primitive(_edge_terms_G, "edgeTerms"), PoissonKernelL1(0.5)),
+    "plain": (lambda: ClosedFormPrimitive(_plain, "plain"), PoissonKernelL1(0.5)),
+    "edgeTerms-skewGauss": (lambda: corrected_primitive(_edge_terms_G, "edgeTerms"), SKEW_GAUSS),
+    "plain-skewGauss": (lambda: ClosedFormPrimitive(_plain, "plain"), SKEW_GAUSS),
+}
+
+
+def _level0(kernel):
+    px, py, W = kernel.quad_points(0)
+    return px, py, W * kernel.node_values(px, py)
+
+
+def _direct_sum(F, xs, px, py, K):
+    """sum over l, k of K[l, k] F(x_i - p_k, y_j - q_l), one grid node at a time."""
+    P, Q = np.meshgrid(px, py)
+    H = np.empty((len(xs), len(xs)))
+    for j, y in enumerate(xs):
+        for i, x in enumerate(xs):
+            H[j, i] = math.fsum((K * np.asarray(F.eval(x - P, y - Q), dtype=float)).ravel())
+    return H
+
+
+@pytest.mark.parametrize("name", sorted(NON_SEPARABLE))
+def test_convolved_values_match_the_direct_sum(name):
+    make, kernel = NON_SEPARABLE[name]
+    F = make()
+    xs = axis_nodes(16)
+    px, py, K = _level0(kernel)
+    H = _convolved_values(F, xs, px, py, K)
+    reference = _direct_sum(F, xs, px, py, K)
+    assert np.all(np.isfinite(H))
+    assert np.max(np.abs(H - reference)) <= 1e-14
+
+
+def test_broadcast_sum_passes_only_finite_nodes_to_the_3d_part():
+    xs = axis_nodes(16)
+    px, py, K = _level0(SKEW_GAUSS)
+    counts = {"finite": 0, "infinite": 0}
+
+    def G(x, y):
+        finite = np.isfinite(x) & np.isfinite(y)
+        # a call is either all finite (the 3-d part) or a 1-d sum at an infinite node
+        assert finite.all() or not finite.any()
+        counts["finite" if finite.all() else "infinite"] += finite.size
+        return _edge_terms_G(x, y)
+
+    _broadcast_sum(G, xs, px, py, K)
+    inner, ends, n = len(xs) - 2, 2, len(px)
+    assert counts["finite"] == inner**2 * n * len(py)
+    assert counts["infinite"] == ends * inner * (len(py) + n) + ends**2
+
+
+def test_nan_only_at_positive_infinity_raises():
+    def G(x, y):
+        return np.where(x == POS_INF, np.nan, np.exp(-np.hypot(x, y)))
+
+    xs = axis_nodes(8)
+    px, py, K = _level0(PoissonKernelL1(0.5))
+    H = _broadcast_sum(G, xs, px, py, K)
+    assert np.all(np.isnan(H[:, -1])) and np.all(np.isfinite(H[:, :-1]))
+    with pytest.raises(ArithmeticError):
+        convolve_l1(corrected_primitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)
+    with pytest.raises(ArithmeticError):
+        convolve_l1(ClosedFormPrimitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -209,11 +210,14 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 # SHA-256 of every run_suite report (JSON, sorted keys), recorded before the
 # interval sweep skipped column pairs; the norms suite runs the sweep at r = 256.
 # algebra was re-recorded when the product of two separables became separable:
-# 8 of its productSup values moved by 1 ulp, and no passed flag changed
+# 8 of its productSup values moved by 1 ulp, and no passed flag changed;
+# convolution was re-recorded when convolve_l1 reduced the infinite grid rows
+# to 1-d sums: 3 of its 4 expRadial errors moved by at most 4.4e-16 (see
+# test_convolution_suite_matches_the_full_3d_sum), and no passed flag changed
 SUITE_DIGESTS = {
     "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
-    "convolution": "584263cb4ead8bdedb266ed43e9203a47245939352a654038a1414d8cae5b0bb",
+    "convolution": "143f5a9140f1b6e6598e31b2a374e100f4c32d4052e6d1dc986c599f39dc9c2d",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
     "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
     "holder": "6e8885840329baad1fa380a3421b60e7d50b20ea2ec17f6f2c27bfe0e7f2d218",
@@ -223,11 +227,27 @@ SUITE_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _suite_report(name):
+    return cli._jsonable(run_suite(name))
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
 def test_suite_reports_unchanged(name):
     assert sorted(SUITE_DIGESTS) == sorted(SUITES)
-    report = json.dumps(cli._jsonable(run_suite(name)), sort_keys=True)
+    report = json.dumps(_suite_report(name), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == SUITE_DIGESTS[name]
+
+
+# sup |H_z - F| of expRadial in the convolution suite, z = 0.5 ... 0.0625, as
+# the full 3-d sum over every grid node, the infinite ones included, gave it
+FULL_3D_EXPRADIAL_ERRORS = [0.5915165474504772, 0.4268645383335772, 0.2871783229134399, 0.18272859948971965]
+
+
+def test_convolution_suite_matches_the_full_3d_sum():
+    (case,) = [c for c in _suite_report("convolution")["cases"] if c.get("f") == "expRadial"]
+    assert case["passed"]
+    assert np.max(np.abs(np.subtract(case["errors"], FULL_3D_EXPRADIAL_ERRORS))) <= 1e-14
 
 
 # sup |F| of the catalog primitives where it is known; sinc2d peaks at x = y = pi

@@ -6,7 +6,10 @@ converged flags and per-level traces must stay bit for bit the same.
 The norms of sineStrip(1) are checked against their exact values instead,
 since their levels are polished; so is norm_prime(weier2d), against a
 lower bound.
-The convolve_l1 cases record a SHA-256 digest of the sampled H grid.
+The convolve_l1 cases record a SHA-256 digest of the sampled H grid.  The
+expRadial digests were re-recorded when the infinite grid rows became 1-d
+sums; they differ from the full 3-d sum by rounding only
+(test_convolve_l1_golden_matches_the_full_3d_sum).
 The driver's stopping rules are also tested on synthetic level sequences.
 """
 
@@ -16,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral import integral
+from cpintegral import convolution, integral
 from cpintegral.convolution import PoissonKernelL1, convolve_l1
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF
 from cpintegral.integral import alexiewicz_norm, norm_dual, norm_prime
@@ -92,11 +95,11 @@ def record(result):
 
 GOLDEN = {
     'convolve_l1-expRadial-0.0625': (
-        'febf33445d42d0809835ed55822fe9de147c1bb17061cc53a1bc6df690a634dc', 0.00363735368516445, None, False,
+        'c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3', 0.0036373536851653384, None, False,
         None,
     ),
     'convolve_l1-expRadial-0.5': (
-        '3caaf16d10e35cfd23ba8fbc5e4f316493a69f3729759574520093695a87ee85', 0.0028449676313387607, None, False,
+        '19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3', 0.002844967631338761, None, False,
         None,
     ),
     'convolve_l1-prodArctan-0.0625': (
@@ -273,6 +276,55 @@ def test_driver_array_levels_use_largest_increment():
 def test_driver_rejects_nan_levels():
     with pytest.raises(ArithmeticError):
         integral._refine(_steps(1.0, np.array([0.0, np.nan])), 1e-9, 1, 3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: convolve_l1(distribution("expRadial"), PoissonKernelL1(0.5), resolution=8, max_levels=-1),
+    lambda: integrate_product(distribution("prodArctan"), approx_identity(2), max_doublings=-1),
+    lambda: alexiewicz_norm(distribution("prodArctan"), max_doublings=-1),
+    lambda: alexiewicz_norm(distribution("expRadial"), max_doublings=-1),
+], ids=["convolve_l1", "integrate_product", "alexiewicz_norm-separable", "alexiewicz_norm"])
+def test_callers_reject_negative_doublings(run):
+    with pytest.raises(ValueError, match="max_doublings"):
+        run()
+
+
+def _full_broadcast_sum(eval2, grid_xs, px, py, K):
+    """sum over l, k of K[l, k] eval2(x_i - p_k, y_j - q_l) in 3-d at every grid node.
+
+    The infinite grid nodes are summed like the finite ones, on explicit
+    (kernel nodes x grid) coordinate arrays, to compare against the sum that
+    reduces them to 1-d sums.
+    """
+    X, Y = np.meshgrid(grid_xs, grid_xs)
+    XI, ETA = np.meshgrid(px, py)
+    xi, eta, w = XI.ravel(), ETA.ravel(), K.ravel()
+    chunk = max(1, 2**18 // X.size)
+    H = np.zeros(X.shape)
+    for start in range(0, len(w), chunk):
+        xs = X[None, :, :] - xi[start : start + chunk, None, None]
+        ys = Y[None, :, :] - eta[start : start + chunk, None, None]
+        vals = np.asarray(eval2(xs, ys), dtype=float)
+        H += np.tensordot(w[start : start + chunk], vals, axes=(0, 0))
+    return H
+
+
+@pytest.mark.parametrize("z", [0.5, 0.0625])
+def test_convolve_l1_golden_matches_the_full_3d_sum(monkeypatch, z):
+    # the expRadial goldens above differ from the full 3-d sum by rounding only
+    def run():
+        kernel = PoissonKernelL1(z)
+        quad_points, levels = kernel.quad_points, []
+        kernel.quad_points = lambda level: levels.append(level) or quad_points(level)
+        dist = convolve_l1(distribution("expRadial"), kernel, resolution=16, tol=1e-6, normalize=True)
+        return dist, levels
+
+    new, new_levels = run()
+    monkeypatch.setattr(convolution, "_broadcast_sum", _full_broadcast_sum)
+    full, full_levels = run()
+    assert np.max(np.abs(new.primitive.values - full.primitive.values)) <= 1e-14
+    assert abs(new.error_estimate - full.error_estimate) <= 1e-15
+    assert (new.converged, new_levels) == (full.converged, full_levels)
 
 
 def test_line_integral_with_nan_integrand_raises():
