@@ -412,7 +412,10 @@ def _mollify(spec, tol, resolution):
         raise CliError(f"n and resolution must give at most 2^28 kernel terms, (resolution - 1)^2 (n - 1)^2; "
                        f"got {terms}", EX_USAGE)
     sigma = step_approximate(F, n)
-    prim = mollify_step(sigma, z, resolution=resolution)
+    try:
+        prim = mollify_step(sigma, z, resolution=resolution)
+    except ValueError as exc:  # a z too small for the node sums' floats
+        raise CliError(str(exc), EX_USAGE)
     return {"cornerValue": float(prim(float("inf"), float("inf"))),
             "stepCorner": float(sigma(float("inf"), float("inf"))),
             **_written(spec, lambda: prim)}

@@ -25,8 +25,10 @@ from .primitive import (
     CorrectedPrimitive,
     Distribution,
     GridSamplePrimitive,
+    PlaneFunction,
     Primitive,
     SeparablePrimitive,
+    _as_arrays,
     translate_reflect_bv,
 )
 from .stieltjes import integrate_product
@@ -73,7 +75,7 @@ def _gauss_legendre(n):
     return u, w
 
 
-class L1Kernel:
+class L1Kernel(PlaneFunction):
     """Absolutely integrable kernel with a declared finite effective support.
 
     Quadrature happens over the support; the mass outside is carried as
@@ -95,10 +97,6 @@ class L1Kernel:
     def eval(self, x, y):
         return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    def __call__(self, x, y):
-        out = self.eval(x, y)
-        return out if np.ndim(out) else float(out)
-
     def axis_points(self, level, axis=0):
         """1-d Gauss-Legendre nodes/weights on the support's x (axis 0) or y range."""
         n = 32 * 2**level
@@ -118,14 +116,9 @@ class L1Kernel:
         py, wy = self.axis_points(level, 1)
         return px, py, np.outer(wy, wx)
 
-    def node_values(self, px, py):
-        """kernel(p[k], q[l]) at index [l, k] of the tensor grid."""
-        P, Q = np.meshgrid(px, py)
-        return np.asarray(self.eval(P, Q), dtype=float)
-
     def _estimate_l1(self):
         px, py, W = self.quad_points(1)
-        return float(np.sum(W * np.abs(self.node_values(px, py))))
+        return float(np.sum(W * np.abs(self.on_grid(px, py))))
 
 
 class PoissonKernelL1(L1Kernel):
@@ -256,7 +249,7 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     def level_values(r):
         # the driver's resolutions 1, 2, 4, ... stand for quadrature levels 0, 1, 2, ...
         px, py, W = kernel.quad_points(r.bit_length() - 1)
-        k = kernel.node_values(px, py)
+        k = kernel.on_grid(px, py)
         if normalize:
             W = W / float(np.sum(W * k))
         return _convolved_values(F, xs, px, py, W * k)
@@ -272,7 +265,7 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
 
 
 @dataclass
-class StepFunction2:
+class StepFunction2(PlaneFunction):
     """Step function on half-open cells (p_{i-1}, p_i] x (q_{j-1}, q_j].
 
     nodes increase strictly from -inf to inf; values[j, i] is the finite
@@ -299,19 +292,13 @@ class StepFunction2:
             raise ValueError("step values must be finite")
 
     def eval(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
+        x, y = _as_arrays(x, y)
         if np.isnan(x).any() or np.isnan(y).any():
             raise ArithmeticError("step function evaluated at a NaN coordinate")
         i = np.clip(np.searchsorted(self.nodes_x, x, side="left") - 1, 0, self.values.shape[1] - 1)
         j = np.clip(np.searchsorted(self.nodes_y, y, side="left") - 1, 0, self.values.shape[0] - 1)
         out = self.values[j, i]
         return np.where(np.isneginf(x) | np.isneginf(y), 0.0, out)
-
-    def __call__(self, x, y):
-        out = self.eval(x, y)
-        return out if np.ndim(out) else float(out)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
@@ -326,8 +313,7 @@ def step_approximate(F: Primitive, n: int) -> StepFunction2:
     if n < 2:
         raise ValueError("n must be >= 2")
     nodes = axis_nodes(n)
-    X, Y = np.meshgrid(nodes[1:], nodes[1:])
-    vals = np.asarray(F.eval(X, Y), dtype=float)
+    vals = F.on_grid(nodes[1:], nodes[1:])
     vals[0, :] = 0.0
     vals[:, 0] = 0.0
     return StepFunction2(nodes, nodes.copy(), vals)
@@ -388,7 +374,9 @@ def mollify_step(sigma: StepFunction2, z, resolution=64) -> GridSamplePrimitive:
     coordinate the sum takes the 1-d limits: the -inf rows are 0, and the
     +inf rows are the Cauchy mollifications of the last row and column of
     cells (the last cell holds inf), so the (inf, inf) corner is
-    sigma(inf, inf) up to rounding.
+    sigma(inf, inf) up to rounding.  A z so small that the node sums leave
+    the float range (z^2 underflows, and 0 / 0 turns up where a node of the
+    output meets a node of sigma) raises ValueError.
     """
     z = float(z)
     if not (math.isfinite(z) and z > 0):
@@ -397,7 +385,10 @@ def mollify_step(sigma: StepFunction2, z, resolution=64) -> GridSamplePrimitive:
     V = sigma.values
     H = np.zeros((len(xs), len(xs)))
     d = np.diff(np.diff(np.pad(V, 1), axis=0), axis=1)
-    H[1:-1, 1:-1] = _poisson_node_sum(d, sigma.nodes_x, sigma.nodes_y, xs[1:-1], xs[1:-1], z)
-    H[-1, 1:] = _mollify_1d(V[-1, :], sigma.nodes_x, xs[1:], z)
-    H[1:, -1] = _mollify_1d(V[:, -1], sigma.nodes_y, xs[1:], z)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        H[1:-1, 1:-1] = _poisson_node_sum(d, sigma.nodes_x, sigma.nodes_y, xs[1:-1], xs[1:-1], z)
+        H[-1, 1:] = _mollify_1d(V[-1, :], sigma.nodes_x, xs[1:], z)
+        H[1:, -1] = _mollify_1d(V[:, -1], sigma.nodes_y, xs[1:], z)
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"z = {z} is out of range: the mollified node sums are not finite")
     return GridSamplePrimitive(uniform_grid(resolution), H, f"mollified(z={z})")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extplane import Interval2, ext, make_interval
+from .extplane import Interval2, axis_nodes, ext, make_interval
 from .integral import _primitive_of, corner_integral
 from .primitive import BVFunction, ClosedFormPrimitive, Distribution, SeparablePrimitive, corrected_primitive
 
@@ -123,27 +123,23 @@ def change_of_variables(f, m: LinearAxisMap, interval: Interval2) -> float:
 # lattice structure
 
 
-def lattice_join(F1, F2) -> ClosedFormPrimitive:
+def lattice_join(f1, f2) -> ClosedFormPrimitive:
     """Pointwise maximum of two primitives."""
-    e1 = F1.eval if hasattr(F1, "eval") else F1
-    e2 = F2.eval if hasattr(F2, "eval") else F2
-    l1 = getattr(F1, "label", "?")
-    l2 = getattr(F2, "label", "?")
+    F1 = _primitive_of(f1)
+    F2 = _primitive_of(f2)
     return ClosedFormPrimitive(
-        lambda x, y: np.maximum(np.asarray(e1(x, y)), np.asarray(e2(x, y))),
-        f"({l1})v({l2})",
+        lambda x, y: np.maximum(np.asarray(F1.eval(x, y)), np.asarray(F2.eval(x, y))),
+        f"({F1.label})v({F2.label})",
     )
 
 
-def lattice_meet(F1, F2) -> ClosedFormPrimitive:
+def lattice_meet(f1, f2) -> ClosedFormPrimitive:
     """Pointwise minimum of two primitives."""
-    e1 = F1.eval if hasattr(F1, "eval") else F1
-    e2 = F2.eval if hasattr(F2, "eval") else F2
-    l1 = getattr(F1, "label", "?")
-    l2 = getattr(F2, "label", "?")
+    F1 = _primitive_of(f1)
+    F2 = _primitive_of(f2)
     return ClosedFormPrimitive(
-        lambda x, y: np.minimum(np.asarray(e1(x, y)), np.asarray(e2(x, y))),
-        f"({l1})^({l2})",
+        lambda x, y: np.minimum(np.asarray(F1.eval(x, y)), np.asarray(F2.eval(x, y))),
+        f"({F1.label})^({F2.label})",
     )
 
 
@@ -162,13 +158,10 @@ def order_leq(f1, f2, resolution=64, slack=1e-12) -> bool:
     The slack absorbs interpolation noise on grid samples; it is a numeric
     proxy for the exact pointwise order.
     """
-    from .extplane import axis_nodes
-
     F1 = _primitive_of(f1)
     F2 = _primitive_of(f2)
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
-    return bool(np.all(np.asarray(F1.eval(X, Y)) <= np.asarray(F2.eval(X, Y)) + slack))
+    return bool(np.all(F1.on_grid(xs, xs) <= F2.on_grid(xs, xs) + slack))
 
 
 def order_compare(f1, f2, resolution=64, slack=1e-12) -> str:

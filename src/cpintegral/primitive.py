@@ -36,11 +36,13 @@ def _as_arrays(x, y):
     return np.broadcast_arrays(x, y)
 
 
-class Primitive:
-    kind = "abstract"
+class PlaneFunction:
+    """A vectorized function on the extended plane.
 
-    def __init__(self, label=""):
-        self.label = label
+    eval takes coordinate arrays that broadcast against each other; on_grid
+    is the one tensor-grid evaluation, overridden where the function is a
+    product of one-dimensional factors.
+    """
 
     def eval(self, x, y):
         raise NotImplementedError
@@ -50,9 +52,23 @@ class Primitive:
         return out if np.ndim(out) else float(out)
 
     def on_grid(self, xs, ys):
-        """Values G[j, i] = F(xs[i], ys[j]) on the tensor grid of two node rows."""
-        X, Y = np.meshgrid(xs, ys)
-        return np.asarray(self.eval(X, Y))
+        """Values G[j, i] = f(xs[i], ys[j]) on the tensor grid of two node rows.
+
+        eval sees read-only broadcast views of the node rows, not meshgrid
+        copies, so a value array that aliases its input cannot be written
+        through to the node rows.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        shape = (len(ys), len(xs))
+        return np.asarray(self.eval(np.broadcast_to(xs, shape), np.broadcast_to(ys[:, None], shape)), dtype=float)
+
+
+class Primitive(PlaneFunction):
+    kind = "abstract"
+
+    def __init__(self, label=""):
+        self.label = label
 
 
 def _require_finite(values, label):
@@ -182,7 +198,7 @@ class Distribution:
         return self.primitive(x, y)
 
 
-class BVFunction:
+class BVFunction(PlaneFunction):
     """A multiplier of finite Hardy-Krause variation.
 
     jump_x / jump_y list finite coordinates of known vertical / horizontal
@@ -195,13 +211,6 @@ class BVFunction:
         self.label = label
         self.jump_x = tuple(float(j) for j in jump_x)
         self.jump_y = tuple(float(j) for j in jump_y)
-
-    def eval(self, x, y):
-        raise NotImplementedError
-
-    def __call__(self, x, y):
-        out = self.eval(x, y)
-        return out if np.ndim(out) else float(out)
 
     def _reject_nan(self, x, y):
         if np.isnan(x).any() or np.isnan(y).any():
@@ -247,6 +256,11 @@ class ProductBV(BVFunction):
         y = np.asarray(y, dtype=float)
         self._reject_nan(x, y)
         return np.asarray(self.u(x), dtype=float), np.asarray(self.v(y), dtype=float)
+
+    def on_grid(self, xs, ys):
+        """The outer product of the factors: 2 r evaluations instead of r^2."""
+        ux, vy = self.eval_factors(xs, ys)
+        return vy[:, None] * ux[None, :]
 
 
 def _below(t0):
@@ -659,9 +673,8 @@ def validate_primitive(F: Primitive, resolution: int = 64) -> dict:
         r = resolution
         for _ in range(4):
             xs = axis_nodes(r)
-            X, Y = np.meshgrid(xs, xs)
             try:
-                G = np.asarray(F.eval(X, Y))
+                G = F.on_grid(xs, xs)
             except ArithmeticError:
                 finite = False
                 break
@@ -691,17 +704,14 @@ def primitives_equal(F1: Primitive, F2: Primitive, resolutions=(16, 32, 64), tol
     """Equality surrogate: agreement at every node of each listed resolution."""
     for r in resolutions:
         xs = axis_nodes(r)
-        X, Y = np.meshgrid(xs, xs)
-        if np.max(np.abs(np.asarray(F1.eval(X, Y)) - np.asarray(F2.eval(X, Y)))) > tol:
+        if np.max(np.abs(F1.on_grid(xs, xs) - F2.on_grid(xs, xs))) > tol:
             return False
     return True
 
 
 def sample_primitive(F: Primitive, resolution: int, label=None) -> GridSamplePrimitive:
     grid = uniform_grid(resolution)
-    X, Y = np.meshgrid(grid.xs, grid.ys)
-    values = np.asarray(F.eval(X, Y), dtype=float)
-    return GridSamplePrimitive(grid, values, label or F.label)
+    return GridSamplePrimitive(grid, F.on_grid(grid.xs, grid.ys), label or F.label)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .extplane import (
     uniform_grid,
 )
 from .integral import QuadResult, _primitive_of, _refine
-from .primitive import BVFunction, GridSamplePrimitive, ProductBV, SeparablePrimitive
+from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
 
 def segment_nodes(a, b, resolution, jumps=()):
@@ -100,8 +100,9 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
     """Double Stieltjes integral of phi against the corner differences of
     the integrator over the interval.
 
-    phi and integrator are vectorized callables of (X, Y); jump lines
-    default to the integrator's metadata when it carries any.
+    phi and integrator are plane functions, or vectorized callables of
+    (X, Y) taken as ClosedFormBV; jump lines default to the integrator's
+    metadata when it carries any.
     """
     if interval.degenerate:
         return QuadResult(0.0, 0.0, 0, True, [])
@@ -109,16 +110,12 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
         jumps_x = getattr(integrator, "jump_x", ())
     if jumps_y is None:
         jumps_y = getattr(integrator, "jump_y", ())
-    phi_eval = phi.eval if hasattr(phi, "eval") else phi
-    g_eval = integrator.eval if hasattr(integrator, "eval") else integrator
+    phi, integrator = (h if isinstance(h, PlaneFunction) else ClosedFormBV(h) for h in (phi, integrator))
 
     def step(r):
         xs = segment_nodes(interval.a, interval.b, r, jumps_x)
         ys = segment_nodes(interval.c, interval.d, r, jumps_y)
-        TX, TY = np.meshgrid(cell_tags(xs), cell_tags(ys))
-        T = np.asarray(phi_eval(TX, TY), dtype=float)
-        X, Y = np.meshgrid(xs, ys)
-        return kernels.corner_weighted_sum(T, np.asarray(g_eval(X, Y), dtype=float))
+        return kernels.corner_weighted_sum(phi.on_grid(cell_tags(xs), cell_tags(ys)), integrator.on_grid(xs, ys))
 
     res = _refine(step, tol, start_resolution, max_doublings)
     return replace(res, value=interval.sign * res.value)
@@ -165,10 +162,7 @@ def _nine_term_sum(F, g, interval, resolution):
 
     total += line_x(d, -1.0) + line_x(c, 1.0) + line_y(b, -1.0) + line_y(a, 1.0)
 
-    TX, TY = np.meshgrid(tx, ty)
-    T = np.asarray(F.eval(TX, TY), dtype=float)
-    X, Y = np.meshgrid(xs, ys)
-    total += kernels.corner_weighted_sum(T, np.asarray(g.eval(X, Y), dtype=float))
+    total += kernels.corner_weighted_sum(F.on_grid(tx, ty), g.on_grid(xs, ys))
     return total
 
 
@@ -205,17 +199,14 @@ def parts_primitive(f, g: BVFunction, resolution=64, oversample=4) -> GridSample
     if not (np.all(xs[ix] == grid.xs) and np.all(ys[iy] == grid.ys)):
         raise RuntimeError("coarse grid nodes failed to nest in the fine partition")
 
-    X, Y = np.meshgrid(xs, ys)
-    G = np.asarray(g.eval(X, Y), dtype=float)
-    TX, TY = np.meshgrid(tx, ty)
-    T = np.asarray(F.eval(TX, TY), dtype=float)
+    G = g.on_grid(xs, ys)
+    T = F.on_grid(tx, ty)
 
     corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
     plane_cum = np.zeros((len(ys), len(xs)))
     plane_cum[1:, 1:] = np.cumsum(np.cumsum(T * corner, axis=0), axis=1)
 
-    Xc, Yc = np.meshgrid(grid.xs, grid.ys)
-    FG = np.asarray(F.eval(Xc, Yc), dtype=float) * np.asarray(g.eval(Xc, Yc), dtype=float)
+    FG = F.on_grid(grid.xs, grid.ys) * g.on_grid(grid.xs, grid.ys)
 
     # int_-inf^x F(s, y) d1 g(s, y) for each coarse y, cumulative along fine x
     line1 = np.zeros((len(grid.ys), len(grid.xs)))
@@ -263,7 +254,7 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
 
     fg = integrate_product(f, g, FULL_PLANE, tol=tol / 10)
     g_df = rs_plane_integral(
-        g, F.eval, FULL_PLANE,
+        g, F, FULL_PLANE,
         jumps_x=getattr(g, "jump_x", ()), jumps_y=getattr(g, "jump_y", ()),
         tol=tol / 10,
     )
@@ -275,7 +266,7 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
     }
     values = [fg.value, g_df.value]
     if at_plus:
-        f_dg = rs_plane_integral(F.eval, g, FULL_PLANE, tol=tol / 10)
+        f_dg = rs_plane_integral(F, g, FULL_PLANE, tol=tol / 10)
         report["fAgainstDG"] = f_dg.value
         report["converged"] = report["converged"] and f_dg.converged
         values.append(f_dg.value)
@@ -294,13 +285,12 @@ def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
     F = _primitive_of(f)
     xs = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_x", ()))
     ys = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_y", ()))
-    X, Y = np.meshgrid(xs, ys)
-    Gm = np.asarray(g.eval(X, Y), dtype=float)
+    Gm = g.on_grid(xs, ys)
     corner = Gm[:-1, :-1] + Gm[1:, 1:] - Gm[:-1, 1:] - Gm[1:, :-1]
     if np.min(corner) < -tol:
         raise ValueError("integrator has negative corner differences")
 
-    integral = rs_plane_integral(F.eval, g, FULL_PLANE, tol=min(tol, 1e-9))
+    integral = rs_plane_integral(F, g, FULL_PLANE, tol=min(tol, 1e-9))
     delta = (
         g(NEG_INF, NEG_INF) + g(np.inf, np.inf) - g(NEG_INF, np.inf) - g(np.inf, NEG_INF)
     )
@@ -309,8 +299,7 @@ def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
     target = integral.value / delta
 
     nodes = segment_nodes(NEG_INF, np.inf, resolution)
-    Xn, Yn = np.meshgrid(nodes, nodes)
-    Fv = np.asarray(F.eval(Xn, Yn))
+    Fv = F.on_grid(nodes, nodes)
     hits = np.argwhere(np.abs(Fv - target) <= tol)
     if len(hits) == 0:
         raise ValueError("no grid node matches the mean value at this resolution")

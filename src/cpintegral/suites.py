@@ -117,21 +117,18 @@ def suite_lattice(resolution=32):
     """Distributive/modular lattice identities and the incomparable pair."""
     dists = catalog_distributions(include_zero=False)
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
     rows = []
     triples = [(dists[i], dists[(i + 3) % len(dists)], dists[(i + 7) % len(dists)])
                for i in range(10)]
     for f1, f2, f3 in triples:
-        A = np.asarray(f1.primitive.eval(X, Y))
-        B = np.asarray(f2.primitive.eval(X, Y))
-        C = np.asarray(f3.primitive.eval(X, Y))
+        A, B, C = (f.primitive.on_grid(xs, xs) for f in (f1, f2, f3))
         distrib = np.array_equal(np.maximum(A, np.minimum(B, C)),
                                  np.minimum(np.maximum(A, B), np.maximum(A, C)))
         # modular law: A <= C implies A v (B ^ C) = (A v B) ^ C
         Am = np.minimum(A, C)
         modular = np.array_equal(np.maximum(Am, np.minimum(B, C)),
                                  np.minimum(np.maximum(Am, B), C))
-        join = np.asarray(lattice_join(f1.primitive, f2.primitive).eval(X, Y))
+        join = lattice_join(f1, f2).on_grid(xs, xs)
         surrogate = np.array_equal(join, np.maximum(A, B))
         rows.append({"triple": (f1.label, f2.label, f3.label),
                      "distributive": bool(distrib), "modular": bool(modular),
@@ -149,15 +146,14 @@ def suite_mspace(resolution=256):
     """Sup norm of a join of nonnegative primitives is the max of sup norms;
     the additive (L-type) identity fails for the overlapping pair."""
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
     nonneg = [d for d in catalog_distributions(include_zero=False)
-              if np.min(np.asarray(d.primitive.eval(X, Y))) >= 0.0]
+              if np.min(d.primitive.on_grid(xs, xs)) >= 0.0]
     rows = []
     for i in range(len(nonneg)):
         f1 = nonneg[i]
         f2 = nonneg[(i + 1) % len(nonneg)]
-        A = np.asarray(f1.primitive.eval(X, Y))
-        B = np.asarray(f2.primitive.eval(X, Y))
+        A = f1.primitive.on_grid(xs, xs)
+        B = f2.primitive.on_grid(xs, xs)
         lhs = float(np.max(np.maximum(A, B)))
         rhs = max(float(np.max(A)), float(np.max(B)))
         ok = abs(lhs - rhs) <= 4 * np.spacing(max(rhs, 1.0))
@@ -165,8 +161,8 @@ def suite_mspace(resolution=256):
                      "passed": bool(ok)})
     g1 = distribution("gauss2", which="F")
     g2 = distribution("gauss2", which="G")
-    A = np.asarray(g1.primitive.eval(X, Y))
-    B = np.asarray(g2.primitive.eval(X, Y))
+    A = g1.primitive.on_grid(xs, xs)
+    B = g2.primitive.on_grid(xs, xs)
     strict = float(np.max(A + B)) < float(np.max(A)) + float(np.max(B)) - 1e-6
     rows.append({"pair": (g1.label, g2.label), "additiveNormFails": bool(strict),
                  "passed": bool(strict)})
@@ -178,14 +174,13 @@ def suite_algebra(seed=11, pairs=50, resolution=128):
     rng = np.random.default_rng(seed)
     dists = catalog_distributions()
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
-    sups = {d.label: float(np.max(np.abs(np.asarray(d.primitive.eval(X, Y))))) for d in dists}
+    sups = {d.label: float(np.max(np.abs(d.primitive.on_grid(xs, xs)))) for d in dists}
     rows = []
     for k in range(pairs):
         f1 = dists[rng.integers(0, len(dists))]
         f2 = dists[rng.integers(0, len(dists))]
         prod = algebra_product(f1, f2)
-        sp = float(np.max(np.abs(np.asarray(prod.primitive.eval(X, Y)))))
+        sp = float(np.max(np.abs(prod.primitive.on_grid(xs, xs))))
         bound = sups[f1.label] * sups[f2.label]
         ok = sp <= bound + 4 * np.spacing(max(bound, 1.0))
         rows.append({"case": k, "pair": (f1.label, f2.label), "productSup": sp,
@@ -194,17 +189,17 @@ def suite_algebra(seed=11, pairs=50, resolution=128):
     left = distribution("sineStrip", n=1)
     right = translate(distribution("sineStrip", n=1), 10.0, 0.0)
     prod = algebra_product(left, right)
-    zeros = float(np.max(np.abs(np.asarray(prod.primitive.eval(X, Y)))))
-    nonzero = float(np.max(np.abs(np.asarray(left.primitive.eval(X, Y))))) > 0
+    zeros = float(np.max(np.abs(prod.primitive.on_grid(xs, xs))))
+    nonzero = float(np.max(np.abs(left.primitive.on_grid(xs, xs)))) > 0
     rows.append({"witness": "disjoint supports", "productSup": zeros,
                  "factorsNonzero": bool(nonzero),
                  "passed": bool(zeros == 0.0 and nonzero)})
 
     f = distribution("prodArctan")
-    Fv = np.asarray(f.primitive.eval(X, Y))
+    Fv = f.primitive.on_grid(xs, xs)
     errs = []
     for n in (4, 8, 16):
-        U = np.asarray(approx_identity(n).eval(X, Y))
+        U = approx_identity(n).on_grid(xs, xs)
         errs.append(float(np.max(np.abs(Fv - U * Fv))))
     decreasing = errs[0] > errs[1] > errs[2]
     rows.append({"witness": "approximate identity", "errors": errs,
@@ -289,10 +284,9 @@ def suite_convolution(tol=1e-4, resolution=32):
                   "passed": bool(abs(mass - 1.0) <= 1e-6)})
 
     xs = axis_nodes(resolution)
-    X, Y = np.meshgrid(xs, xs)
     for name, params in (("prodArctan", {}), ("gauss2", {"which": "F"}), ("expRadial", {})):
         f = distribution(name, **params)
-        Fv = np.asarray(f.primitive.eval(X, Y))
+        Fv = f.primitive.on_grid(xs, xs)
         errs = []
         for z in (0.5, 0.25, 0.125, 0.0625):
             conv = convolve_l1(f, PoissonKernelL1(z), resolution=resolution,

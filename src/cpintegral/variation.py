@@ -86,7 +86,7 @@ def grid_components(g, resolution):
     prev, colvar, acc = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3)
     rows = max(1, SLICE_VALUES // len(xs))
     for start in range(0, len(ys), rows):
-        G = np.asarray(g.eval(*np.broadcast_arrays(xs, ys[start : start + rows, None])), dtype=float)
+        G = g.on_grid(xs, ys[start : start + rows])
         kernels.hk_fold(G, prev, colvar, acc)
         prev = G[-1:]
     sup, v1, v12 = acc.tolist()

@@ -46,10 +46,14 @@ def run_cli(capsys, argv):
     # positive and finite, but the kernel peak 1 / (2 pi z^2) is inf or 0
     ["convolve-l1", "--primitive", "prodArctan", "--z", "1e-320"],
     ["convolve-l1", "--primitive", "prodArctan", "--z", "1e300"],
+    # positive and finite, but z^2 underflows and the mollified node sums turn NaN
+    ["mollify", "--primitive", "prodArctan", "--z", "1e-200", "--resolution", "8", "--n", "8"],
+    ["mollify", "--primitive", "prodArctan", "--z", "1e-320", "--resolution", "8", "--n", "8"],
 ], ids=["mollify-n1", "map-alpha0", "map-kind", "map-list", "nd-lower-above-upper",
         "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf",
         "resolution-above-cap", "doublings-above-cap", "n-above-cap", "mollify-terms-above-cap",
-        "nd-dims-above-cap", "z-peak-inf", "z-peak-zero"])
+        "nd-dims-above-cap", "z-peak-inf", "z-peak-zero", "mollify-z-1e-200",
+        "mollify-z-1e-320"])
 def test_bad_flag_value_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 64

@@ -94,7 +94,7 @@ def test_poisson_l1_kernel_over_its_range(z):
     radius = 500.0 * z
     assert k.tail_bound == z / math.sqrt(radius**2 + z**2)
     px, py, W = k.quad_points(0)
-    vals = k.node_values(px, py)
+    vals = k.on_grid(px, py)
     assert np.all(np.isfinite(W)) and np.all(W > 0)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
     assert abs(np.sum(W * vals) - 1.0) <= 2.0 * k.tail_bound
@@ -314,7 +314,7 @@ NON_SEPARABLE = {
 
 def _level0(kernel):
     px, py, W = kernel.quad_points(0)
-    return px, py, W * kernel.node_values(px, py)
+    return px, py, W * kernel.on_grid(px, py)
 
 
 def _direct_sum(F, xs, px, py, K):

@@ -104,6 +104,27 @@ def test_lattice_join_meet_pointwise():
     assert np.array_equal(np.asarray(meet.eval(X, Y)), np.minimum(a, b))
 
 
+def test_lattice_operations_read_distributions():
+    f, g = distribution("prodArctan"), distribution("gauss2")
+    for op, pick in ((lattice_join, np.maximum), (lattice_meet, np.minimum)):
+        h = op(f, g)
+        assert h.label == op(f.primitive, g.primitive).label
+        assert "?" not in h.label
+        xs = axis_nodes(16)
+        assert np.array_equal(h.on_grid(xs, xs), pick(f.primitive.on_grid(xs, xs), g.primitive.on_grid(xs, xs)))
+        assert alexiewicz_norm(h, tol=1e-6).value > 0.0
+
+
+@pytest.mark.parametrize("junk", [np.maximum, 3.0, None, lambda x, y: x * y, catalog_bv("constant", c=1.0)])
+def test_lattice_operations_reject_junk_at_the_call(junk):
+    F = distribution("prodArctan")
+    for op in (lattice_join, lattice_meet):
+        with pytest.raises(TypeError):
+            op(junk, F)
+        with pytest.raises(TypeError):
+            op(F, junk)
+
+
 def test_lattice_absorption():
     F = distribution("prodArctan").primitive
     G = distribution("expRadial").primitive

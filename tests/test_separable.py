@@ -8,24 +8,39 @@ wrapping a ProductBV's eval does the same for integrate_product and the
 variation components.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cpintegral.convolution import L1Kernel, PoissonKernelL1, convolve_bv, convolve_l1
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval
+import cpintegral
+from cpintegral.convolution import (
+    L1Kernel,
+    PoissonKernelL1,
+    StepFunction2,
+    convolve_bv,
+    convolve_l1,
+    step_approximate,
+)
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
+from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
+    BVFunction,
     ClosedFormBV,
     ClosedFormPrimitive,
     CorrectedPrimitive,
+    GridConstantBV,
+    GridSamplePrimitive,
     ProductBV,
     SeparablePrimitive,
     approx_identity,
     catalog_bv,
     catalog_primitive,
     corrected_primitive,
+    sample_primitive,
     translate_reflect_bv,
 )
-from cpintegral.stieltjes import integrate_product
+from cpintegral.stieltjes import cell_tags, integrate_product, segment_nodes
 from cpintegral.variation import axis_with_jumps, grid_components, hk_norm
 
 SEPARABLE = (
@@ -90,17 +105,59 @@ def test_separable_eval_is_product_of_factors(name, params):
     assert np.array_equal(F.eval(X, Y), np.outer(b, a))
 
 
-@pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
-def test_on_grid_is_bit_identical_to_eval(name, params):
-    # the outer product of the factors against eval on the meshgrid, on a
-    # square chart grid and on node rows of different lengths
-    F = catalog_primitive(name, **params)
-    for xs, ys in ((axis_nodes(256), axis_nodes(256)), (axis_nodes(16), axis_nodes(8)[1:-1])):
+def skew_gauss_kernel():
+    # an L1 kernel whose x and y quadrature nodes differ
+    return L1Kernel(lambda x, y: np.exp(-(x**2) - 2.0 * (y - 0.5) ** 2),
+                    make_interval(-4.0, 3.0, -2.0, 3.5), label="skewGauss")
+
+
+PLANE_FUNCTIONS = {
+    **{key: (lambda n=name, p=params: catalog_primitive(n, **p))
+       for key, (name, params) in zip(SEPARABLE_IDS, SEPARABLE)},
+    "expRadial": lambda: catalog_primitive("expRadial"),
+    "gridSample": lambda: sample_primitive(catalog_primitive("expRadial"), 8),
+    "latticeJoin": lambda: lattice_join(catalog_primitive("expRadial"), catalog_primitive("gauss2", which="G")),
+    "approxIdentity": lambda: approx_identity(3),
+    **MULTIPLIERS,
+    "reflectedApproxIdentity": lambda: translate_reflect_bv(approx_identity(2), 1.0, -0.5),
+    "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
+    "gridConstant": lambda: GridConstantBV(uniform_grid(4), np.arange(16.0).reshape(4, 4) - 5.5),
+    "closedFormBV": lambda: generic_bv(translate_reflect_bv(approx_identity(2), 1.0, -0.5)),
+    "poissonKernel": lambda: PoissonKernelL1(0.5),
+    "skewGaussKernel": skew_gauss_kernel,
+    "stepFunction": lambda: step_approximate(catalog_primitive("expRadial"), 8),
+}
+
+
+@pytest.mark.parametrize("key", PLANE_FUNCTIONS)
+def test_on_grid_is_bit_identical_to_eval(key):
+    # on_grid, with its outer-product overrides, against eval on the meshgrid:
+    # a square chart grid, node rows of different lengths, the straddled
+    # nodes of the jump lines against their cell tags, and +-inf nodes
+    f = PLANE_FUNCTIONS[key]()
+    xj = segment_nodes(NEG_INF, POS_INF, 32, getattr(f, "jump_x", ()) + (0.25, -1.5))
+    yj = segment_nodes(NEG_INF, POS_INF, 24, getattr(f, "jump_y", ()) + (0.5,))
+    ends = np.array([NEG_INF, 0.5, POS_INF])
+    for xs, ys in ((axis_nodes(256), axis_nodes(256)), (axis_nodes(16), axis_nodes(8)[1:-1]),
+                   (xj, cell_tags(yj)), (cell_tags(xj), yj), (ends, xj), (yj, ends)):
         X, Y = np.meshgrid(xs, ys)
-        G = F.on_grid(xs, ys)
-        assert G.shape == (len(ys), len(xs))
-        assert G.tobytes() == np.asarray(F.eval(X, Y)).tobytes()
-        assert G.tobytes() == ClosedFormPrimitive(F.eval).on_grid(xs, ys).tobytes()
+        G = f.on_grid(xs, ys)
+        assert G.dtype == float and G.shape == (len(ys), len(xs))
+        assert G.tobytes() == np.asarray(f.eval(X, Y), dtype=float).tobytes()
+        assert G.tobytes() == ClosedFormPrimitive(f.eval).on_grid(xs, ys).tobytes()
+    if isinstance(f, (BVFunction, StepFunction2, GridSamplePrimitive)):
+        with pytest.raises(ArithmeticError):
+            f.on_grid(np.array([0.0, np.nan]), axis_nodes(4))
+        with pytest.raises(ArithmeticError):
+            f.on_grid(axis_nodes(4), np.array([np.nan]))
+
+
+def test_no_meshgrid_evaluation_in_the_package():
+    # every tensor-grid evaluation goes through PlaneFunction.on_grid
+    package = Path(cpintegral.__file__).parent
+    hits = [f"{path.name}:{k}" for path in sorted(package.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "np.meshgrid" in line]
+    assert hits == []
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
@@ -198,8 +255,7 @@ def test_convolve_l1_fast_path_matches_generic(name, levels):
 def test_convolve_l1_fast_path_orientation():
     # unequal factors and a kernel whose x and y nodes differ
     F = catalog_primitive("weier2d", depth=6)
-    kernel = L1Kernel(lambda x, y: np.exp(-(x**2) - 2.0 * (y - 0.5) ** 2),
-                      make_interval(-4.0, 3.0, -2.0, 3.5), label="skewGauss")
+    kernel = skew_gauss_kernel()
     fast = convolve_l1(F, kernel, resolution=8, tol=0.0, max_levels=0)
     slow = convolve_l1(generic(F), kernel, resolution=8, tol=0.0, max_levels=0)
     assert np.max(np.abs(fast.primitive.values - slow.primitive.values)) <= 1e-12
