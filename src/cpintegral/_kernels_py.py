@@ -19,8 +19,12 @@ def hk_fold(G, prev, colvar, acc):
     G = np.vstack([prev, G])
     for row in np.abs(np.diff(G, axis=0)):
         colvar += row
-    corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
-    acc[2] += np.sum(np.abs(corner))
+    acc[2] += np.sum(np.abs(corner_differences(G)))
+
+
+def corner_differences(G):
+    """G[j, i] + G[j+1, i+1] - G[j, i+1] - G[j+1, i], the corner difference of each cell."""
+    return G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
 
 
 def corner_weighted_sum(T, G):
@@ -30,8 +34,7 @@ def corner_weighted_sum(T, G):
     """
     T = np.asarray(T, dtype=float)
     G = np.asarray(G, dtype=float)
-    corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
-    return float(np.sum(T * corner))
+    return float(np.sum(T * corner_differences(G)))
 
 
 def line_weighted_sum(t, g):

@@ -36,6 +36,14 @@ def _as_arrays(x, y):
     return np.broadcast_arrays(x, y)
 
 
+def _shaped(values, x):
+    """A closed form's values, broadcast to a fresh array of the coordinates'
+    shape when the function returned a scalar or another shape."""
+    if np.shape(values) == x.shape:
+        return values
+    return np.array(np.broadcast_to(values, x.shape), dtype=float)
+
+
 class PlaneFunction:
     """A vectorized function on the extended plane.
 
@@ -87,7 +95,7 @@ class ClosedFormPrimitive(Primitive):
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
-        return _require_finite(self._fn(x, y), self.label)
+        return _require_finite(_shaped(self._fn(x, y), x), self.label)
 
 
 class SeparablePrimitive(ClosedFormPrimitive):
@@ -227,7 +235,7 @@ class ClosedFormBV(BVFunction):
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
         self._reject_nan(x, y)
-        return self._fn(x, y)
+        return _shaped(self._fn(x, y), x)
 
 
 class ProductBV(BVFunction):

@@ -24,9 +24,15 @@ from .extplane import (
 from .integral import QuadResult, _primitive_of, _refine
 from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
+OVERSAMPLE = 4  # fine cells per coarse cell along each axis in parts_primitive
+
 
 def segment_nodes(a, b, resolution, jumps=()):
-    """Chart-uniform partition of [a, b] with straddles around interior jumps."""
+    """Chart-uniform partition of [a, b] with straddles around interior jumps.
+
+    Each interior jump j adds j and its floating-point neighbours, so a jump
+    falls within one ulp-wide cell and its variation is exact at any resolution.
+    """
     if not a < b:
         raise ValueError("need a < b")
     ua = float(np.asarray(DEFAULT_CHART.forward(a)))
@@ -131,9 +137,8 @@ def _parts_1d(phi_tags, u_nodes):
 
 
 def _nine_term_sum(F, g, interval, resolution):
-    a, b, c, d = interval.a, interval.b, interval.c, interval.d
-    xs = segment_nodes(a, b, resolution, getattr(g, "jump_x", ()))
-    ys = segment_nodes(c, d, resolution, getattr(g, "jump_y", ()))
+    xs = segment_nodes(interval.a, interval.b, resolution, getattr(g, "jump_x", ()))
+    ys = segment_nodes(interval.c, interval.d, resolution, getattr(g, "jump_y", ()))
     tx = cell_tags(xs)
     ty = cell_tags(ys)
 
@@ -144,25 +149,14 @@ def _nine_term_sum(F, g, interval, resolution):
         ux, vy = g.eval_factors(xs, ys)
         return _parts_1d(ax, ux) * _parts_1d(by, vy)
 
-    total = (
-        F(a, c) * g(a, c) + F(b, d) * g(b, d) - F(a, d) * g(a, d) - F(b, c) * g(b, c)
-    )
-
-    def line_x(level, sign):
-        lv = np.full(tx.shape, level)
-        phi_vals = np.asarray(F.eval(tx, lv), dtype=float)
-        g_vals = np.asarray(g.eval(xs, np.full(xs.shape, level)), dtype=float)
-        return sign * kernels.line_weighted_sum(phi_vals, g_vals)
-
-    def line_y(level, sign):
-        lv = np.full(ty.shape, level)
-        phi_vals = np.asarray(F.eval(lv, ty), dtype=float)
-        g_vals = np.asarray(g.eval(np.full(ys.shape, level), ys), dtype=float)
-        return sign * kernels.line_weighted_sum(phi_vals, g_vals)
-
-    total += line_x(d, -1.0) + line_x(c, 1.0) + line_y(b, -1.0) + line_y(a, 1.0)
-
-    total += kernels.corner_weighted_sum(F.on_grid(tx, ty), g.on_grid(xs, ys))
+    # the first and last tags sit on a, b and c, d, so the corner values and
+    # the sections along the four edges are the outer rows and columns
+    T = F.on_grid(tx, ty)
+    G = g.on_grid(xs, ys)
+    total = float(T[0, 0] * G[0, 0] + T[-1, -1] * G[-1, -1] - T[-1, 0] * G[-1, 0] - T[0, -1] * G[0, -1])
+    line = kernels.line_weighted_sum
+    total += -line(T[-1], G[-1]) + line(T[0], G[0]) - line(T[:, -1], G[:, -1]) + line(T[:, 0], G[:, 0])
+    total += kernels.corner_weighted_sum(T, G)
     return total
 
 
@@ -181,15 +175,17 @@ def integrate_product(f, g: BVFunction, interval: Interval2 = FULL_PLANE,
     return replace(res, value=interval.sign * res.value)
 
 
-def parts_primitive(f, g: BVFunction, resolution=64, oversample=4) -> GridSamplePrimitive:
+def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     """Primitive of the product f g, sampled on a chart-uniform grid.
 
     Phi(x, y) = F g - int_-inf^x F(., y) d1 g - int_-inf^y F(x, .) d2 g
-              + int int F d12 g over [-inf, x] x [-inf, y].
+              + int int F d12 g over [-inf, x] x [-inf, y],
+
+    with the Stieltjes sums taken on a partition OVERSAMPLE times finer.
     """
     F = _primitive_of(f)
     grid = uniform_grid(resolution)
-    fine_r = resolution * oversample
+    fine_r = resolution * OVERSAMPLE
     xs = segment_nodes(NEG_INF, np.inf, fine_r, getattr(g, "jump_x", ()))
     ys = segment_nodes(NEG_INF, np.inf, fine_r, getattr(g, "jump_y", ()))
     tx = cell_tags(xs)
@@ -199,33 +195,18 @@ def parts_primitive(f, g: BVFunction, resolution=64, oversample=4) -> GridSample
     if not (np.all(xs[ix] == grid.xs) and np.all(ys[iy] == grid.ys)):
         raise RuntimeError("coarse grid nodes failed to nest in the fine partition")
 
-    G = g.on_grid(xs, ys)
-    T = F.on_grid(tx, ty)
-
-    corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
-    plane_cum = np.zeros((len(ys), len(xs)))
-    plane_cum[1:, 1:] = np.cumsum(np.cumsum(T * corner, axis=0), axis=1)
-
     FG = F.on_grid(grid.xs, grid.ys) * g.on_grid(grid.xs, grid.ys)
+    # running sums over the fine cells: along x on the coarse rows, along y
+    # on the coarse columns, and over the cells below and left of each node
+    line1 = np.cumsum(F.on_grid(tx, grid.ys) * np.diff(g.on_grid(xs, grid.ys), axis=1), axis=1)
+    line2 = np.cumsum(F.on_grid(grid.xs, ty) * np.diff(g.on_grid(grid.xs, ys), axis=0), axis=0)
+    plane = np.cumsum(np.cumsum(F.on_grid(tx, ty) * kernels.corner_differences(g.on_grid(xs, ys)), axis=0), axis=1)
 
-    # int_-inf^x F(s, y) d1 g(s, y) for each coarse y, cumulative along fine x
-    line1 = np.zeros((len(grid.ys), len(grid.xs)))
-    for jj, yv in enumerate(grid.ys):
-        phi = np.asarray(F.eval(tx, np.full(tx.shape, yv)), dtype=float)
-        gl = np.asarray(g.eval(xs, np.full(xs.shape, yv)), dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(phi * np.diff(gl))])
-        line1[jj] = cum[ix]
-
-    line2 = np.zeros((len(grid.ys), len(grid.xs)))
-    for ii, xv in enumerate(grid.xs):
-        phi = np.asarray(F.eval(np.full(ty.shape, xv), ty), dtype=float)
-        gl = np.asarray(g.eval(np.full(ys.shape, xv), ys), dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(phi * np.diff(gl))])
-        line2[:, ii] = cum[iy]
-
-    values = FG - line1 - line2 + plane_cum[np.ix_(iy, ix)]
-    values[0, :] = 0.0
-    values[:, 0] = 0.0
+    # the sums up to a coarse node end at the fine cell before it; Phi stays
+    # 0 on the -inf edges
+    cx, cy = ix[1:] - 1, iy[1:] - 1
+    values = np.zeros((len(grid.ys), len(grid.xs)))
+    values[1:, 1:] = FG[1:, 1:] - line1[1:, cx] - line2[cy, 1:] + plane[np.ix_(cy, cx)]
     return GridSamplePrimitive(grid, values, f"parts({F.label},{g.label})")
 
 
@@ -285,9 +266,7 @@ def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
     F = _primitive_of(f)
     xs = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_x", ()))
     ys = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_y", ()))
-    Gm = g.on_grid(xs, ys)
-    corner = Gm[:-1, :-1] + Gm[1:, 1:] - Gm[:-1, 1:] - Gm[1:, :-1]
-    if np.min(corner) < -tol:
+    if np.min(kernels.corner_differences(g.on_grid(xs, ys))) < -tol:
         raise ValueError("integrator has negative corner differences")
 
     integral = rs_plane_integral(F, g, FULL_PLANE, tol=min(tol, 1e-9))

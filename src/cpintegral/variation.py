@@ -9,34 +9,18 @@ resolution no longer changes the total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import axis_nodes
+from .extplane import NEG_INF, POS_INF
 from .integral import _refine
 from .primitive import ProductBV
+from .stieltjes import segment_nodes
 
 GUARD = 1e12
 SLICE_VALUES = 1 << 14  # values of g reduced at a time: 128 KB of floats, a slice that stays in cache
-
-
-def axis_with_jumps(resolution, jumps=()):
-    """Chart-uniform nodes plus a straddling triple around each finite jump.
-
-    Inserting j and its floating-point neighbours makes the variation of a
-    jump discontinuity exact at any resolution.
-    """
-    nodes = axis_nodes(resolution)
-    extra = []
-    for j in jumps:
-        if math.isfinite(j):
-            extra.extend((np.nextafter(j, -np.inf), j, np.nextafter(j, np.inf)))
-    if extra:
-        nodes = np.unique(np.concatenate([nodes, np.asarray(extra, dtype=float)]))
-    return nodes
 
 
 @dataclass
@@ -76,8 +60,8 @@ def grid_components(g, resolution):
     Any other g is evaluated and reduced in slices of whole rows, each of
     about SLICE_VALUES values.
     """
-    xs = axis_with_jumps(resolution, getattr(g, "jump_x", ()))
-    ys = axis_with_jumps(resolution, getattr(g, "jump_y", ()))
+    xs = segment_nodes(NEG_INF, POS_INF, resolution, getattr(g, "jump_x", ()))
+    ys = segment_nodes(NEG_INF, POS_INF, resolution, getattr(g, "jump_y", ()))
     if isinstance(g, ProductBV):
         ux, vy = g.eval_factors(xs, ys)
         su, vu = _sup_and_variation(ux)
@@ -152,7 +136,7 @@ def variation_1d(fn, jumps=(), tol=1e-9, start_resolution=64, max_doublings=10):
     """Total variation of a one-dimensional function on the extended line."""
 
     def step(r):
-        vals = np.asarray(fn(axis_with_jumps(r, jumps)), dtype=float)
+        vals = np.asarray(fn(segment_nodes(NEG_INF, POS_INF, r, jumps)), dtype=float)
         return float(np.sum(np.abs(np.diff(vals))))
 
     res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))

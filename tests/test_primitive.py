@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
+from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import (
     CATALOG_BV,
     CATALOG_PRIMITIVES,
@@ -26,6 +27,7 @@ from cpintegral.primitive import (
     translate_reflect_bv,
     validate_primitive,
 )
+from cpintegral.variation import hk_norm
 
 
 def test_catalog_lists_complete():
@@ -67,6 +69,23 @@ def test_closed_form_rejects_nonfinite_values():
     bad = ClosedFormPrimitive(lambda x, y: np.asarray(x, dtype=float), "identity")
     with pytest.raises(ArithmeticError):
         bad(POS_INF, 0.0)
+
+
+def test_scalar_closed_forms_take_the_shape_of_their_arguments():
+    X = np.broadcast_to(axis_nodes(8), (3, 9))
+    zero = ClosedFormPrimitive(lambda x, y: 0.0, "scalarZero")
+    values = zero.eval(X, 0.5)
+    assert values.shape == (3, 9) and values.flags.writeable and not values.any()
+    assert validate_primitive(zero)["passed"]
+    assert not sample_primitive(zero, 8).values.any()
+    assert alexiewicz_norm(zero).value == 0.0
+    one = ClosedFormBV(lambda x, y: 1.0, "scalarOne")
+    assert one.on_grid(axis_nodes(8), axis_nodes(4)).tolist() == np.ones((5, 9)).tolist()
+    assert hk_norm(one).as_dict() == hk_norm(catalog_bv("constant", c=1.0)).as_dict()
+    # a result of the coordinates' shape is returned as it is
+    out = np.zeros((3, 9))
+    assert ClosedFormPrimitive(lambda x, y: out).eval(X, X) is out
+    assert ClosedFormBV(lambda x, y: out).eval(X, X) is out
 
 
 def test_corrected_primitive_vanishes_on_edges():

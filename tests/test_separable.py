@@ -8,6 +8,8 @@ wrapping a ProductBV's eval does the same for integrate_product and the
 variation components.
 """
 
+import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ from cpintegral.primitive import (
     translate_reflect_bv,
 )
 from cpintegral.stieltjes import cell_tags, integrate_product, segment_nodes
-from cpintegral.variation import axis_with_jumps, grid_components, hk_norm
+from cpintegral.variation import grid_components, hk_norm
 
 SEPARABLE = (
     ("prodArctan", {}),
@@ -152,12 +154,29 @@ def test_on_grid_is_bit_identical_to_eval(key):
             f.on_grid(axis_nodes(4), np.array([np.nan]))
 
 
+def _package_lines(pattern):
+    """(file name, line number) of each line of the package sources matching pattern."""
+    package = Path(cpintegral.__file__).parent
+    return [(path.name, k) for path in sorted(package.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if re.search(pattern, line)]
+
+
 def test_no_meshgrid_evaluation_in_the_package():
     # every tensor-grid evaluation goes through PlaneFunction.on_grid
-    package = Path(cpintegral.__file__).parent
-    hits = [f"{path.name}:{k}" for path in sorted(package.glob("*.py"))
-            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "np.meshgrid" in line]
-    assert hits == []
+    assert _package_lines(r"np\.meshgrid") == []
+
+
+def test_one_corner_difference_kernel_and_one_partition_builder():
+    # the cell corner differences are taken in _kernels_py alone, and the
+    # straddle triples around jump lines are built in segment_nodes alone
+    corners = _package_lines(r"\[\s*:-1\s*,\s*:-1\s*\]")
+    assert corners and {name for name, _ in corners} == {"_kernels_py.py"}
+    source = Path(cpintegral.stieltjes.__file__).read_text(encoding="utf-8")
+    builder = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "segment_nodes")
+    straddles = _package_lines(r"np\.nextafter\(")
+    assert straddles and all(name == "stieltjes.py" and builder.lineno <= k <= builder.end_lineno
+                             for name, k in straddles)
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
@@ -234,8 +253,8 @@ def test_factored_hk_norm_matches_meshgrid_components(kind):
     assert len(fast.trace) == len(slow.trace)
     for row, slow_row in zip(fast.trace, slow.trace):
         assert _close(row["value"], slow_row["value"])
-        xs = axis_with_jumps(row["resolution"], g.jump_x)
-        ys = axis_with_jumps(row["resolution"], g.jump_y)
+        xs = segment_nodes(NEG_INF, POS_INF, row["resolution"], g.jump_x)
+        ys = segment_nodes(NEG_INF, POS_INF, row["resolution"], g.jump_y)
         X, Y = np.meshgrid(xs, ys)
         reference = _full_matrix_components(np.asarray(g.eval(X, Y), dtype=float))
         for p, q in zip(grid_components(g, row["resolution"]), reference):

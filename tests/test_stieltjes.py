@@ -3,16 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval, uniform_grid
 from cpintegral.integral import corner_integral
-from cpintegral.primitive import approx_identity, catalog_bv, distribution, validate_primitive
+from cpintegral.operators import lattice_join
+from cpintegral.primitive import (
+    ClosedFormBV,
+    GridConstantBV,
+    approx_identity,
+    catalog_bv,
+    catalog_primitive,
+    distribution,
+    translate_reflect_bv,
+    validate_primitive,
+)
 from cpintegral.stieltjes import (
+    OVERSAMPLE,
+    _nine_term_sum,
     cell_tags,
     gdf_identity_check,
     integrate_product,
     mean_value_point,
     parts_primitive,
     rs_line_integral,
+    rs_line_section,
     segment_nodes,
 )
 
@@ -127,3 +140,126 @@ def test_product_does_not_stop_on_a_straddled_ramp():
     # there, 2.0e-4 from the exact value
     res = integrate_product(distribution("prodArctan"), approx_identity(8), tol=1e-6)
     assert abs(res.value - 0.9172787112) <= 1e-6
+
+
+def _line_sum(t, g):
+    return float(np.sum(t * np.diff(g)))
+
+
+def _nine_term_reference(F, g, interval, resolution):
+    """The nine-term by-parts sum from scalar corner values, four line
+    sections and a meshgrid of the plane term."""
+    a, b, c, d = interval.a, interval.b, interval.c, interval.d
+    xs = segment_nodes(a, b, resolution, g.jump_x)
+    ys = segment_nodes(c, d, resolution, g.jump_y)
+    tx = cell_tags(xs)
+    ty = cell_tags(ys)
+    total = F(a, c) * g(a, c) + F(b, d) * g(b, d) - F(a, d) * g(a, d) - F(b, c) * g(b, c)
+
+    def line_x(level, sign):
+        return sign * _line_sum(F.eval(tx, np.full(tx.shape, level)), g.eval(xs, np.full(xs.shape, level)))
+
+    def line_y(level, sign):
+        return sign * _line_sum(F.eval(np.full(ty.shape, level), ty), g.eval(np.full(ys.shape, level), ys))
+
+    total += line_x(d, -1.0) + line_x(c, 1.0) + line_y(b, -1.0) + line_y(a, 1.0)
+    T = F.eval(*np.meshgrid(tx, ty))
+    G = np.asarray(g.eval(*np.meshgrid(xs, ys)), dtype=float)
+    total += float(np.sum(T * (G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1])))
+    return total
+
+
+def _parts_reference(F, g, resolution):
+    """parts_primitive with its line sums taken one coarse row and one
+    coarse column at a time."""
+    grid = uniform_grid(resolution)
+    xs = segment_nodes(NEG_INF, POS_INF, resolution * OVERSAMPLE, g.jump_x)
+    ys = segment_nodes(NEG_INF, POS_INF, resolution * OVERSAMPLE, g.jump_y)
+    tx = cell_tags(xs)
+    ty = cell_tags(ys)
+    ix = np.searchsorted(xs, grid.xs)
+    iy = np.searchsorted(ys, grid.ys)
+    G = np.asarray(g.eval(*np.meshgrid(xs, ys)), dtype=float)
+    corner = G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]
+    plane_cum = np.zeros((len(ys), len(xs)))
+    plane_cum[1:, 1:] = np.cumsum(np.cumsum(F.eval(*np.meshgrid(tx, ty)) * corner, axis=0), axis=1)
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    FG = F.eval(X, Y) * g.eval(X, Y)
+    line1 = np.zeros((len(grid.ys), len(grid.xs)))
+    for jj, yv in enumerate(grid.ys):
+        phi = F.eval(tx, np.full(tx.shape, yv))
+        gl = g.eval(xs, np.full(xs.shape, yv))
+        line1[jj] = np.concatenate([[0.0], np.cumsum(phi * np.diff(gl))])[ix]
+    line2 = np.zeros((len(grid.ys), len(grid.xs)))
+    for ii, xv in enumerate(grid.xs):
+        phi = F.eval(np.full(ty.shape, xv), ty)
+        gl = g.eval(np.full(ys.shape, xv), ys)
+        line2[:, ii] = np.concatenate([[0.0], np.cumsum(phi * np.diff(gl))])[iy]
+    values = FG - line1 - line2 + plane_cum[np.ix_(iy, ix)]
+    values[0, :] = 0.0
+    values[:, 0] = 0.0
+    return values
+
+
+BY_PARTS_PRIMITIVES = {
+    "expRadial": lambda: catalog_primitive("expRadial"),
+    "boundaryBuild": lambda: catalog_primitive("boundaryBuild"),
+    "latticeJoin": lambda: lattice_join(catalog_primitive("expRadial"), catalog_primitive("gauss2", which="G")),
+    "prodArctan": lambda: catalog_primitive("prodArctan"),
+}
+BY_PARTS_MULTIPLIERS = {
+    "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
+    "reflectedClosedForm": lambda: ClosedFormBV(translate_reflect_bv(approx_identity(2), 1.0, -0.5).eval,
+                                                "reflected", (-1.0, 3.0), (-2.5, 1.5)),
+    "gridConstant": lambda: GridConstantBV(uniform_grid(4), np.arange(16.0).reshape(4, 4) - 5.5),
+    "approxIdentity": lambda: approx_identity(3),
+}
+BY_PARTS_INTERVALS = {
+    "full": FULL_PLANE,
+    "halfInfinite": make_interval(NEG_INF, 0.5, 0.0, POS_INF),
+    "swapped": make_interval(2.0, -1.0, 1.5, -0.5),
+}
+
+
+# every pair but prodArctan x approxIdentity, which takes the factored path
+GENERIC_PAIRS = [(f_key, g_key) for f_key in BY_PARTS_PRIMITIVES for g_key in BY_PARTS_MULTIPLIERS
+                 if (f_key, g_key) != ("prodArctan", "approxIdentity")]
+
+
+@pytest.mark.parametrize("f_key,g_key", GENERIC_PAIRS, ids=["-".join(pair) for pair in GENERIC_PAIRS])
+def test_nine_term_sum_matches_the_line_section_formula(f_key, g_key):
+    # the corner and edge terms read from the two tensor grids agree bit for
+    # bit with separate scalar and line evaluations
+    F = BY_PARTS_PRIMITIVES[f_key]()
+    g = BY_PARTS_MULTIPLIERS[g_key]()
+    for interval in BY_PARTS_INTERVALS.values():
+        for resolution in (32, 128):
+            assert _nine_term_sum(F, g, interval, resolution) == _nine_term_reference(F, g, interval, resolution)
+    swapped = BY_PARTS_INTERVALS["swapped"]
+    assert swapped.sign == 1 and (swapped.a, swapped.c) == (-1.0, -0.5)
+    res = integrate_product(F, g, make_interval(2.0, -1.0, -0.5, 1.5), tol=1e-6, max_doublings=1)
+    assert res.value == -_nine_term_reference(F, g, swapped, res.resolution)
+
+
+@pytest.mark.parametrize("g_key", BY_PARTS_MULTIPLIERS)
+@pytest.mark.parametrize("f_key", BY_PARTS_PRIMITIVES)
+def test_parts_primitive_matches_the_per_row_sums(f_key, g_key):
+    F = BY_PARTS_PRIMITIVES[f_key]()
+    g = BY_PARTS_MULTIPLIERS[g_key]()
+    for resolution in (16, 64):
+        values = parts_primitive(F, g, resolution).values
+        assert values.tobytes() == _parts_reference(F, g, resolution).tobytes()
+
+
+def test_line_section_of_a_quadrant_indicator_is_its_jump():
+    # g(., y) drops from 1 to 0 at x = 0.3 for y < -1, and g(x, .) at y = -1
+    # for x < 0.3, so each section integral is -F at the jump
+    F = catalog_primitive("prodArctan")
+    g = catalog_bv("quadrantIndicator", x=0.3, y=-1.0)
+    along_x = rs_line_section(F, g, 1, -2.0, NEG_INF, POS_INF)
+    along_y = rs_line_section(F, g, 2, 0.1, NEG_INF, POS_INF)
+    assert along_x.converged and along_y.converged
+    assert abs(along_x.value + F(0.3, -2.0)) <= 1e-12
+    assert abs(along_y.value + F(0.1, -1.0)) <= 1e-12
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        rs_line_section(F, g, 3, 0.0, NEG_INF, POS_INF)

@@ -5,9 +5,10 @@ import pytest
 
 from cpintegral import _kernels_py as kernels
 from cpintegral import variation
+from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes
 from cpintegral.primitive import ClosedFormBV, catalog_bv
+from cpintegral.stieltjes import segment_nodes
 from cpintegral.variation import (
-    axis_with_jumps,
     grid_components,
     hk_norm,
     sectional_variation_sup,
@@ -17,12 +18,18 @@ from cpintegral.variation import (
 )
 
 
-def test_axis_with_jumps_straddles():
-    xs = axis_with_jumps(16, jumps=(0.3,))
+def _line_nodes(resolution, jumps=()):
+    """The straddled partition of the extended line that variation measures on."""
+    return segment_nodes(NEG_INF, POS_INF, resolution, jumps)
+
+
+def test_extended_line_nodes_straddle_jumps():
+    xs = _line_nodes(16, jumps=(0.3,))
     assert 0.3 in xs
     assert np.nextafter(0.3, -np.inf) in xs
     assert np.nextafter(0.3, np.inf) in xs
     assert np.all(np.diff(xs) > 0)
+    assert np.array_equal(_line_nodes(16), axis_nodes(16))
 
 
 def test_quadrant_indicator_norm_exact():
@@ -125,7 +132,7 @@ def _full_matrix_components(G):
 
 
 def _grid_values(g, resolution):
-    X, Y = np.meshgrid(axis_with_jumps(resolution, g.jump_x), axis_with_jumps(resolution, g.jump_y))
+    X, Y = np.meshgrid(_line_nodes(resolution, g.jump_x), _line_nodes(resolution, g.jump_y))
     return g.eval(X, Y)
 
 
@@ -146,8 +153,8 @@ def test_sliced_components_match_the_full_matrix(name, resolution, monkeypatch):
     # slice plus one row; then the default slices (2049 rows at resolution 2048)
     g = SMOOTH_BV[name]
     sup, v1, v2, v12 = _full_matrix_components(_grid_values(g, resolution))
-    nx = len(axis_with_jumps(resolution, g.jump_x))
-    ny = len(axis_with_jumps(resolution, g.jump_y))
+    nx = len(_line_nodes(resolution, g.jump_x))
+    ny = len(_line_nodes(resolution, g.jump_y))
     for rows in (1, ny + 1, ny, ny - 1, None):
         with monkeypatch.context() as m:
             if rows is not None:
@@ -158,7 +165,7 @@ def test_sliced_components_match_the_full_matrix(name, resolution, monkeypatch):
 
 
 def test_fold_of_a_single_row():
-    row = _smooth(axis_with_jumps(9, (0.3,)), 0.5)[None, :]
+    row = _smooth(_line_nodes(9, (0.3,)), 0.5)[None, :]
     colvar, acc = np.zeros(row.shape[1]), np.zeros(3)
     kernels.hk_fold(row, np.empty((0, row.shape[1])), colvar, acc)
     assert (acc[0], acc[1], float(np.max(colvar)), acc[2]) == _full_matrix_components(row)
