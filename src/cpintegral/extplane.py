@@ -2,7 +2,8 @@
 
 Extended reals are plain floats where -inf/+inf are legal values and NaN is
 not.  The chart is a fixed monotone homeomorphism [-inf, inf] -> [-1, 1] used
-to place uniform partition grids on the extended plane.
+to place uniform partition grids on the extended plane: segment_nodes builds
+every partition, straddled around jump lines, and cell_tags its tags.
 """
 
 from __future__ import annotations
@@ -28,24 +29,27 @@ class Chart:
     """Monotone bijection between [-inf, inf] and [-1, 1].
 
     forward(t) = t / (1 + |t|), inverse(u) = u / (1 - |u|); exactly odd,
-    forward(+-inf) = +-1 exactly.
+    with forward(+-inf) = +-1 and inverse(+-1) = +-inf exactly.  inverse
+    clips u to [-1, 1] first, so |u| > 1 maps to +-inf too.  NaN maps to
+    NaN both ways.  A scalar argument gives a float.
     """
 
     name = "t/(1+|t|)"
 
     def forward(self, t):
+        if isinstance(t, (float, int)):
+            t = float(t)
+            return math.copysign(1.0, t) if math.isinf(t) else t / (1.0 + abs(t))
         t = np.asarray(t, dtype=float)
-        out = np.where(np.isneginf(t), -1.0, np.where(np.isposinf(t), 1.0, 0.0))
-        finite = np.isfinite(t)
-        tf = np.where(finite, t, 0.0)
-        out = np.where(finite, tf / (1.0 + np.abs(tf)), out)
+        with np.errstate(invalid="ignore"):
+            out = np.where(np.isinf(t), np.sign(t), t / (1.0 + np.abs(t)))
         return out if out.ndim else float(out)
 
     def inverse(self, u):
         u = np.asarray(u, dtype=float)
-        interior = np.abs(u) < 1.0
-        uf = np.where(interior, u, 0.0)
-        out = np.where(interior, uf / (1.0 - np.abs(uf)), np.where(u <= -1.0, NEG_INF, POS_INF))
+        c = np.minimum(np.maximum(u, -1.0), 1.0)  # clip to [-1, 1]; np.clip's wrapper costs more on short rows
+        with np.errstate(divide="ignore"):
+            out = c / (1.0 - np.abs(c))
         return out if out.ndim else float(out)
 
 
@@ -116,14 +120,50 @@ def chart_nodes(resolution: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, resolution + 1)
 
 
-def axis_nodes(resolution: int, chart: Chart = DEFAULT_CHART) -> np.ndarray:
+def segment_nodes(a, b, resolution, jumps=()):
+    """Chart-uniform partition of [a, b] with straddles around interior jumps.
+
+    Each interior jump j adds j and its floating-point neighbours, so a jump
+    falls within one ulp-wide cell and its variation is exact at any resolution.
+    Without interior jumps the chart nodes are returned as they are when they
+    strictly increase; only a range too narrow for the chart to resolve needs
+    the sort and the range mask.
+    """
+    if not a < b:
+        raise ValueError("need a < b")
+    nodes = DEFAULT_CHART.inverse(np.linspace(DEFAULT_CHART.forward(a), DEFAULT_CHART.forward(b), resolution + 1))
+    nodes[0] = a
+    nodes[-1] = b
+    increasing = (nodes[1:] > nodes[:-1]).all()  # then every node lies in [a, b]
+    j = np.asarray(jumps, dtype=float)
+    j = j[(a < j) & (j < b)]  # NaN and +-inf are never strictly inside
+    if j.size:
+        straddles = np.repeat(j, 3)  # (j-, j, j+) per jump; the order decides which of +-0.0 np.unique keeps
+        straddles[0::3] = np.nextafter(j, NEG_INF)
+        straddles[2::3] = np.nextafter(j, POS_INF)
+        nodes = np.concatenate([nodes, straddles])
+    elif increasing:
+        return nodes
+    nodes = np.unique(nodes)
+    return nodes if increasing else nodes[(nodes >= a) & (nodes <= b)]
+
+
+def cell_tags(nodes):
+    """Chart-midpoint tags; the first and last cells are tagged at the boundary."""
+    u = DEFAULT_CHART.forward(nodes)
+    tags = DEFAULT_CHART.inverse((u[:-1] + u[1:]) / 2.0)
+    tags[0] = nodes[0]
+    tags[-1] = nodes[-1]
+    return tags
+
+
+def axis_nodes(resolution: int) -> np.ndarray:
     """resolution+1 nodes on [-inf, inf], chart-equispaced, endpoints exact."""
-    nodes = np.asarray(chart.inverse(chart_nodes(resolution)), dtype=float)
-    nodes[0] = NEG_INF
-    nodes[-1] = POS_INF
-    return nodes
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    return segment_nodes(NEG_INF, POS_INF, resolution)
 
 
-def uniform_grid(resolution: int, chart: Chart = DEFAULT_CHART) -> Grid2:
-    nodes = axis_nodes(resolution, chart)
+def uniform_grid(resolution: int) -> Grid2:
+    nodes = axis_nodes(resolution)
     return Grid2(xs=nodes, ys=nodes.copy(), resolution=resolution)

@@ -19,7 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate as _sciint
 
-from .extplane import DEFAULT_CHART, NEG_INF, POS_INF, FULL_PLANE, Interval2, axis_nodes, chart_nodes, ext
+from .extplane import (
+    DEFAULT_CHART,
+    NEG_INF,
+    POS_INF,
+    FULL_PLANE,
+    Interval2,
+    axis_nodes,
+    chart_nodes,
+    ext,
+    segment_nodes,
+)
 from .primitive import Distribution, GridSamplePrimitive, Primitive, SeparablePrimitive
 
 
@@ -463,8 +473,6 @@ def iterated_consistency(f, interval: Interval2, resolution=128):
     F = _primitive_of(f)
     direct = corner_integral(f, interval)
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
-
-    from .stieltjes import segment_nodes
 
     xs = segment_nodes(min(a, b), max(a, b), resolution) if a != b else np.array([a, b])
     inner_x = (

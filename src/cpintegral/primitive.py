@@ -114,10 +114,13 @@ class SeparablePrimitive(ClosedFormPrimitive):
         self.factors = (a, b)
 
     def eval_factors(self, x, y):
-        """(a(x), b(y)) as float arrays; non-finite values raise as in eval."""
+        """(a(x), b(y)) as float arrays of the shapes of x and y; non-finite
+        values raise as in eval."""
         a, b = self.factors
-        ax = _require_finite(np.asarray(a(np.asarray(x, dtype=float)), dtype=float), self.label)
-        by = _require_finite(np.asarray(b(np.asarray(y, dtype=float)), dtype=float), self.label)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        ax = _require_finite(_shaped(np.asarray(a(x), dtype=float), x), self.label)
+        by = _require_finite(_shaped(np.asarray(b(y), dtype=float), y), self.label)
         return ax, by
 
     def on_grid(self, xs, ys):
@@ -150,7 +153,7 @@ class GridSamplePrimitive(Primitive):
 
     kind = "gridSample"
 
-    def __init__(self, grid: Grid2, values, label="", chart=DEFAULT_CHART):
+    def __init__(self, grid: Grid2, values, label=""):
         super().__init__(label)
         values = np.asarray(values, dtype=float)
         if values.shape != (len(grid.ys), len(grid.xs)):
@@ -159,7 +162,6 @@ class GridSamplePrimitive(Primitive):
             raise ValueError("grid values must be finite")
         self.grid = grid
         self.values = values
-        self.chart = chart
 
     def _cells(self, t, nodes):
         """Cell index and chart fraction of each coordinate t along one axis.
@@ -169,7 +171,7 @@ class GridSamplePrimitive(Primitive):
         value there exactly rather than after a chart round trip.
         """
         r = self.grid.resolution
-        u = (np.asarray(self.chart.forward(t)) + 1.0) * (r / 2.0)
+        u = (np.asarray(DEFAULT_CHART.forward(t)) + 1.0) * (r / 2.0)
         i = np.clip(np.floor(u).astype(int), 0, r - 1)
         k = np.minimum(np.searchsorted(nodes, t), r)
         hit = nodes[k] == t
@@ -256,14 +258,15 @@ class ProductBV(BVFunction):
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
         self._reject_nan(x, y)
-        return np.asarray(self.u(x), dtype=float) * np.asarray(self.v(y), dtype=float)
+        return _shaped(np.asarray(self.u(x), dtype=float) * np.asarray(self.v(y), dtype=float), x)
 
     def eval_factors(self, x, y):
-        """(u(x), v(y)) as float arrays; a NaN coordinate raises as in eval."""
+        """(u(x), v(y)) as float arrays of the shapes of x and y; a NaN
+        coordinate raises as in eval."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self._reject_nan(x, y)
-        return np.asarray(self.u(x), dtype=float), np.asarray(self.v(y), dtype=float)
+        return _shaped(np.asarray(self.u(x), dtype=float), x), _shaped(np.asarray(self.v(y), dtype=float), y)
 
     def on_grid(self, xs, ys):
         """The outer product of the factors: 2 r evaluations instead of r^2."""
@@ -376,7 +379,7 @@ def approx_identity_ramp(n):
 
     def u(t):
         t = np.asarray(t, dtype=float)
-        return np.clip(np.where(np.isneginf(t), -1.0, np.where(np.isposinf(t), 2.0, t + n)), 0.0, 1.0)
+        return np.clip(t + n, 0.0, 1.0)
 
     return u
 
@@ -460,11 +463,11 @@ def _weierstrass(a, b, depth):
     return w
 
 
-def _weier_1d(a, b, depth, chart=DEFAULT_CHART):
+def _weier_1d(a, b, depth):
     w = _weierstrass(a, b, depth)
 
     def fn(t):
-        u = np.atleast_1d(np.asarray(chart.forward(np.asarray(t, dtype=float))))
+        u = np.atleast_1d(np.asarray(DEFAULT_CHART.forward(np.asarray(t, dtype=float))))
         shape = u.shape
         # evaluate the base point through the same vectorized path so the
         # subtraction is exactly zero at u = -1
@@ -479,7 +482,7 @@ def _weier_1d(a, b, depth, chart=DEFAULT_CHART):
 def _cantor_1d(depth=20):
     def fn(t):
         t = np.asarray(t, dtype=float)
-        x = np.clip(np.where(np.isneginf(t), 0.0, np.where(np.isposinf(t), 1.0, t)), 0.0, 1.0)
+        x = np.clip(t, 0.0, 1.0)
         val = np.zeros_like(x)
         active = np.ones(x.shape, dtype=bool)
         scale = 1.0
@@ -492,8 +495,7 @@ def _cantor_1d(depth=20):
             val = np.where(right, val + scale, val)
             x = np.where(active & (x <= 1.0 / 3.0), 3.0 * x, np.where(right, 3.0 * x - 2.0, x))
         val = np.where(x >= 1.0, np.where(active, val + scale * (x >= 1.0), val), val)
-        t_clipped = np.clip(np.where(np.isfinite(t), t, np.sign(t)), -1.0, 2.0)
-        return np.where(t_clipped <= 0.0, 0.0, np.where(t_clipped >= 1.0, 1.0, val))
+        return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, val))
 
     return fn
 
@@ -586,11 +588,11 @@ def catalog_primitive(name, **params) -> Primitive:
             raise ValueError("sineStrip needs n >= 1")
 
         def a(x):
-            xc = np.clip(np.where(np.isneginf(x), 0.0, np.where(np.isposinf(x), 2 * PI, x)), 0.0, 2 * PI)
+            xc = np.clip(x, 0.0, 2 * PI)
             return (1.0 - np.cos(n * xc)) / n
 
         def b(y):
-            return np.clip(np.where(np.isneginf(y), 0.0, np.where(np.isposinf(y), 1.0, y)), 0.0, 1.0)
+            return np.clip(y, 0.0, 1.0)
 
         return SeparablePrimitive((a, b), f"sineStrip({n})")
     if name == "zero":

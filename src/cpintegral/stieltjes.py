@@ -1,63 +1,23 @@
 """Riemann-Stieltjes quadratures against functions of bounded variation.
 
-Sums are over chart-uniform tagged partitions, refined by doubling; nodes
-straddle each declared jump line of the integrator with floating-point
-neighbour points, so jump contributions are picked up within an ulp of the
-integrand value at the jump.
+Sums are over the chart-uniform tagged partitions of extplane.segment_nodes,
+refined by doubling; nodes straddle each declared jump line of the integrator
+with floating-point neighbour points, so jump contributions are picked up
+within an ulp of the integrand value at the jump.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import (
-    DEFAULT_CHART,
-    NEG_INF,
-    FULL_PLANE,
-    Interval2,
-    uniform_grid,
-)
+from .extplane import NEG_INF, FULL_PLANE, Interval2, cell_tags, segment_nodes, uniform_grid
 from .integral import QuadResult, _primitive_of, _refine
 from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
 OVERSAMPLE = 4  # fine cells per coarse cell along each axis in parts_primitive
-
-
-def segment_nodes(a, b, resolution, jumps=()):
-    """Chart-uniform partition of [a, b] with straddles around interior jumps.
-
-    Each interior jump j adds j and its floating-point neighbours, so a jump
-    falls within one ulp-wide cell and its variation is exact at any resolution.
-    """
-    if not a < b:
-        raise ValueError("need a < b")
-    ua = float(np.asarray(DEFAULT_CHART.forward(a)))
-    ub = float(np.asarray(DEFAULT_CHART.forward(b)))
-    u = np.linspace(ua, ub, resolution + 1)
-    nodes = np.asarray(DEFAULT_CHART.inverse(u), dtype=float)
-    nodes[0] = a
-    nodes[-1] = b
-    extra = []
-    for j in jumps:
-        if math.isfinite(j) and a < j < b:
-            extra.extend((np.nextafter(j, -np.inf), j, np.nextafter(j, np.inf)))
-    if extra:
-        nodes = np.concatenate([nodes, np.asarray(extra, dtype=float)])
-    nodes = np.unique(nodes)
-    return nodes[(nodes >= a) & (nodes <= b)]
-
-
-def cell_tags(nodes):
-    """Chart-midpoint tags; the first and last cells are tagged at the boundary."""
-    u = np.asarray(DEFAULT_CHART.forward(nodes))
-    tags = np.asarray(DEFAULT_CHART.inverse((u[:-1] + u[1:]) / 2.0), dtype=float)
-    tags[0] = nodes[0]
-    tags[-1] = nodes[-1]
-    return tags
 
 
 def rs_line_integral(phi, g_section, a, b, jumps=(), tol=1e-9, start_resolution=32, max_doublings=10):

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import NEG_INF, POS_INF
+from .extplane import NEG_INF, POS_INF, segment_nodes
 from .integral import _refine
 from .primitive import ProductBV
-from .stieltjes import segment_nodes
 
 GUARD = 1e12
 SLICE_VALUES = 1 << 14  # values of g reduced at a time: 128 KB of floats, a slice that stays in cache

@@ -10,9 +10,11 @@ from cpintegral.extplane import (
     POS_INF,
     Interval2,
     axis_nodes,
+    cell_tags,
     corner_points,
     ext,
     make_interval,
+    segment_nodes,
     uniform_grid,
 )
 
@@ -86,3 +88,135 @@ def test_uniform_grid():
     g = uniform_grid(8)
     assert len(g.xs) == 9 and len(g.ys) == 9
     assert g.xs[0] == NEG_INF and g.ys[-1] == POS_INF
+
+
+def _old_forward(t):
+    """The chart's forward map as four nested np.where, NaN sent to 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(np.isneginf(t), -1.0, np.where(np.isposinf(t), 1.0, 0.0))
+    finite = np.isfinite(t)
+    tf = np.where(finite, t, 0.0)
+    return np.where(finite, tf / (1.0 + np.abs(tf)), out)
+
+
+def _old_inverse(u):
+    """The chart's inverse map, |u| >= 1 sent to +-inf and NaN to +inf."""
+    u = np.asarray(u, dtype=float)
+    interior = np.abs(u) < 1.0
+    uf = np.where(interior, u, 0.0)
+    return np.where(interior, uf / (1.0 - np.abs(uf)), np.where(u <= -1.0, NEG_INF, POS_INF))
+
+
+def _chart_inputs():
+    rng = np.random.default_rng(7)
+    wide = rng.choice([-1.0, 1.0], 20000) * rng.random(20000) * 10.0 ** rng.integers(-300, 301, 20000)
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, POS_INF, NEG_INF, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+               tiny, -tiny, 1e-310, -1e-310, 2.5e-308, 1.5, -1.5, 1e300, -1e300, np.finfo(float).max]
+    unit = np.concatenate([rng.uniform(-1.0, 1.0, 5000), rng.uniform(-3.0, 3.0, 1000)])
+    return np.concatenate([wide, special, unit])
+
+
+def test_chart_maps_match_the_nested_where_formulas_bit_for_bit():
+    ts = _chart_inputs()
+    chart = DEFAULT_CHART
+    for new, old in ((chart.forward, _old_forward), (chart.inverse, _old_inverse)):
+        got = new(ts)
+        assert got.tobytes() == old(ts).tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(old(ts)))
+        # the plain-float path for scalars matches too, sign of zero included
+        for t in ts[:100].tolist() + ts[20000:20018].tolist() + ts[-1100:-1000].tolist():
+            value = new(t)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.asarray(old(t)).tobytes()
+        assert type(new(np.float64(0.5))) is float and type(new(np.asarray(0.5))) is float
+    assert chart.forward(3) == 0.75 and chart.inverse(2) == POS_INF
+    single = np.array([0.5], dtype=np.float32)
+    assert chart.forward(single).dtype == float and chart.inverse(single).dtype == float
+    # NaN propagates through both maps, as a scalar and inside an array
+    assert math.isnan(chart.forward(math.nan)) and math.isnan(chart.inverse(math.nan))
+    fwd = chart.forward(np.array([math.nan, 1.0]))
+    inv = chart.inverse(np.array([math.nan, 0.5]))
+    assert math.isnan(fwd[0]) and fwd[1] == 0.5 and math.isnan(inv[0]) and inv[1] == 1.0
+
+
+def _old_segment_nodes(a, b, resolution, jumps=()):
+    """segment_nodes with a Python loop over the jumps and a sort on every call."""
+    if not a < b:
+        raise ValueError("need a < b")
+    ua = float(np.asarray(_old_forward(a)))
+    ub = float(np.asarray(_old_forward(b)))
+    u = np.linspace(ua, ub, resolution + 1)
+    nodes = np.asarray(_old_inverse(u), dtype=float)
+    nodes[0] = a
+    nodes[-1] = b
+    extra = []
+    for j in jumps:
+        if math.isfinite(j) and a < j < b:
+            extra.extend((np.nextafter(j, -np.inf), j, np.nextafter(j, np.inf)))
+    if extra:
+        nodes = np.concatenate([nodes, np.asarray(extra, dtype=float)])
+    nodes = np.unique(nodes)
+    return nodes[(nodes >= a) & (nodes <= b)]
+
+
+_ULP_STEPS = tuple(np.nextafter(0.3, 1.0) + k * np.spacing(0.3) for k in range(3))
+SEGMENT_CASES = [
+    (NEG_INF, POS_INF, 32, ()),
+    (NEG_INF, POS_INF, 7, ()),
+    (0.0, 1.0, 8, ()),
+    (-2.5, 3.0, 33, ()),
+    (0, 1, 8, ()),
+    (NEG_INF, POS_INF, 16, (-5.0, 7.0, 99.0)),
+    (0.0, 1.0, 8, (-1.0, 2.0, 0.0, 1.0)),  # outside [a, b] and on the ends
+    (NEG_INF, POS_INF, 32, (POS_INF, NEG_INF, math.nan, 0.25, 0.25, -1.5)),  # infinite, NaN, duplicates
+    (NEG_INF, POS_INF, 16, (0.3, *_ULP_STEPS, np.nextafter(0.3, 0.0))),  # a few ulps apart
+    (NEG_INF, POS_INF, 16, (-1.0, 0.0, -0.0, 1.0 / 3.0)),  # on chart nodes, both zeros
+    (-1.0, 1.0, 4, (-0.0,)),
+    (NEG_INF, 0.0, 16, (-1.0, -0.5, 0.5)),  # half-infinite
+    (2.0, POS_INF, 16, (3.0, 1.0)),
+    (NEG_INF, -1e300, 8, ()),
+    (1e300, np.nextafter(1e300, POS_INF), 8, ()),  # the chart cannot resolve [a, b]: the sort runs
+    (1e300, np.nextafter(1e300, POS_INF), 8, (1e300,)),
+    (0.0, 5e-324, 4, ()),
+    (0.0, 1.0, 1, ()),
+    (0.0, 1.0, 0, ()),
+    (NEG_INF, POS_INF, 4096, (0.25,)),
+    (NEG_INF, POS_INF, 4096, ()),
+]
+
+
+@pytest.mark.parametrize("a,b,resolution,jumps", SEGMENT_CASES)
+def test_segment_nodes_match_the_sorted_loop(a, b, resolution, jumps):
+    new = segment_nodes(a, b, resolution, jumps)
+    old = _old_segment_nodes(a, b, resolution, jumps)
+    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    if len(new) > 1:
+        u = _old_forward(new)
+        old_tags = _old_inverse((u[:-1] + u[1:]) / 2.0)
+        old_tags[0], old_tags[-1] = new[0], new[-1]
+        assert cell_tags(new).tobytes() == old_tags.tobytes()
+
+
+def test_segment_nodes_sort_only_what_the_chart_cannot_resolve():
+    a = 1e300
+    b = np.nextafter(a, POS_INF)
+    # the chart maps a and b to the same point, so the raw nodes repeat
+    assert DEFAULT_CHART.forward(a) == DEFAULT_CHART.forward(b)
+    assert segment_nodes(a, b, 8).tolist() == [a, b]
+    with pytest.raises(ValueError):
+        segment_nodes(1.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        segment_nodes(math.nan, 1.0, 8)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 17, 64, 1000, 1 << 12])
+def test_axis_nodes_are_the_unjumped_partition_of_the_line(resolution):
+    nodes = axis_nodes(resolution)
+    assert nodes.tobytes() == segment_nodes(NEG_INF, POS_INF, resolution).tobytes()
+    assert nodes.tobytes() == _old_segment_nodes(NEG_INF, POS_INF, resolution).tobytes()
+    old = _old_inverse(np.linspace(-1.0, 1.0, resolution + 1))
+    assert nodes.tobytes() == old.tobytes()
+    for bad in (1, 0, -1):
+        with pytest.raises(ValueError):
+            axis_nodes(bad)

@@ -13,6 +13,8 @@ from cpintegral.primitive import (
     Distribution,
     GridConstantBV,
     GridSamplePrimitive,
+    ProductBV,
+    SeparablePrimitive,
     approx_identity,
     catalog_bv,
     catalog_primitive,
@@ -86,6 +88,81 @@ def test_scalar_closed_forms_take_the_shape_of_their_arguments():
     out = np.zeros((3, 9))
     assert ClosedFormPrimitive(lambda x, y: out).eval(X, X) is out
     assert ClosedFormBV(lambda x, y: out).eval(X, X) is out
+
+
+def test_scalar_factors_take_the_shape_of_their_coordinates():
+    ramp = lambda t: 0.5 + np.arctan(t) / math.pi
+    ones = lambda t: np.ones(np.shape(t))
+    u = approx_identity(2).u
+    pairs = ((SeparablePrimitive((ramp, lambda y: 1.0)), SeparablePrimitive((ramp, ones))),
+             (SeparablePrimitive((lambda x: 2.0, ramp)), SeparablePrimitive((lambda x: 2.0 * ones(x), ramp))))
+    xs, ys = axis_nodes(8), axis_nodes(4)
+    for scalar, array in pairs:
+        assert scalar.on_grid(xs, ys).tobytes() == array.on_grid(xs, ys).tobytes()
+        assert alexiewicz_norm(scalar).as_dict() == alexiewicz_norm(array).as_dict()
+    for scalar, array in ((ProductBV(lambda x: 1.0, u), ProductBV(ones, u)),
+                          (ProductBV(u, lambda y: 1.0), ProductBV(u, ones))):
+        ux, vy = scalar.eval_factors(xs, ys)
+        assert ux.shape == (9,) and vy.shape == (5,) and ux.flags.writeable and vy.flags.writeable
+        assert hk_norm(scalar).as_dict() == hk_norm(array).as_dict()
+        with pytest.raises(ArithmeticError):
+            scalar.eval_factors(np.array([0.0, np.nan]), ys)
+    X = np.broadcast_to(xs, (5, 9))
+    both = ProductBV(lambda x: 1.0, lambda y: 2.0)
+    assert both.eval(X, X).shape == (5, 9) and both.eval(X, X).tolist() == np.full((5, 9), 2.0).tolist()
+    with pytest.raises(ArithmeticError):
+        SeparablePrimitive((ramp, lambda y: math.inf)).eval_factors(xs, ys)
+
+
+def _old_ramp(n):
+    return lambda t: np.clip(np.where(np.isneginf(t), -1.0, np.where(np.isposinf(t), 2.0, t + n)), 0.0, 1.0)
+
+
+def _old_sine_strip(n):
+    def a(x):
+        xc = np.clip(np.where(np.isneginf(x), 0.0, np.where(np.isposinf(x), 2 * math.pi, x)), 0.0, 2 * math.pi)
+        return (1.0 - np.cos(n * xc)) / n
+
+    def b(y):
+        return np.clip(np.where(np.isneginf(y), 0.0, np.where(np.isposinf(y), 1.0, y)), 0.0, 1.0)
+
+    return a, b
+
+
+def _old_cantor(depth):
+    def fn(t):
+        x = np.clip(np.where(np.isneginf(t), 0.0, np.where(np.isposinf(t), 1.0, t)), 0.0, 1.0)
+        val = np.zeros_like(x)
+        active = np.ones(x.shape, dtype=bool)
+        scale = 1.0
+        for _ in range(depth):
+            scale *= 0.5
+            mid = active & (x > 1.0 / 3.0) & (x < 2.0 / 3.0)
+            val = np.where(mid, val + scale, val)
+            active = active & ~mid
+            right = active & (x >= 2.0 / 3.0)
+            val = np.where(right, val + scale, val)
+            x = np.where(active & (x <= 1.0 / 3.0), 3.0 * x, np.where(right, 3.0 * x - 2.0, x))
+        val = np.where(x >= 1.0, np.where(active, val + scale * (x >= 1.0), val), val)
+        t_clipped = np.clip(np.where(np.isfinite(t), t, np.sign(t)), -1.0, 2.0)
+        return np.where(t_clipped <= 0.0, 0.0, np.where(t_clipped >= 1.0, 1.0, val))
+
+    return fn
+
+
+def test_clipped_factors_match_the_infinity_branches_bit_for_bit():
+    # np.clip sends +-inf to the clip ends, so the branches for +-inf were redundant
+    tiny = np.nextafter(0.0, 1.0)
+    special = [POS_INF, NEG_INF, 0.0, -0.0, math.nan, 1e300, -1e300, np.finfo(float).max, tiny, -tiny,
+               1e-310, 1.0 / 3.0, 2.0 / 3.0, 1.0, 2.0, 2 * math.pi, -3.0, -8.0, -7.0]
+    ts = np.concatenate([special, np.linspace(-10.0, 10.0, 2001), axis_nodes(256)])
+    pairs = [(approx_identity(n).u, _old_ramp(n)) for n in (1, 3, 8)]
+    for n in (1, 2, 5):
+        pairs += zip(catalog_primitive("sineStrip", n=n).factors, _old_sine_strip(n))
+    pairs += [(catalog_primitive("cantor2d", depth=d).factors[0], _old_cantor(d)) for d in (3, 20)]
+    for new, old in pairs:
+        assert np.asarray(new(ts)).tobytes() == old(ts).tobytes()
+        assert np.asarray(new(ts.reshape(-1, 1))).tobytes() == old(ts.reshape(-1, 1)).tobytes()
 
 
 def test_corrected_primitive_vanishes_on_edges():

@@ -24,7 +24,16 @@ from cpintegral.convolution import (
     convolve_l1,
     step_approximate,
 )
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
+from cpintegral.extplane import (
+    FULL_PLANE,
+    NEG_INF,
+    POS_INF,
+    axis_nodes,
+    cell_tags,
+    make_interval,
+    segment_nodes,
+    uniform_grid,
+)
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
     BVFunction,
@@ -42,7 +51,7 @@ from cpintegral.primitive import (
     sample_primitive,
     translate_reflect_bv,
 )
-from cpintegral.stieltjes import cell_tags, integrate_product, segment_nodes
+from cpintegral.stieltjes import integrate_product
 from cpintegral.variation import grid_components, hk_norm
 
 SEPARABLE = (
@@ -168,15 +177,24 @@ def test_no_meshgrid_evaluation_in_the_package():
 
 def test_one_corner_difference_kernel_and_one_partition_builder():
     # the cell corner differences are taken in _kernels_py alone, and the
-    # straddle triples around jump lines are built in segment_nodes alone
+    # straddle triples around jump lines are built in extplane.segment_nodes
+    # alone, which every module imports from extplane
     corners = _package_lines(r"\[\s*:-1\s*,\s*:-1\s*\]")
     assert corners and {name for name, _ in corners} == {"_kernels_py.py"}
-    source = Path(cpintegral.stieltjes.__file__).read_text(encoding="utf-8")
+    source = Path(cpintegral.extplane.__file__).read_text(encoding="utf-8")
     builder = next(node for node in ast.parse(source).body
                    if isinstance(node, ast.FunctionDef) and node.name == "segment_nodes")
     straddles = _package_lines(r"np\.nextafter\(")
-    assert straddles and all(name == "stieltjes.py" and builder.lineno <= k <= builder.end_lineno
+    assert straddles and all(name == "extplane.py" and builder.lineno <= k <= builder.end_lineno
                              for name, k in straddles)
+    builders = {"segment_nodes", "cell_tags"}
+    assert [name for name, _ in _package_lines(r"^def (segment_nodes|cell_tags)\(")] == ["extplane.py"] * 2
+    sources = [*Path(cpintegral.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    stray = [(path.name, node.lineno) for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("stieltjes")
+             and builders & {alias.name for alias in node.names}]
+    assert stray == []
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))

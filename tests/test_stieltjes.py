@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval, uniform_grid
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, cell_tags, make_interval, segment_nodes, uniform_grid
 from cpintegral.integral import corner_integral
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
@@ -19,14 +19,12 @@ from cpintegral.primitive import (
 from cpintegral.stieltjes import (
     OVERSAMPLE,
     _nine_term_sum,
-    cell_tags,
     gdf_identity_check,
     integrate_product,
     mean_value_point,
     parts_primitive,
     rs_line_integral,
     rs_line_section,
-    segment_nodes,
 )
 
 

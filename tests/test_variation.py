@@ -5,9 +5,8 @@ import pytest
 
 from cpintegral import _kernels_py as kernels
 from cpintegral import variation
-from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes
+from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, segment_nodes
 from cpintegral.primitive import ClosedFormBV, catalog_bv
-from cpintegral.stieltjes import segment_nodes
 from cpintegral.variation import (
     grid_components,
     hk_norm,
