@@ -300,9 +300,6 @@ class StepFunction2(PlaneFunction):
         out = self.values[j, i]
         return np.where(np.isneginf(x) | np.isneginf(y), 0.0, out)
 
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
-
 
 def step_approximate(F: Primitive, n: int) -> StepFunction2:
     """Step approximation of a primitive on the chart-uniform n-grid.

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .extplane import (
     DEFAULT_CHART,
@@ -430,7 +429,9 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
     """Lower bound for sup over the multiplier unit ball of |integral of f g|.
 
     With explicit probes, each is scaled to variation norm <= 1 and paired
-    with f by parts integration.  The default probe family is scaled
+    with f by parts integration; the errorEstimate is the largest scaled
+    errorEstimate of the pairings, and the result converged when every
+    pairing did.  The default probe family is scaled
     quadrant indicators (variation norm 4), whose pairing with f is
     F(x, y) / 4, plus scaled finite-interval indicators (variation norm 9),
     whose pairing is the corner difference / 9; both reduce to the two
@@ -442,7 +443,8 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
         from .stieltjes import integrate_product
         from .variation import hk_norm
 
-        best = 0.0
+        best = err = 0.0
+        resolution, converged = 0, True
         for g in probes:
             est = hk_norm(g, tol=tol)
             if not est.converged:
@@ -450,7 +452,10 @@ def norm_dual(f, probes=None, tol=1e-6, start_resolution=16, max_doublings=5) ->
             scale = max(est.value, 1.0)
             res = integrate_product(f, g, tol=tol * scale)
             best = max(best, abs(res.value) / scale)
-        return QuadResult(best, tol, 0, True, [])
+            err = max(err, res.error_estimate / scale)
+            resolution = max(resolution, res.resolution)
+            converged = converged and res.converged
+        return QuadResult(best, err, resolution, converged, [])
 
     def gridded(F):
         sup, prime = _sup_levels(F), _prime_levels(F)
@@ -514,28 +519,25 @@ def improper_iterated(integrand, order="xy", xlim=(NEG_INF, POS_INF), ylim=(NEG_
     order 'xy' integrates in x first (inner), then y; 'yx' the reverse.
     Returns (value, error estimate).
     """
+    from scipy import integrate
+
     x0, x1 = ext(xlim[0]), ext(xlim[1])
     y0, y1 = ext(ylim[0]), ext(ylim[1])
     if order == "xy":
 
         def inner(y):
-            val, _ = _sciint.quad(lambda x: integrand(x, y), x0, x1, epsabs=tol / 2, limit=200)
+            val, _ = integrate.quad(lambda x: integrand(x, y), x0, x1, epsabs=tol / 2, limit=200)
             return val
 
-        return _sciint.quad(inner, y0, y1, epsabs=tol / 2, limit=200)
+        return integrate.quad(inner, y0, y1, epsabs=tol / 2, limit=200)
     if order == "yx":
 
         def inner(x):
-            val, _ = _sciint.quad(lambda y: integrand(x, y), y0, y1, epsabs=tol / 2, limit=200)
+            val, _ = integrate.quad(lambda y: integrand(x, y), y0, y1, epsabs=tol / 2, limit=200)
             return val
 
-        return _sciint.quad(inner, x0, x1, epsabs=tol / 2, limit=200)
+        return integrate.quad(inner, x0, x1, epsabs=tol / 2, limit=200)
     raise ValueError("order must be 'xy' or 'yx'")
-
-
-def _xpowy_integrand(x, y):
-    # mixed derivative of x^y on (0, 1) x (0, inf)
-    return x ** (y - 1.0) * (1.0 + y * math.log(x))
 
 
 def _arctanxy_integrand(x, y):
@@ -554,28 +556,30 @@ def _xpowy_iterated(order, tol):
     """
     import warnings
 
+    from scipy import integrate
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
         if order == "dyFirst":
 
             def inner(x):
                 c = -math.log(x)
-                val, _ = _sciint.quad(
+                val, _ = integrate.quad(
                     lambda s: math.exp(-s) * (1.0 - s), 0.0, np.inf,
                     epsabs=tol / 2, limit=200,
                 )
                 return val / (x * c)
 
-            return _sciint.quad(inner, 0.0, 1.0, epsabs=tol / 2, limit=200)
+            return integrate.quad(inner, 0.0, 1.0, epsabs=tol / 2, limit=200)
 
         def inner(y):
-            val, _ = _sciint.quad(
+            val, _ = integrate.quad(
                 lambda t: math.exp(-t * y) * (1.0 - y * t), 0.0, np.inf,
                 epsabs=tol / 2, limit=200,
             )
             return val
 
-        return _sciint.quad(inner, 0.0, np.inf, epsabs=tol / 2, limit=200)
+        return integrate.quad(inner, 0.0, np.inf, epsabs=tol / 2, limit=200)
 
 
 def improper_example(name, order, tol=1e-8) -> QuadResult:
@@ -587,6 +591,8 @@ def improper_example(name, order, tol=1e-8) -> QuadResult:
     """
     import warnings
 
+    from scipy import integrate
+
     if order not in ("dyFirst", "dxFirst"):
         raise ValueError("order must be 'dyFirst' or 'dxFirst'")
     if name == "xPowY":
@@ -594,7 +600,7 @@ def improper_example(name, order, tol=1e-8) -> QuadResult:
     elif name == "arctanXY":
         quad_order = "yx" if order == "dyFirst" else "xy"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _sciint.IntegrationWarning)
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
             value, err = improper_iterated(
                 _arctanxy_integrand, quad_order,
                 xlim=(NEG_INF, POS_INF), ylim=(0.0, 1.0), tol=tol,

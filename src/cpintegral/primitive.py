@@ -13,7 +13,6 @@ import json
 import math
 
 import numpy as np
-from scipy.special import sici
 
 from .extplane import (
     DEFAULT_CHART,
@@ -433,6 +432,8 @@ def _arctan_ramp(t):
 
 def _si_full(t):
     """Antiderivative of sin(s)/s from -inf: Si(t) + pi/2, exact 0 at -inf."""
+    from scipy.special import sici
+
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
     si = sici(np.where(np.isfinite(a), a, np.inf))[0]
@@ -440,6 +441,8 @@ def _si_full(t):
 
 
 def _si_quadrant(t):
+    from scipy.special import sici
+
     t = np.asarray(t, dtype=float)
     pos = t > 0
     si = sici(np.where(pos & np.isfinite(t), np.where(pos, t, 1.0), np.inf))[0]

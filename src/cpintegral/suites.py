@@ -8,7 +8,6 @@ for a fixed seed.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from .integral import (
@@ -266,13 +265,14 @@ def suite_ftc(resolution=64):
 
 def poisson_mass(z=1.0, tol=1e-9):
     """Total mass of the Poisson kernel by nested improper quadrature."""
+    from scipy import integrate
 
     def marginal(y):
-        val, _ = _sciint.quad(lambda x: poisson_kernel(x, y, z), -np.inf, np.inf,
+        val, _ = integrate.quad(lambda x: poisson_kernel(x, y, z), -np.inf, np.inf,
                               epsabs=tol, limit=200)
         return val
 
-    val, err = _sciint.quad(marginal, -np.inf, np.inf, epsabs=tol, limit=200)
+    val, err = integrate.quad(marginal, -np.inf, np.inf, epsabs=tol, limit=200)
     return val, err
 
 

@@ -38,7 +38,9 @@ from cpintegral.primitive import (
     distribution,
     sample_primitive,
 )
+from cpintegral.stieltjes import integrate_product
 from cpintegral.suites import SUITES, catalog_distributions, run_suite
+from cpintegral.variation import hk_norm
 
 
 def test_total_integral_prod_arctan():
@@ -430,10 +432,27 @@ def test_structured_norms_never_evaluate_the_plane(monkeypatch, norm):
 def test_norm_dual_with_probes():
     f = distribution("prodArctan")
     probes = [catalog_bv("quadrantIndicator"), catalog_bv("intervalIndicator", a=-1, b=1, c=-1, d=1)]
-    res = norm_dual(f, probes=probes)
+    tol = 1e-6
+    res = norm_dual(f, probes=probes, tol=tol)
     assert res.converged
+    assert res.converged == (res.error_estimate <= tol)
+    assert res.resolution > 0
     a = alexiewicz_norm(f).value
     assert 0.0 < res.value <= a + 1e-9
+
+
+def test_norm_dual_with_probes_reports_the_worst_pairing():
+    # the approxIdentity pairing stops at resolution 4096 with an increment
+    # near 7e-8: the result keeps that estimate and is not converged at 1e-10
+    f = distribution("prodArctan")
+    smooth = catalog_bv("approxIdentity", n=2)
+    scale = max(hk_norm(smooth, tol=1e-10).value, 1.0)
+    pairing = integrate_product(f, smooth, tol=1e-10 * scale)
+    res = norm_dual(f, probes=[catalog_bv("quadrantIndicator"), smooth], tol=1e-10)
+    assert not res.converged and not pairing.converged
+    assert res.converged == (res.error_estimate <= 1e-10)
+    assert res.error_estimate == pairing.error_estimate / scale
+    assert res.resolution == pairing.resolution
 
 
 @pytest.mark.parametrize("name", CATALOG_PRIMITIVES)
