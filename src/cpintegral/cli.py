@@ -373,7 +373,8 @@ def _translate(spec, tol, resolution):
         lambda x, y: np.asarray(F.eval(x, y)) - np.asarray(G.eval(x, y)), "difference")
     difference = integral.alexiewicz_norm(delta, tol=tol)
     return {"normTranslated": translated.value, "normDifference": difference.value,
-            "errorEstimate": max(translated.error_estimate, difference.error_estimate)}
+            "errorEstimate": max(translated.error_estimate, difference.error_estimate),
+            "converged": translated.converged and difference.converged}
 
 
 def _changevars(spec, tol, resolution):

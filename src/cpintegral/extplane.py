@@ -3,11 +3,13 @@
 Extended reals are plain floats where -inf/+inf are legal values and NaN is
 not.  The chart is a fixed monotone homeomorphism [-inf, inf] -> [-1, 1] used
 to place uniform partition grids on the extended plane: segment_nodes builds
-every partition, straddled around jump lines, and cell_tags its tags.
+every partition, straddled around jump lines, and partition adds its tags,
+read-only and built once per resolution on the whole line without jumps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,14 +129,13 @@ def segment_nodes(a, b, resolution, jumps=()):
     falls within one ulp-wide cell and its variation is exact at any resolution.
     Without interior jumps the chart nodes are returned as they are when they
     strictly increase; only a range too narrow for the chart to resolve needs
-    the sort and the range mask.
+    the sort and the range mask.  The whole line starts from its table.
     """
     if not a < b:
         raise ValueError("need a < b")
-    nodes = DEFAULT_CHART.inverse(np.linspace(DEFAULT_CHART.forward(a), DEFAULT_CHART.forward(b), resolution + 1))
-    nodes[0] = a
-    nodes[-1] = b
-    increasing = (nodes[1:] > nodes[:-1]).all()  # then every node lies in [a, b]
+    whole = a == NEG_INF and b == POS_INF
+    nodes = _line_table(resolution)[0] if whole else _chart_nodes(a, b, resolution)
+    increasing = whole or (nodes[1:] > nodes[:-1]).all()  # then every node lies in [a, b]
     j = np.asarray(jumps, dtype=float)
     j = j[(a < j) & (j < b)]  # NaN and +-inf are never strictly inside
     if j.size:
@@ -146,6 +147,36 @@ def segment_nodes(a, b, resolution, jumps=()):
         return nodes
     nodes = np.unique(nodes)
     return nodes if increasing else nodes[(nodes >= a) & (nodes <= b)]
+
+
+def _chart_nodes(a, b, resolution):
+    """resolution+1 chart-equispaced nodes from a to b, endpoints exact."""
+    nodes = DEFAULT_CHART.inverse(np.linspace(DEFAULT_CHART.forward(a), DEFAULT_CHART.forward(b), resolution + 1))
+    nodes[0] = a
+    nodes[-1] = b
+    return nodes
+
+
+@functools.lru_cache(maxsize=16)
+def _line_table(resolution):
+    """(nodes, tags) of the unjumped partition of [-inf, inf]; its chart nodes strictly increase."""
+    nodes = _chart_nodes(NEG_INF, POS_INF, resolution)
+    tags = cell_tags(nodes)
+    nodes.flags.writeable = tags.flags.writeable = False
+    return nodes, tags
+
+
+def partition(a, b, resolution, jumps=()):
+    """(segment_nodes(...), their cell_tags): the table on the whole line without interior jumps."""
+    nodes = segment_nodes(a, b, resolution, jumps)
+    if a == NEG_INF and b == POS_INF and nodes is _line_table(resolution)[0]:
+        return _line_table(resolution)
+    return nodes, cell_tags(nodes)
+
+
+def same_bits(u, v):
+    """True when two tuples of floats agree bit for bit: 0.0 and -0.0 give different nodes."""
+    return np.asarray(u, dtype=float).tobytes() == np.asarray(v, dtype=float).tobytes()
 
 
 def cell_tags(nodes):
@@ -161,7 +192,7 @@ def axis_nodes(resolution: int) -> np.ndarray:
     """resolution+1 nodes on [-inf, inf], chart-equispaced, endpoints exact."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    return segment_nodes(NEG_INF, POS_INF, resolution)
+    return _line_table(resolution)[0]
 
 
 def uniform_grid(resolution: int) -> Grid2:

@@ -741,7 +741,7 @@ def export_grid_json(prim: GridSamplePrimitive, path):
         "values": prim.values.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump never takes the C encoder
 
 
 def _square_values(values, resolution):

@@ -1,6 +1,6 @@
 """Riemann-Stieltjes quadratures against functions of bounded variation.
 
-Sums are over the chart-uniform tagged partitions of extplane.segment_nodes,
+Sums are over the chart-uniform tagged partitions of extplane.partition,
 refined by doubling; nodes straddle each declared jump line of the integrator
 with floating-point neighbour points, so jump contributions are picked up
 within an ulp of the integrand value at the jump.
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import NEG_INF, FULL_PLANE, Interval2, cell_tags, segment_nodes, uniform_grid
+from .extplane import NEG_INF, FULL_PLANE, Interval2, partition, same_bits, segment_nodes, uniform_grid
 from .integral import QuadResult, _primitive_of, _refine
 from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
@@ -30,9 +30,9 @@ def rs_line_integral(phi, g_section, a, b, jumps=(), tol=1e-9, start_resolution=
         sign = -1.0
 
     def step(r):
-        nodes = segment_nodes(a, b, r, jumps)
+        nodes, tags = partition(a, b, r, jumps)
         return kernels.line_weighted_sum(
-            np.asarray(phi(cell_tags(nodes)), dtype=float),
+            np.asarray(phi(tags), dtype=float),
             np.asarray(g_section(nodes), dtype=float),
         )
 
@@ -79,9 +79,9 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
     phi, integrator = (h if isinstance(h, PlaneFunction) else ClosedFormBV(h) for h in (phi, integrator))
 
     def step(r):
-        xs = segment_nodes(interval.a, interval.b, r, jumps_x)
-        ys = segment_nodes(interval.c, interval.d, r, jumps_y)
-        return kernels.corner_weighted_sum(phi.on_grid(cell_tags(xs), cell_tags(ys)), integrator.on_grid(xs, ys))
+        xs, tx = partition(interval.a, interval.b, r, jumps_x)
+        ys, ty = partition(interval.c, interval.d, r, jumps_y)
+        return kernels.corner_weighted_sum(phi.on_grid(tx, ty), integrator.on_grid(xs, ys))
 
     res = _refine(step, tol, start_resolution, max_doublings)
     return replace(res, value=interval.sign * res.value)
@@ -97,10 +97,10 @@ def _parts_1d(phi_tags, u_nodes):
 
 
 def _nine_term_sum(F, g, interval, resolution):
-    xs = segment_nodes(interval.a, interval.b, resolution, getattr(g, "jump_x", ()))
-    ys = segment_nodes(interval.c, interval.d, resolution, getattr(g, "jump_y", ()))
-    tx = cell_tags(xs)
-    ty = cell_tags(ys)
+    x = (interval.a, interval.b, *getattr(g, "jump_x", ()))
+    y = (interval.c, interval.d, *getattr(g, "jump_y", ()))
+    xs, tx = partition(x[0], x[1], resolution, x[2:])
+    ys, ty = (xs, tx) if same_bits(x, y) else partition(y[0], y[1], resolution, y[2:])
 
     if isinstance(F, SeparablePrimitive) and isinstance(g, ProductBV):
         # F = a(x) b(y) and g = u(x) v(y): Fubini splits the nine terms into
@@ -146,10 +146,8 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     F = _primitive_of(f)
     grid = uniform_grid(resolution)
     fine_r = resolution * OVERSAMPLE
-    xs = segment_nodes(NEG_INF, np.inf, fine_r, getattr(g, "jump_x", ()))
-    ys = segment_nodes(NEG_INF, np.inf, fine_r, getattr(g, "jump_y", ()))
-    tx = cell_tags(xs)
-    ty = cell_tags(ys)
+    xs, tx = partition(NEG_INF, np.inf, fine_r, getattr(g, "jump_x", ()))
+    ys, ty = partition(NEG_INF, np.inf, fine_r, getattr(g, "jump_y", ()))
     ix = np.searchsorted(xs, grid.xs)  # coarse nodes sit exactly on fine nodes
     iy = np.searchsorted(ys, grid.ys)
     if not (np.all(xs[ix] == grid.xs) and np.all(ys[iy] == grid.ys)):

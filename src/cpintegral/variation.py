@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import NEG_INF, POS_INF, segment_nodes
+from .extplane import NEG_INF, POS_INF, same_bits, segment_nodes
 from .integral import _refine
 from .primitive import ProductBV
 
@@ -59,8 +59,9 @@ def grid_components(g, resolution):
     Any other g is evaluated and reduced in slices of whole rows, each of
     about SLICE_VALUES values.
     """
-    xs = segment_nodes(NEG_INF, POS_INF, resolution, getattr(g, "jump_x", ()))
-    ys = segment_nodes(NEG_INF, POS_INF, resolution, getattr(g, "jump_y", ()))
+    jx, jy = getattr(g, "jump_x", ()), getattr(g, "jump_y", ())
+    xs = segment_nodes(NEG_INF, POS_INF, resolution, jx)
+    ys = xs if same_bits(jx, jy) else segment_nodes(NEG_INF, POS_INF, resolution, jy)
     if isinstance(g, ProductBV):
         ux, vy = g.eval_factors(xs, ys)
         su, vu = _sup_and_variation(ux)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ def test_translate_command(capsys):
     assert code == 0
     assert abs(report["normTranslated"] - 1.0) < 1e-6
     assert report["normDifference"] > 0
+
+
+@pytest.mark.parametrize("unconverged", [0, 1], ids=["translated", "difference"])
+def test_translate_reports_whether_both_norms_converged(capsys, monkeypatch, unconverged):
+    calls = []
+
+    def norm(f, tol):
+        calls.append(f)
+        return replace(alexiewicz_norm(f, tol=tol), converged=len(calls) - 1 != unconverged)
+
+    monkeypatch.setattr(cli.integral, "alexiewicz_norm", norm)
+    code, report, _ = run_cli(capsys, ["translate", "--primitive", "prodArctan", "--shift", "1", "1"])
+    assert len(calls) == 2
+    assert code == 2 and report["converged"] is False
 
 
 def test_changevars_command(capsys):

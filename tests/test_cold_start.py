@@ -99,3 +99,9 @@ def test_first_use_of_scipy_gives_the_same_values():
     cold = json.loads(proc.stdout)
     assert cold["before"] == []
     assert cold["values"] == cold_values()
+
+
+def test_import_builds_no_chart_table():
+    # the whole-line partition tables fill on first use, so they add nothing to a cold start
+    proc, _ = _fresh("-c", "import cpintegral.cli; print(cpintegral.extplane._line_table.cache_info().currsize)")
+    assert proc.stdout.strip() == "0"

@@ -14,6 +14,7 @@ from cpintegral.extplane import (
     corner_points,
     ext,
     make_interval,
+    partition,
     segment_nodes,
     uniform_grid,
 )
@@ -184,6 +185,10 @@ SEGMENT_CASES = [
     (NEG_INF, POS_INF, 4096, (0.25,)),
     (NEG_INF, POS_INF, 4096, ()),
 ]
+# the whole line starts from its table: no jump, both zeros, duplicates, unsorted, NaN and +-inf
+WHOLE_LINE_JUMPS = [(), (0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0), (0.5, 0.5, -2.0, -2.0), (3.0, -1.0, 0.25),
+                    (math.nan, 1.0), (POS_INF, NEG_INF), (POS_INF, -4.0, NEG_INF)]
+SEGMENT_CASES += [(NEG_INF, POS_INF, r, jumps) for r in (2, 3, 7, 64, 1000, 4096) for jumps in WHOLE_LINE_JUMPS]
 
 
 @pytest.mark.parametrize("a,b,resolution,jumps", SEGMENT_CASES)
@@ -196,6 +201,21 @@ def test_segment_nodes_match_the_sorted_loop(a, b, resolution, jumps):
         old_tags = _old_inverse((u[:-1] + u[1:]) / 2.0)
         old_tags[0], old_tags[-1] = new[0], new[-1]
         assert cell_tags(new).tobytes() == old_tags.tobytes()
+        nodes, tags = partition(a, b, resolution, jumps)
+        assert nodes.tobytes() == old.tobytes() and tags.tobytes() == old_tags.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [2, 64, 4096])
+def test_whole_line_tables_are_shared_and_read_only(resolution):
+    nodes, tags = partition(NEG_INF, POS_INF, resolution, (POS_INF, math.nan))
+    assert axis_nodes(resolution) is nodes and segment_nodes(NEG_INF, POS_INF, resolution) is nodes
+    assert partition(NEG_INF, POS_INF, resolution)[1] is tags
+    for array in (nodes, tags, uniform_grid(resolution).xs):
+        with pytest.raises(ValueError):
+            array[1] = 0.0
+    jumped = partition(NEG_INF, POS_INF, resolution, (0.5,))
+    finite = partition(-1.0, 1.0, resolution)
+    assert all(array.flags.writeable and array is not nodes for array in (*jumped, *finite))
 
 
 def test_segment_nodes_sort_only_what_the_chart_cannot_resolve():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import (
     CATALOG_BV,
     CATALOG_PRIMITIVES,
+    CHART_NAME,
     ClosedFormBV,
     ClosedFormPrimitive,
     Distribution,
@@ -209,6 +211,14 @@ def test_grid_json_roundtrip(tmp_path):
     back = import_grid_json(path)
     assert np.array_equal(back.values, S.values)
     assert np.array_equal(back.grid.xs, S.grid.xs)
+
+
+def test_grid_json_file_is_the_json_dumps_of_the_document(tmp_path):
+    S = sample_primitive(catalog_primitive("expRadial"), 64)
+    path = tmp_path / "grid.json"
+    export_grid_json(S, path)
+    doc = {"label": S.label, "resolution": 64, "chart": CHART_NAME, "values": S.values.tolist()}
+    assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
 
 def test_grid_csv_roundtrip(tmp_path):

@@ -197,6 +197,21 @@ def test_one_corner_difference_kernel_and_one_partition_builder():
     assert stray == []
 
 
+def test_every_tagged_partition_comes_from_partition():
+    # cell_tags is named in extplane alone and called there by partition and
+    # the whole-line table behind it, so no caller can miss the table
+    def names_it(tree):
+        return "cell_tags" in {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
+
+    uses = []
+    for path in sorted(Path(cpintegral.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "extplane.py" and names_it(tree):
+            uses.append((path.name, "<module>"))
+        uses += [(path.name, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and names_it(fn)]
+    assert sorted(uses) == [("extplane.py", "_line_table"), ("extplane.py", "cell_tags"), ("extplane.py", "partition")]
+
+
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
 @pytest.mark.parametrize("name,params", SEPARABLE, ids=SEPARABLE_IDS)
 def test_integrate_product_fast_path_matches_generic(name, params, interval):

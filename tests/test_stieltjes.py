@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, cell_tags, make_interval, segment_nodes, uniform_grid
+from cpintegral import stieltjes
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, cell_tags, make_interval, partition, segment_nodes, uniform_grid
 from cpintegral.integral import corner_integral
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
@@ -237,6 +238,27 @@ def test_nine_term_sum_matches_the_line_section_formula(f_key, g_key):
     assert swapped.sign == 1 and (swapped.a, swapped.c) == (-1.0, -0.5)
     res = integrate_product(F, g, make_interval(2.0, -1.0, -0.5, 1.5), tol=1e-6, max_doublings=1)
     assert res.value == -_nine_term_reference(F, g, swapped, res.resolution)
+
+
+def signed_step(t):
+    """0 below 0 and 1 above, but 2 at +0.0 and 0.5 at -0.0: the sign of a zero node shows in every sum."""
+    return np.where(t == 0.0, np.where(np.signbit(t), 0.5, 2.0), np.where(t > 0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("jump_y, builds", [((0.0,), 1), ((-0.0,), 2)], ids=["equal", "signed-zero"])
+def test_equal_x_and_y_partitions_are_built_once(jump_y, builds, monkeypatch):
+    # y shares x's partition only when its sides and jumps agree bit for bit:
+    # jumps at 0.0 and -0.0 compare equal but give nodes with different zeros
+    F = distribution("prodArctan").primitive
+    g = ClosedFormBV(lambda x, y: signed_step(x) * signed_step(y), "signedStep", jump_x=(0.0,), jump_y=jump_y)
+    calls = []
+    monkeypatch.setattr(stieltjes, "partition", lambda *args: calls.append(args) or partition(*args))
+    # on the finite interval the sides differ, so y is always built
+    for interval, resolution, count in ((FULL_PLANE, 32, builds), (FULL_PLANE, 64, builds),
+                                        (make_interval(-1.0, 2.0, -1.0, 1.0), 32, 2)):
+        calls.clear()
+        assert _nine_term_sum(F, g, interval, resolution) == _nine_term_reference(F, g, interval, resolution)
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("g_key", BY_PARTS_MULTIPLIERS)

@@ -163,6 +163,19 @@ def test_sliced_components_match_the_full_matrix(name, resolution, monkeypatch):
         assert abs(got[3] - v12) <= 1e-14 * v12, rows
 
 
+@pytest.mark.parametrize("jump_y, builds", [((0.0,), 1), ((-0.0,), 2)], ids=["equal", "signed-zero"])
+def test_equal_x_and_y_partitions_are_built_once(jump_y, builds, monkeypatch):
+    # a jump at -0.0 gives a node -0.0 where one at 0.0 gives 0.0, and this
+    # g is 2 at +0.0 but 0.5 at -0.0, so a shared partition would change v2
+    step = lambda t: np.where(t == 0.0, np.where(np.signbit(t), 0.5, 2.0), np.where(t > 0.0, 1.0, 0.0))
+    g = ClosedFormBV(lambda x, y: step(x) * step(y), "signedStep", jump_x=(0.0,), jump_y=jump_y)
+    calls = []
+    monkeypatch.setattr(variation, "segment_nodes", lambda *args: calls.append(args) or segment_nodes(*args))
+    assert grid_components(g, 64) == _full_matrix_components(_grid_values(g, 64))
+    assert len(calls) == builds
+    assert grid_components(g, 64)[2] == (2.0 if builds == 2 else 6.0)
+
+
 def test_fold_of_a_single_row():
     row = _smooth(_line_nodes(9, (0.3,)), 0.5)[None, :]
     colvar, acc = np.zeros(row.shape[1]), np.zeros(3)
