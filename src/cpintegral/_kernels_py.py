@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def hk_fold(G, prev, colvar, acc):
+def hk_fold(G, prev, colvar, acc, work):
     """Fold the value rows G[j, i] = g(x_i, y_j) into running variation components.
 
     prev is the last row folded so far (no rows before the first fold).
@@ -13,13 +13,22 @@ def hk_fold(G, prev, colvar, acc):
     estimates of ||g||_inf, ||V1 g||_inf, V12 g and ||V2 g||_inf.  Columns
     gain their increments one row at a time, in the order of a one-pass sum
     down each column, so v2 does not depend on where the folds split.
+    Every temporary of G's size goes into contiguous views of work, a flat
+    float buffer of at least 2 G.size values.  Corner differences are the
+    column differences of the column increments, exact for 0/1-valued g.
     """
-    acc[0] = np.maximum(acc[0], np.max(np.abs(G)))
-    acc[1] = np.maximum(acc[1], np.max(np.sum(np.abs(np.diff(G, axis=1)), axis=1)))
-    G = np.vstack([prev, G])
-    for row in np.abs(np.diff(G, axis=0)):
+    k, n = G.shape
+    whole, cells = work[: k * n].reshape(k, n), work[k * n : k * (2 * n - 1)].reshape(k, n - 1)
+    acc[0] = np.maximum(acc[0], np.max(np.abs(G, out=whole)))
+    np.abs(np.subtract(G[:, 1:], G[:, :-1], out=cells), out=cells)
+    acc[1] = np.maximum(acc[1], np.max(np.sum(cells, axis=1)))
+    m = len(prev)
+    d0, corners = whole[: m + k - 1], cells[: m + k - 1]
+    np.subtract(G[:1], prev, out=d0[:m])
+    np.subtract(G[1:], G[:-1], out=d0[m:])
+    acc[2] += np.sum(np.abs(np.subtract(d0[:, 1:], d0[:, :-1], out=corners), out=corners))
+    for row in np.abs(d0, out=d0):
         colvar += row
-    acc[2] += np.sum(np.abs(corner_differences(G)))
 
 
 def corner_differences(G):

@@ -187,8 +187,8 @@ def _axis_map(v):
 
 
 # upper bounds on the sizes a job may ask for: on a 2-core host a parts
-# grid at resolution 1024 takes about 3 s and 1.25 GB, a variation trace of
-# 6 doublings (resolution 4096) about 0.5 s, and each further doubling
+# grid at resolution 1024 takes about 1.5 s and 500 MB, a variation trace of
+# 6 doublings (resolution 4096) about 0.6 s, and each further doubling
 # costs about 4x; a mollify sums (resolution - 1)^2 (n - 1)^2 kernel terms,
 # 2^28 of them in about 3 s; an ndcorner box of 16 dimensions has 65536
 # corners, summed in about 0.5 s

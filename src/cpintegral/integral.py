@@ -11,6 +11,7 @@ polished by a local zoom in chart coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -193,18 +194,13 @@ def _polish(fun, centres, h):
     """
     centres = np.array(centres, dtype=float)
     k, dim = centres.shape
-    axes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
-    still = len(axes) // 2  # the zero offset
-    moves = np.delete(axes, still, axis=0)
-    twist = turn = _twist(dim)
+    still = 3**dim // 2  # the zero offset
     rows = np.arange(k)
     steps = np.full(k, float(h))
     best, point = -np.inf, centres[0]
-    for _ in range(_POLISH_ROUNDS):
+    for offsets in _stencils(dim):
         if np.all(steps < _POLISH_STOP):
             break
-        offsets = np.concatenate([axes, moves @ turn.T, moves @ (turn @ twist).T])
-        turn = turn @ twist @ twist
         points = np.clip(centres[:, None, :] + steps[:, None, None] * offsets, -1.0, 1.0)
         values = np.asarray(fun(points.reshape(-1, dim)), dtype=float).reshape(k, len(offsets))
         top = np.argmax(values)  # a NaN comes first
@@ -216,6 +212,25 @@ def _polish(fun, centres, h):
         centres = points[rows, np.where(moved, pick, still)]
         steps = np.where(moved, np.minimum(2 * steps, h), steps / 2)
     return float(best), point
+
+
+@functools.lru_cache(maxsize=4)
+def _stencils(dim):
+    """The offsets of every _polish round in dim dimensions, one read-only array.
+
+    Round n's offsets are the stencil {-1, 0, 1}^dim, then its nonzero moves
+    turned by the powers 2n + 1 and 2n + 2 of the twist.  Built at first use.
+    """
+    axes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+    moves = np.delete(axes, len(axes) // 2, axis=0)
+    twist = turn = _twist(dim)
+    rounds = []
+    for _ in range(_POLISH_ROUNDS):
+        rounds.append(np.concatenate([axes, moves @ turn.T, moves @ (turn @ twist).T]))
+        turn = turn @ twist @ twist
+    stencils = np.array(rounds)
+    stencils.flags.writeable = False
+    return stencils
 
 
 def _twist(dim):

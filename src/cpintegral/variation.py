@@ -19,7 +19,7 @@ from .integral import _refine
 from .primitive import ProductBV
 
 GUARD = 1e12
-SLICE_VALUES = 1 << 14  # values of g reduced at a time: 128 KB of floats, a slice that stays in cache
+SLICE_VALUES = 1 << 16  # values of g reduced at a time: 512 KB of floats, folded through one reused buffer
 
 
 @dataclass
@@ -57,7 +57,7 @@ def grid_components(g, resolution):
     For a ProductBV g = u(x) v(y) the value matrix is the outer product of
     the factors, so its components are products of 1-d sups and variations.
     Any other g is evaluated and reduced in slices of whole rows, each of
-    about SLICE_VALUES values.
+    about SLICE_VALUES values, through one scratch buffer of two slices.
     """
     jx, jy = getattr(g, "jump_x", ()), getattr(g, "jump_y", ())
     xs = segment_nodes(NEG_INF, POS_INF, resolution, jx)
@@ -67,11 +67,11 @@ def grid_components(g, resolution):
         su, vu = _sup_and_variation(ux)
         sv, vv = _sup_and_variation(vy)
         return su * sv, vu * sv, su * vv, vu * vv
-    prev, colvar, acc = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3)
     rows = max(1, SLICE_VALUES // len(xs))
+    prev, colvar, acc, work = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3), np.empty(2 * rows * len(xs))
     for start in range(0, len(ys), rows):
         G = g.on_grid(xs, ys[start : start + rows])
-        kernels.hk_fold(G, prev, colvar, acc)
+        kernels.hk_fold(G, prev, colvar, acc, work)
         prev = G[-1:]
     sup, v1, v12 = acc.tolist()
     return sup, v1, float(np.max(colvar)), v12

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,8 +180,66 @@ def test_equal_x_and_y_partitions_are_built_once(jump_y, builds, monkeypatch):
 def test_fold_of_a_single_row():
     row = _smooth(_line_nodes(9, (0.3,)), 0.5)[None, :]
     colvar, acc = np.zeros(row.shape[1]), np.zeros(3)
-    kernels.hk_fold(row, np.empty((0, row.shape[1])), colvar, acc)
+    kernels.hk_fold(row, np.empty((0, row.shape[1])), colvar, acc, np.empty(2 * row.size))
     assert (acc[0], acc[1], float(np.max(colvar)), acc[2]) == _full_matrix_components(row)
+
+
+def _folds(g, resolution, rows, buffer):
+    """acc and colvar after folding g's grid in slices of `rows` rows, buffer(size) giving each fold's work."""
+    xs, ys = _line_nodes(resolution, g.jump_x), _line_nodes(resolution, g.jump_y)
+    prev, colvar, acc = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3)
+    for start in range(0, len(ys), rows):
+        G = g.on_grid(xs, ys[start : start + rows])
+        kernels.hk_fold(G, prev, colvar, acc, buffer(2 * rows * len(xs)))
+        prev = G[-1:]
+    return acc.tobytes() + colvar.tobytes()
+
+
+def test_a_fold_reads_nothing_left_in_its_buffer():
+    # 7 rows a slice leave a short last slice of the 65 straddled rows
+    g = SMOOTH_BV["straddled"]
+    fresh = _folds(g, 61, 7, np.zeros)
+    assert _folds(g, 61, 7, lambda size: np.full(size, np.nan)) == fresh
+    dirty = np.full(2 * 7 * len(_line_nodes(61, g.jump_x)), np.nan)
+    assert _folds(g, 61, 7, lambda size: dirty) == fresh
+
+
+def test_sliced_components_at_resolution_4096_match_the_full_matrix():
+    # about 15 rows of 4103 values a slice: 274 slices; the matrix is built in
+    # row blocks so that only the reference holds all 16.8M values
+    g = SMOOTH_BV["straddled"]
+    xs, ys = _line_nodes(4096, g.jump_x), _line_nodes(4096, g.jump_y)
+    G = np.empty((len(ys), len(xs)))
+    for start in range(0, len(ys), 256):
+        G[start : start + 256] = g.on_grid(xs, ys[start : start + 256])
+    sup, v1, v2, v12 = _full_matrix_components(G)
+    del G
+    got = grid_components(g, 4096)
+    assert got[:3] == (sup, v1, v2)
+    assert abs(got[3] - v12) <= 1e-14 * v12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+@pytest.mark.parametrize("name", sorted(SMOOTH_BV))
+def test_vitali_sum_is_no_farther_from_a_long_double_sum_than_the_four_term_sum(name):
+    g = SMOOTH_BV[name]
+    G = _grid_values(g, 2048)
+    four_term = _full_matrix_components(G)[3]
+    L = G.astype(np.longdouble)
+    exact = np.sum(np.abs(L[:-1, :-1] + L[1:, 1:] - L[:-1, 1:] - L[1:, :-1]))
+    assert abs(grid_components(g, 2048)[3] - exact) <= abs(four_term - exact)
+
+
+def test_a_level_allocates_at_most_five_slices():
+    g = catalog_bv("diagonalIndicator")
+    grid_components(g, 2048)  # the partition table is built once per process
+    tracemalloc.start()
+    try:
+        grid_components(g, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * variation.SLICE_VALUES
 
 
 def test_sliced_components_of_a_nan_value_are_nan():
