@@ -80,25 +80,24 @@ def cumulative(f, x, y):
     return F(x, y)
 
 
-def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None):
+def _refine(step, tol, start_resolution, max_doublings, give_up=None):
     """The refinement driver: step(resolution) computes one level's value.
 
     The resolution starts at start_resolution and doubles after each level.
     The increment between levels is max |value - prev|, so scalar levels and
-    array levels share one measure.  The run converges once `confirm`
-    consecutive increments are within tol; it stops unconverged when
-    give_up(trace) is true or the doublings run out.  A level whose value
-    contains NaN raises ArithmeticError.  Returns a QuadResult with the last
-    level's value, the last increment as errorEstimate (inf after a single
-    level) and one {"resolution", "value"} trace row per level.  A negative
-    max_doublings, which would leave no level at all, raises ValueError.
+    array levels share one measure.  The run stops at the first increment
+    within tol, when give_up(trace) is true, or when the doublings run out.
+    A level whose value contains NaN raises ArithmeticError.  Returns a
+    QuadResult with the last level's value, the last increment as
+    errorEstimate (inf after a single level), converged exactly when that
+    errorEstimate is within tol, and one {"resolution", "value"} trace row
+    per level.  A negative max_doublings, which would leave no level at all,
+    raises ValueError.
     """
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     trace = []
     err = float("inf")
-    within = 0
-    converged = False
     r = start_resolution
     for _ in range(max_doublings + 1):
         value = step(r)
@@ -107,14 +106,10 @@ def _refine(step, tol, start_resolution, max_doublings, confirm=1, give_up=None)
         trace.append({"resolution": r, "value": value})
         if len(trace) > 1:
             err = float(np.max(np.abs(value - trace[-2]["value"])))
-        if give_up is not None and give_up(trace):
-            break
-        within = within + 1 if err <= tol else 0
-        if within >= confirm:
-            converged = True
+        if err <= tol or give_up is not None and give_up(trace):
             break
         r *= 2
-    return QuadResult(value, err, trace[-1]["resolution"], converged, trace)
+    return QuadResult(value, err, trace[-1]["resolution"], err <= tol, trace)
 
 
 _SWEEP_BLOCK = 32  # rows per block of the column extremes that bound the sweep
@@ -376,9 +371,7 @@ def _norm(F, tol, start_resolution, max_doublings, exact, factored, gridded):
     converged, errorEstimate 0 and one trace row.  A separable F's levels
     are factored(E) of its factor extremes (see _factor_extremes); any other
     F's levels are gridded(F)(G, r) of its values G on axis_nodes(r).  Both
-    refine with two consecutive increments within tol: a single flat step can
-    be a plateau where two levels start their search from the wrong nodes
-    alike.
+    refine through _refine, which stops at the first increment within tol.
     """
     if isinstance(F, GridSamplePrimitive):
         value, r = float(exact(F.values)), F.grid.resolution
@@ -395,7 +388,7 @@ def _norm(F, tol, start_resolution, max_doublings, exact, factored, gridded):
             xs = axis_nodes(r)
             return level(F.on_grid(xs, xs), r)
 
-    return _refine(value_at, tol, start_resolution, max_doublings, confirm=2)
+    return _refine(value_at, tol, start_resolution, max_doublings)
 
 
 def _node_sup(V):

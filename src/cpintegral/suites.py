@@ -11,10 +11,10 @@ import numpy as np
 
 from .extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from .integral import (
-    _interval_sweep,
     alexiewicz_norm,
     ftc_residual,
     improper_example,
+    norm_prime,
     xpowy_corner_probes,
 )
 from .operators import (
@@ -24,7 +24,7 @@ from .operators import (
     order_leq,
     translate,
 )
-from .primitive import approx_identity, catalog_bv, distribution
+from .primitive import approx_identity, catalog_bv, distribution, sample_primitive
 from .stieltjes import integrate_product
 from .variation import hk_norm
 from .convolution import PoissonKernelL1, convolve_bv, convolve_l1, poisson_kernel
@@ -49,21 +49,18 @@ def catalog_distributions(include_zero=True):
     return [distribution(n, **p) for n, p in names]
 
 
-def _grid_norms(F, resolution=256):
-    """(sup |F|, interval sup, probe lower bound) measured on one shared grid."""
-    xs = axis_nodes(resolution)
-    G = F.on_grid(xs, xs)
-    a = float(np.max(np.abs(G)))
-    p = _interval_sweep(G)
-    d = max(a / 4.0, p / 9.0)
-    return a, p, d
-
-
 def suite_norms(tol=1e-6, resolution=256):
-    """Sandwiches ||f|| <= ||f||' <= 4||f|| and ||f||/4 <= ||f||'' <= ||f||."""
+    """Sandwiches ||f|| <= ||f||' <= 4||f|| and ||f||/4 <= ||f||'' <= ||f||.
+
+    The norms are the exact ones of each primitive's grid sample at
+    resolution; the dual is the larger of the sup / 4 and the prime / 9,
+    as norm_dual of the sample gives it, without a second sweep.
+    """
     cases = []
     for dist in catalog_distributions():
-        a, p, d = _grid_norms(dist.primitive, resolution)
+        S = sample_primitive(dist.primitive, resolution)
+        a, p = alexiewicz_norm(S).value, norm_prime(S).value
+        d = max(a / 4.0, p / 9.0)
         ok = (
             a <= p + tol
             and p <= 4.0 * a + tol

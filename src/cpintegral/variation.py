@@ -25,6 +25,7 @@ SLICE_VALUES = 1 << 16  # values of g reduced at a time: 512 KB of floats, folde
 @dataclass
 class VariationEstimate:
     value: float
+    error_estimate: float
     sup: float
     v1: float
     v2: float
@@ -36,6 +37,7 @@ class VariationEstimate:
     def as_dict(self):
         return {
             "value": self.value,
+            "errorEstimate": self.error_estimate,
             "sup": self.sup,
             "v1": self.v1,
             "v2": self.v2,
@@ -100,7 +102,7 @@ def _estimate(g, component, tol, start_resolution, max_doublings) -> VariationEs
         return component(components[r])
 
     res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
-    return VariationEstimate(res.value, *components[res.resolution], res.resolution,
+    return VariationEstimate(res.value, res.error_estimate, *components[res.resolution], res.resolution,
                              res.converged, res.trace)
 
 

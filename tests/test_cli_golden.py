@@ -8,6 +8,8 @@ deliberate change to a report or a help text, rewrite them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
+which prints the case ids and help texts whose recorded values changed.
+
 The reports whose digests hold a polished supremum are also checked
 against exact or independently computed values.
 """
@@ -252,6 +254,7 @@ def _translate_difference_sup():
 POLISHED = {
     "norm": [("value", lambda: 0.5, 1e-3)],
     "job-norm-params": [("value", lambda: 0.5, 1e-3)],
+    "normprime": [("value", lambda: 1.0, 1e-12)],
     "product": [("normOfProduct", _ramp_gauss_sup, 1e-12)],
     "lattice-out": [("supNorm", _ramp_gauss_meet_sup, 1e-12)],
     "translate": [("normTranslated", lambda: 1.0, 1e-12),
@@ -301,8 +304,14 @@ def test_help_texts_match_golden(golden):
 if __name__ == "__main__":
     import tempfile
 
+    with open(GOLDEN, encoding="utf-8") as fh:
+        old = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
         data = {"reports": run_roster(tmp), "help": help_texts()}
+    for section, label in (("reports", "report"), ("help", "--help of")):
+        for key in sorted(set(data[section]) | set(old[section])):
+            if data[section].get(key) != old[section].get(key):
+                print(f"changed {label} {key or 'cpintegral'}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,10 +1,10 @@
 """The result contract: `converged` is true when, and only when, errorEstimate <= tol.
 
 One table over the refining library routines, each on a case that converges
-and on one that stops unconverged.  The variation routines report their
-trace but no errorEstimate; theirs is the last increment between levels
-(inf after a single level), the measure the refinement driver stops on.
-Cases that break the contract today are strict xfails.
+and on one that stops unconverged.  variation_1d reports its trace but no
+errorEstimate; its estimate is the last increment between levels (inf after
+a single level), the measure the refinement driver stops on.  Cases that
+break the contract today are strict xfails.
 """
 
 import math
@@ -25,13 +25,8 @@ def _last_increment(trace):
     return abs(trace[-1]["value"] - trace[-2]["value"]) if len(trace) > 1 else math.inf
 
 
-def _estimate(est):
-    """(converged, errorEstimate) of a VariationEstimate."""
-    return est.converged, _last_increment(est.trace)
-
-
 def _result(res):
-    """(converged, errorEstimate) of a QuadResult or a convolved distribution."""
+    """(converged, errorEstimate) of a QuadResult, a VariationEstimate or a convolved distribution."""
     return res.converged, res.error_estimate
 
 
@@ -42,18 +37,18 @@ def _1d(result):
 
 # name -> (tol, a thunk returning (converged, errorEstimate))
 CASES = {
-    "hk_norm-quadrant": (1e-9, lambda: _estimate(hk_norm(catalog_bv("quadrantIndicator")))),
-    "hk_norm-smooth": (1e-3, lambda: _estimate(hk_norm(SMOOTH, tol=1e-3))),
-    "hk_norm-smooth-two-doublings": (1e-6, lambda: _estimate(hk_norm(SMOOTH, tol=1e-6, max_doublings=2))),
-    "hk_norm-one-level": (1e-9, lambda: _estimate(hk_norm(SMOOTH, max_doublings=0))),
-    "vitali_variation-interval": (1e-9, lambda: _estimate(vitali_variation(catalog_bv("intervalIndicator")))),
-    "vitali_variation-diagonal": (1e-9, lambda: _estimate(vitali_variation(catalog_bv("diagonalIndicator"),
-                                                                           max_doublings=3))),
-    "sectional_variation_sup1-smooth": (1e-4, lambda: _estimate(sectional_variation_sup(SMOOTH, 1, tol=1e-4))),
+    "hk_norm-quadrant": (1e-9, lambda: _result(hk_norm(catalog_bv("quadrantIndicator")))),
+    "hk_norm-smooth": (1e-3, lambda: _result(hk_norm(SMOOTH, tol=1e-3))),
+    "hk_norm-smooth-two-doublings": (1e-6, lambda: _result(hk_norm(SMOOTH, tol=1e-6, max_doublings=2))),
+    "hk_norm-one-level": (1e-9, lambda: _result(hk_norm(SMOOTH, max_doublings=0))),
+    "vitali_variation-interval": (1e-9, lambda: _result(vitali_variation(catalog_bv("intervalIndicator")))),
+    "vitali_variation-diagonal": (1e-9, lambda: _result(vitali_variation(catalog_bv("diagonalIndicator"),
+                                                                         max_doublings=3))),
+    "sectional_variation_sup1-smooth": (1e-4, lambda: _result(sectional_variation_sup(SMOOTH, 1, tol=1e-4))),
     "sectional_variation_sup1-smooth-one-doubling": (
-        1e-15, lambda: _estimate(sectional_variation_sup(SMOOTH, 1, tol=1e-15, max_doublings=1))),
+        1e-15, lambda: _result(sectional_variation_sup(SMOOTH, 1, tol=1e-15, max_doublings=1))),
     "sectional_variation_sup2-halfPlane": (
-        1e-9, lambda: _estimate(sectional_variation_sup(catalog_bv("halfPlaneIndicator"), 2))),
+        1e-9, lambda: _result(sectional_variation_sup(catalog_bv("halfPlaneIndicator"), 2))),
     "variation_1d-arctan": (1e-9, lambda: _1d(variation_1d(np.arctan))),
     "variation_1d-sinArctan-two-doublings": (
         1e-12, lambda: _1d(variation_1d(lambda t: np.sin(5 * np.arctan(t)), tol=1e-12, max_doublings=2))),
@@ -61,6 +56,10 @@ CASES = {
     "alexiewicz_norm-one-level": (1e-6, lambda: _result(alexiewicz_norm(distribution("gauss2"), max_doublings=0))),
     "norm_prime-sineStrip": (1e-6, lambda: _result(norm_prime(distribution("sineStrip", n=1)))),
     "norm_prime-one-level": (1e-6, lambda: _result(norm_prime(distribution("gauss2"), max_doublings=0))),
+    "alexiewicz_norm-gauss2-one-doubling": (
+        1e-6, lambda: _result(alexiewicz_norm(distribution("gauss2"), max_doublings=1))),
+    "norm_prime-gauss2-one-doubling": (
+        1e-6, lambda: _result(norm_prime(distribution("gauss2"), max_doublings=1))),
     "integrate_product-quadrant": (
         1e-9, lambda: _result(integrate_product(distribution("prodArctan"), catalog_bv("quadrantIndicator")))),
     "integrate_product-approxIdentity-two-doublings": (
@@ -69,12 +68,6 @@ CASES = {
 
 # cases that break the contract: name -> (tol, thunk, why)
 BROKEN = {
-    "alexiewicz_norm-gauss2-one-doubling": (
-        1e-6, lambda: _result(alexiewicz_norm(distribution("gauss2"), max_doublings=1)),
-        "the norms stop on two increments within tol (confirm=2), not on errorEstimate"),
-    "norm_prime-gauss2-one-doubling": (
-        1e-6, lambda: _result(norm_prime(distribution("gauss2"), max_doublings=1)),
-        "the norms stop on two increments within tol (confirm=2), not on errorEstimate"),
     "convolve_l1-prodArctan-normalized": (
         1e-3, lambda: _result(convolve_l1(distribution("prodArctan"), PoissonKernelL1(0.25), resolution=16,
                                           tol=1e-3, normalize=True)),
