@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -264,23 +263,18 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     return dist
 
 
-@dataclass
-class StepFunction2(PlaneFunction):
+class StepFunction2(BVFunction):
     """Step function on half-open cells (p_{i-1}, p_i] x (q_{j-1}, q_j].
 
     nodes increase strictly from -inf to inf; values[j, i] is the finite
     value on cell (i+1, j+1).  Points with an infinite negative coordinate
-    belong to no cell and evaluate to 0.
+    belong to no cell and evaluate to 0.  The finite nodes are the jump lines.
     """
 
-    nodes_x: np.ndarray
-    nodes_y: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.nodes_x = np.asarray(self.nodes_x, dtype=float)
-        self.nodes_y = np.asarray(self.nodes_y, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, nodes_x, nodes_y, values, label="stepFunction"):
+        self.nodes_x = np.asarray(nodes_x, dtype=float)
+        self.nodes_y = np.asarray(nodes_y, dtype=float)
+        self.values = np.asarray(values, dtype=float)
         for nodes in (self.nodes_x, self.nodes_y):
             if nodes.ndim != 1 or len(nodes) < 2 or nodes[0] != NEG_INF or nodes[-1] != POS_INF:
                 raise ValueError("nodes must run from -inf to inf")
@@ -290,11 +284,11 @@ class StepFunction2(PlaneFunction):
             raise ValueError("values shape must be (cells_y, cells_x)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("step values must be finite")
+        super().__init__(label, self.nodes_x[1:-1], self.nodes_y[1:-1])
 
     def eval(self, x, y):
         x, y = _as_arrays(x, y)
-        if np.isnan(x).any() or np.isnan(y).any():
-            raise ArithmeticError("step function evaluated at a NaN coordinate")
+        self._reject_nan(x, y)
         i = np.clip(np.searchsorted(self.nodes_x, x, side="left") - 1, 0, self.values.shape[1] - 1)
         j = np.clip(np.searchsorted(self.nodes_y, y, side="left") - 1, 0, self.values.shape[0] - 1)
         out = self.values[j, i]

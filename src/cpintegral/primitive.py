@@ -48,8 +48,12 @@ class PlaneFunction:
 
     eval takes coordinate arrays that broadcast against each other; on_grid
     is the one tensor-grid evaluation, overridden where the function is a
-    product of one-dimensional factors.
+    product of one-dimensional factors.  jump_x / jump_y list the finite
+    coordinates of known discontinuity lines: none for a continuous function
+    such as a primitive.
     """
+
+    jump_x = jump_y = ()
 
     def eval(self, x, y):
         raise NotImplementedError
@@ -72,8 +76,6 @@ class PlaneFunction:
 
 
 class Primitive(PlaneFunction):
-    kind = "abstract"
-
     def __init__(self, label=""):
         self.label = label
 
@@ -86,8 +88,6 @@ def _require_finite(values, label):
 
 
 class ClosedFormPrimitive(Primitive):
-    kind = "closedForm"
-
     def __init__(self, fn, label=""):
         super().__init__(label)
         self._fn = fn
@@ -104,8 +104,6 @@ class SeparablePrimitive(ClosedFormPrimitive):
     factors on their own (product integrals against ProductBV multipliers,
     L1 convolution) call eval_factors instead.
     """
-
-    kind = "separable"
 
     def __init__(self, factors, label=""):
         a, b = factors
@@ -136,8 +134,6 @@ class CorrectedPrimitive(ClosedFormPrimitive):
     edge terms once per coordinate instead of once per point.
     """
 
-    kind = "corrected"
-
     def __init__(self, G, label=""):
         def fn(x, y):
             neg = np.full_like(x, NEG_INF)
@@ -149,8 +145,6 @@ class CorrectedPrimitive(ClosedFormPrimitive):
 
 class GridSamplePrimitive(Primitive):
     """Node samples with bilinear interpolation in chart coordinates."""
-
-    kind = "gridSample"
 
     def __init__(self, grid: Grid2, values, label=""):
         super().__init__(label)
@@ -214,8 +208,6 @@ class BVFunction(PlaneFunction):
     discontinuity (or kink) lines; refinement partitions straddle them.
     """
 
-    kind = "abstract"
-
     def __init__(self, label="", jump_x=(), jump_y=()):
         self.label = label
         self.jump_x = tuple(float(j) for j in jump_x)
@@ -227,8 +219,6 @@ class BVFunction(PlaneFunction):
 
 
 class ClosedFormBV(BVFunction):
-    kind = "closedForm"
-
     def __init__(self, fn, label="", jump_x=(), jump_y=()):
         super().__init__(label, jump_x, jump_y)
         self._fn = fn
@@ -246,8 +236,6 @@ class ProductBV(BVFunction):
     on their own (product integrals against separable primitives, the
     variation components) call eval_factors instead.
     """
-
-    kind = "productOfOneDimBV"
 
     def __init__(self, u, v, label="product", u_jumps=(), v_jumps=()):
         super().__init__(label, u_jumps, v_jumps)
@@ -285,92 +273,6 @@ def _within(lo, hi):
 
 def _constant(c):
     return lambda t: np.full(np.shape(t), c)
-
-
-class QuadrantIndicatorBV(ProductBV):
-    """Indicator of [-inf, x0) x [-inf, y0); includes the -inf endpoints."""
-
-    kind = "indicatorQuadrant"
-
-    def __init__(self, x0, y0):
-        self.x0 = ext(x0)
-        self.y0 = ext(y0)
-        super().__init__(_below(self.x0), _below(self.y0), f"quadrantIndicator({x0},{y0})",
-                         (self.x0,), (self.y0,))
-
-
-class HalfPlaneIndicatorBV(ProductBV):
-    """Indicator of x >= 0."""
-
-    kind = "indicatorHalfPlane"
-
-    def __init__(self):
-        super().__init__(_within(0.0, POS_INF), _constant(1.0), "halfPlaneIndicator", (0.0,), ())
-
-
-class IntervalIndicatorBV(ProductBV):
-    kind = "indicatorInterval"
-
-    def __init__(self, interval: Interval2):
-        super().__init__(
-            _within(interval.a, interval.b),
-            _within(interval.c, interval.d),
-            f"intervalIndicator([{interval.a},{interval.b}]x[{interval.c},{interval.d}])",
-            (interval.a, interval.b),
-            (interval.c, interval.d),
-        )
-        self.interval = interval
-
-
-class DiagonalIndicatorBV(BVFunction):
-    """Indicator of the half-plane y > x: not of bounded Hardy-Krause variation."""
-
-    kind = "indicatorDiagonal"
-
-    def __init__(self):
-        super().__init__("diagonalIndicator")
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        self._reject_nan(x, y)
-        return (y > x).astype(float)
-
-
-class ConstantBV(ProductBV):
-    kind = "constant"
-
-    def __init__(self, c):
-        self.c = float(c)
-        super().__init__(_constant(self.c), _constant(1.0), f"constant({c})")
-
-
-class GridConstantBV(BVFunction):
-    """Piecewise-constant on grid cells (xs[i], xs[i+1]] x (ys[j], ys[j+1]]."""
-
-    kind = "gridConstant"
-
-    def __init__(self, grid: Grid2, cell_values, label="gridConstant"):
-        cell_values = np.asarray(cell_values, dtype=float)
-        r = grid.resolution
-        if cell_values.shape != (r, r):
-            raise ValueError("cell_values must be (resolution, resolution)")
-        super().__init__(
-            label,
-            tuple(grid.xs[1:-1]),
-            tuple(grid.ys[1:-1]),
-        )
-        self.grid = grid
-        self.cell_values = cell_values
-
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        self._reject_nan(x, y)
-        i = np.clip(np.searchsorted(self.grid.xs, x, side="left") - 1, 0, self.grid.resolution - 1)
-        j = np.clip(np.searchsorted(self.grid.ys, y, side="left") - 1, 0, self.grid.resolution - 1)
-        out = self.cell_values[j, i]
-        # the (p0, p1] half-open convention leaves the -inf edges outside all cells
-        out = np.where(np.isneginf(x) | np.isneginf(y), 0.0, out)
-        return out
 
 
 def approx_identity_ramp(n):
@@ -623,10 +525,14 @@ def distribution(name, **params) -> Distribution:
 
 
 def catalog_bv(name, **params) -> BVFunction:
+    """Named multipliers; see CATALOG_BV.  Labels format the params as given."""
     if name == "quadrantIndicator":
-        return QuadrantIndicatorBV(params.get("x", 0.0), params.get("y", 0.0))
+        # indicator of [-inf, x) x [-inf, y), the -inf endpoints included
+        x0, y0 = params.get("x", 0.0), params.get("y", 0.0)
+        x, y = ext(x0), ext(y0)
+        return ProductBV(_below(x), _below(y), f"quadrantIndicator({x0},{y0})", (x,), (y,))
     if name == "halfPlaneIndicator":
-        return HalfPlaneIndicatorBV()
+        return ProductBV(_within(0.0, POS_INF), _constant(1.0), "halfPlaneIndicator", (0.0,), ())
     if name == "intervalIndicator":
         if "interval" in params:
             iv = params["interval"]
@@ -636,13 +542,16 @@ def catalog_bv(name, **params) -> BVFunction:
             iv = make_interval(
                 params.get("a", 0.0), params.get("b", 1.0), params.get("c", 0.0), params.get("d", 1.0)
             )
-        return IntervalIndicatorBV(iv)
+        return ProductBV(_within(iv.a, iv.b), _within(iv.c, iv.d),
+                         f"intervalIndicator([{iv.a},{iv.b}]x[{iv.c},{iv.d}])", (iv.a, iv.b), (iv.c, iv.d))
     if name == "approxIdentity":
         return approx_identity(int(params.get("n", 4)))
     if name == "constant":
-        return ConstantBV(params.get("c", 1.0))
+        c = params.get("c", 1.0)
+        return ProductBV(_constant(float(c)), _constant(1.0), f"constant({c})")
     if name == "diagonalIndicator":
-        return DiagonalIndicatorBV()
+        # the half-plane y > x: not of bounded Hardy-Krause variation
+        return ClosedFormBV(lambda x, y: (y > x).astype(float), "diagonalIndicator")
     raise ValueError(f"unknown catalog BV function: {name!r}")
 
 

@@ -44,18 +44,18 @@ def rs_line_section(F, g: BVFunction, axis, fixed, lo, hi, tol=1e-9, **kwargs):
     """Line Stieltjes integral of F against a section of g.
 
     axis 1: integral over x in [lo, hi] of F(x, fixed) d1 g(x, fixed);
-    axis 2: the symmetric version along y.
+    axis 2: the symmetric version along y.  F and g are plane functions, or
+    vectorized callables of (X, Y) taken as ClosedFormBV.
     """
-    F_eval = F.eval if hasattr(F, "eval") else F
-    g_eval = g.eval if hasattr(g, "eval") else g
+    F, g = (h if isinstance(h, PlaneFunction) else ClosedFormBV(h) for h in (F, g))
     if axis == 1:
-        phi = lambda x: F_eval(x, np.full(np.shape(x), fixed))
-        sec = lambda x: g_eval(x, np.full(np.shape(x), fixed))
-        jumps = getattr(g, "jump_x", ())
+        phi = lambda x: F.eval(x, np.full(np.shape(x), fixed))
+        sec = lambda x: g.eval(x, np.full(np.shape(x), fixed))
+        jumps = g.jump_x
     elif axis == 2:
-        phi = lambda y: F_eval(np.full(np.shape(y), fixed), y)
-        sec = lambda y: g_eval(np.full(np.shape(y), fixed), y)
-        jumps = getattr(g, "jump_y", ())
+        phi = lambda y: F.eval(np.full(np.shape(y), fixed), y)
+        sec = lambda y: g.eval(np.full(np.shape(y), fixed), y)
+        jumps = g.jump_y
     else:
         raise ValueError("axis must be 1 or 2")
     return rs_line_integral(phi, sec, lo, hi, jumps=jumps, tol=tol, **kwargs)
@@ -72,11 +72,11 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
     """
     if interval.degenerate:
         return QuadResult(0.0, 0.0, 0, True, [])
-    if jumps_x is None:
-        jumps_x = getattr(integrator, "jump_x", ())
-    if jumps_y is None:
-        jumps_y = getattr(integrator, "jump_y", ())
     phi, integrator = (h if isinstance(h, PlaneFunction) else ClosedFormBV(h) for h in (phi, integrator))
+    if jumps_x is None:
+        jumps_x = integrator.jump_x
+    if jumps_y is None:
+        jumps_y = integrator.jump_y
 
     def step(r):
         xs, tx = partition(interval.a, interval.b, r, jumps_x)
@@ -97,8 +97,8 @@ def _parts_1d(phi_tags, u_nodes):
 
 
 def _nine_term_sum(F, g, interval, resolution):
-    x = (interval.a, interval.b, *getattr(g, "jump_x", ()))
-    y = (interval.c, interval.d, *getattr(g, "jump_y", ()))
+    x = (interval.a, interval.b, *g.jump_x)
+    y = (interval.c, interval.d, *g.jump_y)
     xs, tx = partition(x[0], x[1], resolution, x[2:])
     ys, ty = (xs, tx) if same_bits(x, y) else partition(y[0], y[1], resolution, y[2:])
 
@@ -146,8 +146,8 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     F = _primitive_of(f)
     grid = uniform_grid(resolution)
     fine_r = resolution * OVERSAMPLE
-    xs, tx = partition(NEG_INF, np.inf, fine_r, getattr(g, "jump_x", ()))
-    ys, ty = partition(NEG_INF, np.inf, fine_r, getattr(g, "jump_y", ()))
+    xs, tx = partition(NEG_INF, np.inf, fine_r, g.jump_x)
+    ys, ty = partition(NEG_INF, np.inf, fine_r, g.jump_y)
     ix = np.searchsorted(xs, grid.xs)  # coarse nodes sit exactly on fine nodes
     iy = np.searchsorted(ys, grid.ys)
     if not (np.all(xs[ix] == grid.xs) and np.all(ys[iy] == grid.ys)):
@@ -194,7 +194,7 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
     fg = integrate_product(f, g, FULL_PLANE, tol=tol / 10)
     g_df = rs_plane_integral(
         g, F, FULL_PLANE,
-        jumps_x=getattr(g, "jump_x", ()), jumps_y=getattr(g, "jump_y", ()),
+        jumps_x=g.jump_x, jumps_y=g.jump_y,
         tol=tol / 10,
     )
     report = {
@@ -222,8 +222,8 @@ def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
     order where |F - ratio| <= tol.
     """
     F = _primitive_of(f)
-    xs = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_x", ()))
-    ys = segment_nodes(NEG_INF, np.inf, 64, getattr(g, "jump_y", ()))
+    xs = segment_nodes(NEG_INF, np.inf, 64, g.jump_x)
+    ys = segment_nodes(NEG_INF, np.inf, 64, g.jump_y)
     if np.min(kernels.corner_differences(g.on_grid(xs, ys))) < -tol:
         raise ValueError("integrator has negative corner differences")
 

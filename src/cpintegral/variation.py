@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .extplane import NEG_INF, POS_INF, same_bits, segment_nodes
-from .integral import _refine
+from .integral import QuadResult, _refine
 from .primitive import ProductBV
 
 GUARD = 1e12
@@ -61,7 +61,7 @@ def grid_components(g, resolution):
     Any other g is evaluated and reduced in slices of whole rows, each of
     about SLICE_VALUES values, through one scratch buffer of two slices.
     """
-    jx, jy = getattr(g, "jump_x", ()), getattr(g, "jump_y", ())
+    jx, jy = g.jump_x, g.jump_y
     xs = segment_nodes(NEG_INF, POS_INF, resolution, jx)
     ys = xs if same_bits(jx, jy) else segment_nodes(NEG_INF, POS_INF, resolution, jy)
     if isinstance(g, ProductBV):
@@ -134,12 +134,11 @@ def variation_trace(g, start_resolution=64, doublings=5):
     return out
 
 
-def variation_1d(fn, jumps=(), tol=1e-9, start_resolution=64, max_doublings=10):
+def variation_1d(fn, jumps=(), tol=1e-9, start_resolution=64, max_doublings=10) -> QuadResult:
     """Total variation of a one-dimensional function on the extended line."""
 
     def step(r):
         vals = np.asarray(fn(segment_nodes(NEG_INF, POS_INF, r, jumps)), dtype=float)
         return float(np.sum(np.abs(np.diff(vals))))
 
-    res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
-    return res.value, res.converged, res.trace
+    return _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))

@@ -20,6 +20,7 @@ from cpintegral.convolution import (
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import corner_integral, total_integral
 from cpintegral.primitive import (
+    BVFunction,
     ClosedFormPrimitive,
     catalog_bv,
     corrected_primitive,
@@ -128,6 +129,12 @@ def test_step_function_half_open_cells():
     assert s(1.0, 1.0) == 5.0  # right-closed
     assert s(0.0, 0.5) == 0.0  # left-open
     assert s(NEG_INF, 0.5) == 0.0
+
+
+def test_step_function_jump_lines_are_its_finite_nodes():
+    s = StepFunction2([NEG_INF, -1.0, 0.5, POS_INF], [NEG_INF, 2.0, POS_INF], np.zeros((2, 3)))
+    assert isinstance(s, BVFunction) and s.label == "stepFunction"
+    assert s.jump_x == (-1.0, 0.5) and s.jump_y == (2.0,)
 
 
 def test_step_function_rejects_nan():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cpintegral.convolution import StepFunction2
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import (
@@ -13,7 +14,6 @@ from cpintegral.primitive import (
     ClosedFormBV,
     ClosedFormPrimitive,
     Distribution,
-    GridConstantBV,
     GridSamplePrimitive,
     ProductBV,
     SeparablePrimitive,
@@ -279,6 +279,22 @@ def _probe_points():
     return np.meshgrid(pts, pts)
 
 
+# (name, params) -> (type, label, jump_x, jump_y); labels format the raw params
+CATALOG_BV_PINS = {
+    ("quadrantIndicator", ()): (ProductBV, "quadrantIndicator(0.0,0.0)", (0.0,), (0.0,)),
+    ("quadrantIndicator", (("x", np.float64(0.1234)), ("y", -1))):
+        (ProductBV, "quadrantIndicator(0.1234,-1)", (0.1234,), (-1.0,)),
+    ("halfPlaneIndicator", ()): (ProductBV, "halfPlaneIndicator", (0.0,), ()),
+    ("intervalIndicator", ()): (ProductBV, "intervalIndicator([0.0,1.0]x[0.0,1.0])", (0.0, 1.0), (0.0, 1.0)),
+    ("intervalIndicator", (("a", -1.5), ("b", np.float64(0.25)), ("c", "-inf"), ("d", 2))):
+        (ProductBV, "intervalIndicator([-1.5,0.25]x[-inf,2.0])", (-1.5, 0.25), (NEG_INF, 2.0)),
+    ("approxIdentity", ()): (ProductBV, "approxIdentity(4)", (-4.0, -3.0), (-4.0, -3.0)),
+    ("constant", ()): (ProductBV, "constant(1.0)", (), ()),
+    ("constant", (("c", 2),)): (ProductBV, "constant(2)", (), ()),
+    ("diagonalIndicator", ()): (ClosedFormBV, "diagonalIndicator", (), ()),
+}
+
+
 def test_product_multipliers_keep_their_formulas():
     X, Y = _probe_points()
     iv = make_interval(-1.5, 0.25, -0.5, 2.0)
@@ -289,11 +305,15 @@ def test_product_multipliers_keep_their_formulas():
          ((X >= iv.a) & (X <= iv.b) & (Y >= iv.c) & (Y <= iv.d)).astype(float)),
         (catalog_bv("constant", c=-1.75), np.full(X.shape, -1.75)),
         (catalog_bv("constant", c=POS_INF), np.full(X.shape, POS_INF)),
+        (catalog_bv("diagonalIndicator"), (Y > X).astype(float)),
     ]
     for g, old in cases:
         assert _bit_equal(g.eval(X, Y), old), g.label
-    assert catalog_bv("quadrantIndicator").kind == "indicatorQuadrant"
-    assert catalog_bv("constant", c=2).label == "constant(2)"
+    for (name, params), pin in CATALOG_BV_PINS.items():
+        g = catalog_bv(name, **dict(params))
+        assert (type(g), g.label, g.jump_x, g.jump_y) == pin, g.label
+        assert all(type(j) is float for j in g.jump_x + g.jump_y), g.label
+    assert {name for name, _ in CATALOG_BV_PINS} == set(CATALOG_BV)
 
 
 @pytest.mark.parametrize("name,params", [("approxIdentity", {"n": 2}),
@@ -323,7 +343,7 @@ def test_product_bv_rejects_nan():
 @pytest.mark.parametrize("g", [
     ClosedFormBV(lambda x, y: np.ones(np.shape(x)), "ones"),
     catalog_bv("diagonalIndicator"),
-    GridConstantBV(uniform_grid(2), [[0.0, 1.0], [2.0, 3.0]]),
+    StepFunction2(uniform_grid(2).xs, uniform_grid(2).ys, [[0.0, 1.0], [2.0, 3.0]]),
 ], ids=["closedForm", "diagonalIndicator", "gridConstant"])
 def test_bv_rejects_nan(g):
     assert float(np.sum(g.eval(np.array([0.5, POS_INF]), 1.0))) >= 0.0

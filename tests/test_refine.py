@@ -84,13 +84,9 @@ def record(result):
     Fields a routine does not report are None; convolve_l1's value is the
     SHA-256 digest of its H grid.
     """
-    if isinstance(result, tuple):  # variation_1d
-        value, converged, trace = result
-        return (value, None, trace[-1]["resolution"], converged, [row["value"] for row in trace])
     trace = getattr(result, "trace", None)
     if trace is not None:
-        err = getattr(result, "error_estimate", None)
-        return (result.value, err, result.resolution, result.converged,
+        return (result.value, result.error_estimate, result.resolution, result.converged,
                 [row["value"] for row in trace])
     digest = hashlib.sha256(np.asarray(result.primitive.values).tobytes()).hexdigest()
     return (digest, result.error_estimate, None, result.converged, None)
@@ -178,7 +174,7 @@ GOLDEN = {
         [1.0, 1.0],
     ),
     'variation_1d-arctan': (
-        3.141592653589793, None, 128, True,
+        3.141592653589793, 0.0, 128, True,
         [3.141592653589793, 3.141592653589793],
     ),
     'vitali_variation-diagonal': (
@@ -343,7 +339,7 @@ def test_variation_1d_stops_on_growing_increments():
     # variation_1d shares the divergence stop of the 2-d variation routines:
     # the last three increments are not shrinking, so it stops at 2048 where
     # the GUARD cap alone ran on to 65536 (value 537.1, also unconverged)
-    value, converged, trace = variation_1d(_sin_inverse)
-    assert not converged
-    assert trace[-1]["resolution"] == 2048
-    assert abs(value - 94.6) < 0.05
+    res = variation_1d(_sin_inverse)
+    assert not res.converged
+    assert res.resolution == res.trace[-1]["resolution"] == 2048
+    assert abs(res.value - 94.6) < 0.05

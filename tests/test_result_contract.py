@@ -1,13 +1,9 @@
 """The result contract: `converged` is true when, and only when, errorEstimate <= tol.
 
 One table over the refining library routines, each on a case that converges
-and on one that stops unconverged.  variation_1d reports its trace but no
-errorEstimate; its estimate is the last increment between levels (inf after
-a single level), the measure the refinement driver stops on.  Cases that
-break the contract today are strict xfails.
+and on one that stops unconverged.  Cases that break the contract today are
+strict xfails.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -21,18 +17,9 @@ from cpintegral.variation import hk_norm, sectional_variation_sup, variation_1d,
 SMOOTH = ClosedFormBV(lambda x, y: np.sin(3.0 * np.arctan(x)) * np.cos(2.0 * np.arctan(y) + np.arctan(x)), "smooth")
 
 
-def _last_increment(trace):
-    return abs(trace[-1]["value"] - trace[-2]["value"]) if len(trace) > 1 else math.inf
-
-
 def _result(res):
     """(converged, errorEstimate) of a QuadResult, a VariationEstimate or a convolved distribution."""
     return res.converged, res.error_estimate
-
-
-def _1d(result):
-    value, converged, trace = result
-    return converged, _last_increment(trace)
 
 
 # name -> (tol, a thunk returning (converged, errorEstimate))
@@ -49,9 +36,9 @@ CASES = {
         1e-15, lambda: _result(sectional_variation_sup(SMOOTH, 1, tol=1e-15, max_doublings=1))),
     "sectional_variation_sup2-halfPlane": (
         1e-9, lambda: _result(sectional_variation_sup(catalog_bv("halfPlaneIndicator"), 2))),
-    "variation_1d-arctan": (1e-9, lambda: _1d(variation_1d(np.arctan))),
+    "variation_1d-arctan": (1e-9, lambda: _result(variation_1d(np.arctan))),
     "variation_1d-sinArctan-two-doublings": (
-        1e-12, lambda: _1d(variation_1d(lambda t: np.sin(5 * np.arctan(t)), tol=1e-12, max_doublings=2))),
+        1e-12, lambda: _result(variation_1d(lambda t: np.sin(5 * np.arctan(t)), tol=1e-12, max_doublings=2))),
     "alexiewicz_norm-gauss2": (1e-6, lambda: _result(alexiewicz_norm(distribution("gauss2")))),
     "alexiewicz_norm-one-level": (1e-6, lambda: _result(alexiewicz_norm(distribution("gauss2"), max_doublings=0))),
     "norm_prime-sineStrip": (1e-6, lambda: _result(norm_prime(distribution("sineStrip", n=1)))),

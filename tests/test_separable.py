@@ -40,7 +40,6 @@ from cpintegral.primitive import (
     ClosedFormBV,
     ClosedFormPrimitive,
     CorrectedPrimitive,
-    GridConstantBV,
     GridSamplePrimitive,
     ProductBV,
     SeparablePrimitive,
@@ -132,7 +131,8 @@ PLANE_FUNCTIONS = {
     **MULTIPLIERS,
     "reflectedApproxIdentity": lambda: translate_reflect_bv(approx_identity(2), 1.0, -0.5),
     "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
-    "gridConstant": lambda: GridConstantBV(uniform_grid(4), np.arange(16.0).reshape(4, 4) - 5.5),
+    "gridConstant": lambda grid=uniform_grid(4): StepFunction2(grid.xs, grid.ys,
+                                                               np.arange(16.0).reshape(4, 4) - 5.5),
     "closedFormBV": lambda: generic_bv(translate_reflect_bv(approx_identity(2), 1.0, -0.5)),
     "poissonKernel": lambda: PoissonKernelL1(0.5),
     "skewGaussKernel": skew_gauss_kernel,
@@ -146,8 +146,8 @@ def test_on_grid_is_bit_identical_to_eval(key):
     # a square chart grid, node rows of different lengths, the straddled
     # nodes of the jump lines against their cell tags, and +-inf nodes
     f = PLANE_FUNCTIONS[key]()
-    xj = segment_nodes(NEG_INF, POS_INF, 32, getattr(f, "jump_x", ()) + (0.25, -1.5))
-    yj = segment_nodes(NEG_INF, POS_INF, 24, getattr(f, "jump_y", ()) + (0.5,))
+    xj = segment_nodes(NEG_INF, POS_INF, 32, f.jump_x + (0.25, -1.5))
+    yj = segment_nodes(NEG_INF, POS_INF, 24, f.jump_y + (0.5,))
     ends = np.array([NEG_INF, 0.5, POS_INF])
     for xs, ys in ((axis_nodes(256), axis_nodes(256)), (axis_nodes(16), axis_nodes(8)[1:-1]),
                    (xj, cell_tags(yj)), (cell_tags(xj), yj), (ends, xj), (yj, ends)):
@@ -156,7 +156,7 @@ def test_on_grid_is_bit_identical_to_eval(key):
         assert G.dtype == float and G.shape == (len(ys), len(xs))
         assert G.tobytes() == np.asarray(f.eval(X, Y), dtype=float).tobytes()
         assert G.tobytes() == ClosedFormPrimitive(f.eval).on_grid(xs, ys).tobytes()
-    if isinstance(f, (BVFunction, StepFunction2, GridSamplePrimitive)):
+    if isinstance(f, (BVFunction, GridSamplePrimitive)):
         with pytest.raises(ArithmeticError):
             f.on_grid(np.array([0.0, np.nan]), axis_nodes(4))
         with pytest.raises(ArithmeticError):
@@ -173,6 +173,14 @@ def _package_lines(pattern):
 def test_no_meshgrid_evaluation_in_the_package():
     # every tensor-grid evaluation goes through PlaneFunction.on_grid
     assert _package_lines(r"np\.meshgrid") == []
+
+
+def test_no_attribute_probes_or_kind_tags_in_the_package():
+    # every PlaneFunction has jump lines (none unless it declares them), and
+    # raw callables are wrapped in ClosedFormBV, so nothing probes for them
+    assert _package_lines(r'getattr\(.*"jump_') == []
+    assert _package_lines(r"\bhasattr\(") == []
+    assert _package_lines(r'\bkind = "') == []
 
 
 def test_one_corner_difference_kernel_and_one_partition_builder():

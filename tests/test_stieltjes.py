@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cpintegral import stieltjes
+from cpintegral.convolution import StepFunction2
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, cell_tags, make_interval, partition, segment_nodes, uniform_grid
 from cpintegral.integral import corner_integral
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
     ClosedFormBV,
-    GridConstantBV,
     approx_identity,
     catalog_bv,
     catalog_primitive,
@@ -210,7 +210,8 @@ BY_PARTS_MULTIPLIERS = {
     "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
     "reflectedClosedForm": lambda: ClosedFormBV(translate_reflect_bv(approx_identity(2), 1.0, -0.5).eval,
                                                 "reflected", (-1.0, 3.0), (-2.5, 1.5)),
-    "gridConstant": lambda: GridConstantBV(uniform_grid(4), np.arange(16.0).reshape(4, 4) - 5.5),
+    "gridConstant": lambda grid=uniform_grid(4): StepFunction2(grid.xs, grid.ys,
+                                                               np.arange(16.0).reshape(4, 4) - 5.5),
     "approxIdentity": lambda: approx_identity(3),
 }
 BY_PARTS_INTERVALS = {
@@ -281,5 +282,7 @@ def test_line_section_of_a_quadrant_indicator_is_its_jump():
     assert along_x.converged and along_y.converged
     assert abs(along_x.value + F(0.3, -2.0)) <= 1e-12
     assert abs(along_y.value + F(0.1, -1.0)) <= 1e-12
+    # a raw callable is taken as a ClosedFormBV, as in rs_plane_integral
+    assert rs_line_section(F.eval, g, 1, -2.0, NEG_INF, POS_INF) == along_x
     with pytest.raises(ValueError, match="axis must be 1 or 2"):
         rs_line_section(F, g, 3, 0.0, NEG_INF, POS_INF)

@@ -65,16 +65,15 @@ def test_constant_norm():
 
 
 def test_monotone_1d_variation_is_endpoint_difference():
-    value, converged, _ = variation_1d(np.arctan)
-    assert converged
-    assert abs(value - math.pi) < 1e-9
+    res = variation_1d(np.arctan)
+    assert res.converged
+    assert abs(res.value - math.pi) < 1e-9
 
 
 def test_1d_variation_with_jump():
-    value, converged, _ = variation_1d(lambda t: (np.asarray(t) >= 0.5).astype(float),
-                                       jumps=(0.5,))
-    assert converged
-    assert value == 1.0
+    res = variation_1d(lambda t: (np.asarray(t) >= 0.5).astype(float), jumps=(0.5,))
+    assert res.converged
+    assert res.value == 1.0
 
 
 def test_product_vitali_is_product_of_1d_variations():
