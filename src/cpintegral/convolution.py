@@ -27,7 +27,6 @@ from .primitive import (
     PlaneFunction,
     Primitive,
     SeparablePrimitive,
-    _as_arrays,
     translate_reflect_bv,
 )
 from .stieltjes import integrate_product
@@ -93,8 +92,8 @@ class L1Kernel(PlaneFunction):
         self.label = label
         self.l1_norm_estimate = self._estimate_l1()
 
-    def eval(self, x, y):
-        return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    def _values(self, x, y):
+        return self._fn(x, y)
 
     def axis_points(self, level, axis=0):
         """1-d Gauss-Legendre nodes/weights on the support's x (axis 0) or y range."""
@@ -286,9 +285,7 @@ class StepFunction2(BVFunction):
             raise ValueError("step values must be finite")
         super().__init__(label, self.nodes_x[1:-1], self.nodes_y[1:-1])
 
-    def eval(self, x, y):
-        x, y = _as_arrays(x, y)
-        self._reject_nan(x, y)
+    def _values(self, x, y):
         i = np.clip(np.searchsorted(self.nodes_x, x, side="left") - 1, 0, self.values.shape[1] - 1)
         j = np.clip(np.searchsorted(self.nodes_y, y, side="left") - 1, 0, self.values.shape[0] - 1)
         out = self.values[j, i]

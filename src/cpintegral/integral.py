@@ -488,17 +488,11 @@ def iterated_consistency(f, interval: Interval2, resolution=128):
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
 
     xs = segment_nodes(min(a, b), max(a, b), resolution) if a != b else np.array([a, b])
-    inner_x = (
-        np.asarray(F.eval(xs, np.full(xs.shape, d)))
-        - np.asarray(F.eval(xs, np.full(xs.shape, c)))
-    )
+    inner_x = np.asarray(F.eval(xs, d)) - np.asarray(F.eval(xs, c))
     x_outer = interval.sign * float(np.sum(np.diff(inner_x)))
 
     ys = segment_nodes(min(c, d), max(c, d), resolution) if c != d else np.array([c, d])
-    inner_y = (
-        np.asarray(F.eval(np.full(ys.shape, b), ys))
-        - np.asarray(F.eval(np.full(ys.shape, a), ys))
-    )
+    inner_y = np.asarray(F.eval(b, ys)) - np.asarray(F.eval(a, ys))
     y_outer = interval.sign * float(np.sum(np.diff(inner_y)))
 
     vals = (direct, x_outer, y_outer)
@@ -511,11 +505,8 @@ def ftc_residual(f, resolution=64):
     F = _primitive_of(f)
     xs = axis_nodes(resolution)
     G = F.on_grid(xs, xs)
-    neg = np.full(xs.shape, NEG_INF)
-    col = np.asarray(F.eval(neg, xs))  # F(-inf, y)
-    row = np.asarray(F.eval(xs, neg))  # F(x, -inf)
-    corner = float(F(NEG_INF, NEG_INF))
-    cum = corner + G - col[:, None] - row[None, :]
+    # xs[0] is -inf: the first column is F(-inf, y), the first row F(x, -inf)
+    cum = G[0, 0] + G - G[:, :1] - G[:1]
     diff = np.abs(cum - G)
     scale = np.spacing(np.maximum(np.abs(G), 1.0))
     return float(np.max(diff / scale))

@@ -52,6 +52,8 @@ class LinearAxisMap:
     kind: str = "straight"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.gamma1, self.gamma2)):
+            raise ValueError("alpha, beta, gamma1 and gamma2 must be finite")
         if self.alpha == 0.0 or self.beta == 0.0:
             raise ValueError("alpha and beta must be nonzero")
         if self.kind not in ("straight", "swapped"):

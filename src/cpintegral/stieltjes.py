@@ -49,12 +49,12 @@ def rs_line_section(F, g: BVFunction, axis, fixed, lo, hi, tol=1e-9, **kwargs):
     """
     F, g = (h if isinstance(h, PlaneFunction) else ClosedFormBV(h) for h in (F, g))
     if axis == 1:
-        phi = lambda x: F.eval(x, np.full(np.shape(x), fixed))
-        sec = lambda x: g.eval(x, np.full(np.shape(x), fixed))
+        phi = lambda x: F.eval(x, fixed)
+        sec = lambda x: g.eval(x, fixed)
         jumps = g.jump_x
     elif axis == 2:
-        phi = lambda y: F.eval(np.full(np.shape(y), fixed), y)
-        sec = lambda y: g.eval(np.full(np.shape(y), fixed), y)
+        phi = lambda y: F.eval(fixed, y)
+        sec = lambda y: g.eval(fixed, y)
         jumps = g.jump_y
     else:
         raise ValueError("axis must be 1 or 2")
@@ -172,9 +172,8 @@ def _vanishes_on_edges(g, sign, resolution=64, tol=1e-12):
     """True if g is ~0 whenever x or y equals sign * inf, sampled at nodes."""
     edge = np.inf if sign > 0 else NEG_INF
     nodes = segment_nodes(NEG_INF, np.inf, resolution)
-    level = np.full(nodes.shape, edge)
-    v1 = np.max(np.abs(np.asarray(g.eval(level, nodes))))
-    v2 = np.max(np.abs(np.asarray(g.eval(nodes, level))))
+    v1 = np.max(np.abs(np.asarray(g.eval(edge, nodes))))
+    v2 = np.max(np.abs(np.asarray(g.eval(nodes, edge))))
     return max(float(v1), float(v2)) <= tol
 
 

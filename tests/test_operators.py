@@ -44,6 +44,12 @@ def test_linear_axis_map_validation():
         LinearAxisMap(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         LinearAxisMap(alpha=1.0, beta=1.0, kind="rotate")
+    # a NaN or infinite map sends the finite points off the plane, where
+    # change_of_variables would integrate nothing and report 0
+    for field in ("alpha", "beta", "gamma1", "gamma2"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LinearAxisMap(**{"alpha": 1.0, "beta": 1.0, field: bad})
 
 
 def test_map_interval_orientation():

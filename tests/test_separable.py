@@ -34,13 +34,13 @@ from cpintegral.extplane import (
     segment_nodes,
     uniform_grid,
 )
+from cpintegral.integral import cumulative
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
-    BVFunction,
     ClosedFormBV,
     ClosedFormPrimitive,
     CorrectedPrimitive,
-    GridSamplePrimitive,
+    Primitive,
     ProductBV,
     SeparablePrimitive,
     approx_identity,
@@ -156,11 +156,32 @@ def test_on_grid_is_bit_identical_to_eval(key):
         assert G.dtype == float and G.shape == (len(ys), len(xs))
         assert G.tobytes() == np.asarray(f.eval(X, Y), dtype=float).tobytes()
         assert G.tobytes() == ClosedFormPrimitive(f.eval).on_grid(xs, ys).tobytes()
-    if isinstance(f, (BVFunction, GridSamplePrimitive)):
-        with pytest.raises(ArithmeticError):
-            f.on_grid(np.array([0.0, np.nan]), axis_nodes(4))
-        with pytest.raises(ArithmeticError):
-            f.on_grid(axis_nodes(4), np.array([np.nan]))
+    with pytest.raises(ArithmeticError):
+        f.on_grid(np.array([0.0, np.nan]), axis_nodes(4))
+    with pytest.raises(ArithmeticError):
+        f.on_grid(axis_nodes(4), np.array([np.nan]))
+
+
+NAN_ENTRY_FUNCTIONS = {**PLANE_FUNCTIONS, "zero": lambda: catalog_primitive("zero")}
+
+
+@pytest.mark.parametrize("key", NAN_ENTRY_FUNCTIONS)
+def test_every_entry_rejects_a_nan_coordinate(key):
+    # NaN is no point of the extended plane, so eval, a call and the factor
+    # rows raise at it, scalar or array, in either coordinate; a closed form
+    # that maps NaN to a finite value (zero, the clipped factors) included
+    f = NAN_ENTRY_FUNCTIONS[key]()
+    entries = [f.eval, f]
+    if isinstance(f, (SeparablePrimitive, ProductBV)):
+        entries.append(f.eval_factors)
+    row = np.array([0.5, np.nan, POS_INF])
+    for entry in entries:
+        for x, y in ((np.nan, 0.5), (0.5, np.nan), (row, 0.5), (axis_nodes(4), row[:, None])):
+            with pytest.raises(ArithmeticError, match="NaN coordinate"):
+                entry(x, y)
+    if isinstance(f, Primitive):
+        with pytest.raises(ArithmeticError, match="NaN coordinate"):
+            cumulative(f, np.nan, 1.0)
 
 
 def _package_lines(pattern):
@@ -173,6 +194,16 @@ def _package_lines(pattern):
 def test_no_meshgrid_evaluation_in_the_package():
     # every tensor-grid evaluation goes through PlaneFunction.on_grid
     assert _package_lines(r"np\.meshgrid") == []
+
+
+def test_one_evaluation_gate_in_the_package():
+    # the NaN-coordinate check is written once, in the helper that
+    # PlaneFunction.eval and the eval_factors rows share; eval is defined
+    # only by the base classes holding the gate, and since it broadcasts
+    # scalars no caller builds a coordinate row for it
+    assert len(_package_lines(r"evaluated at a NaN coordinate")) == 1
+    assert _package_lines(r"\.eval\(.*np\.full") == []
+    assert [name for name, _ in _package_lines(r"def eval\(")] == ["primitive.py"] * 2
 
 
 def test_no_attribute_probes_or_kind_tags_in_the_package():
