@@ -217,9 +217,9 @@ def _convolved_values(F, grid_xs, px, py, K):
         return B @ K @ A.T
     if isinstance(F, CorrectedPrimitive):
         G = F.G
-        edge_x = np.asarray(G(shifted_x, np.full_like(shifted_x, NEG_INF)), dtype=float)
-        edge_y = np.asarray(G(np.full_like(shifted_y, NEG_INF), shifted_y), dtype=float)
-        corner = np.asarray(G(np.full(1, NEG_INF), np.full(1, NEG_INF)), dtype=float)[0]
+        edge_x = _eval_block(G, shifted_x, NEG_INF)
+        edge_y = _eval_block(G, NEG_INF, shifted_y)
+        corner = float(_eval_block(G, NEG_INF, NEG_INF))
         H = (_broadcast_sum(G, grid_xs, px, py, K) + corner * np.sum(K)
              - (edge_x @ K.sum(axis=0))[None, :] - (edge_y @ K.sum(axis=1))[:, None])
         if not np.all(np.isfinite(H)):

@@ -3,8 +3,10 @@
 Extended reals are plain floats where -inf/+inf are legal values and NaN is
 not.  The chart is a fixed monotone homeomorphism [-inf, inf] -> [-1, 1] used
 to place uniform partition grids on the extended plane: segment_nodes builds
-every partition, straddled around jump lines, and partition adds its tags,
-read-only and built once per resolution on the whole line without jumps.
+every partition, straddled around jump lines, and partition adds its tags.
+On the whole line without jumps the nodes and the tags are read-only tables,
+each built once per resolution on first use, so a caller that reads only
+nodes never pays for the tags.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def segment_nodes(a, b, resolution, jumps=()):
     if not a < b:
         raise ValueError("need a < b")
     whole = a == NEG_INF and b == POS_INF
-    nodes = _line_table(resolution)[0] if whole else _chart_nodes(a, b, resolution)
+    nodes = _line_nodes(resolution) if whole else _chart_nodes(a, b, resolution)
     increasing = whole or (nodes[1:] > nodes[:-1]).all()  # then every node lies in [a, b]
     j = np.asarray(jumps, dtype=float)
     j = j[(a < j) & (j < b)]  # NaN and +-inf are never strictly inside
@@ -158,19 +160,26 @@ def _chart_nodes(a, b, resolution):
 
 
 @functools.lru_cache(maxsize=16)
-def _line_table(resolution):
-    """(nodes, tags) of the unjumped partition of [-inf, inf]; its chart nodes strictly increase."""
+def _line_nodes(resolution):
+    """The nodes of the unjumped partition of [-inf, inf]; its chart nodes strictly increase."""
     nodes = _chart_nodes(NEG_INF, POS_INF, resolution)
-    tags = cell_tags(nodes)
-    nodes.flags.writeable = tags.flags.writeable = False
-    return nodes, tags
+    nodes.flags.writeable = False
+    return nodes
+
+
+@functools.lru_cache(maxsize=16)
+def _line_tags(resolution):
+    """The cell tags of _line_nodes(resolution), built on the first partition that asks for them."""
+    tags = cell_tags(_line_nodes(resolution))
+    tags.flags.writeable = False
+    return tags
 
 
 def partition(a, b, resolution, jumps=()):
-    """(segment_nodes(...), their cell_tags): the table on the whole line without interior jumps."""
+    """(segment_nodes(...), their cell_tags): the tables on the whole line without interior jumps."""
     nodes = segment_nodes(a, b, resolution, jumps)
-    if a == NEG_INF and b == POS_INF and nodes is _line_table(resolution)[0]:
-        return _line_table(resolution)
+    if a == NEG_INF and b == POS_INF and nodes is _line_nodes(resolution):
+        return nodes, _line_tags(resolution)
     return nodes, cell_tags(nodes)
 
 
@@ -192,7 +201,7 @@ def axis_nodes(resolution: int) -> np.ndarray:
     """resolution+1 nodes on [-inf, inf], chart-equispaced, endpoints exact."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    return _line_table(resolution)[0]
+    return _line_nodes(resolution)
 
 
 def uniform_grid(resolution: int) -> Grid2:

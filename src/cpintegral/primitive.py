@@ -39,20 +39,22 @@ def _nan_free(label, x, y):
     return x, y
 
 
-def _shaped(values, x):
-    """A closed form's values, broadcast to a fresh array of the coordinates'
-    shape when the function returned a scalar or another shape."""
-    if np.shape(values) == x.shape:
+def _shaped(values, shape):
+    """A closed form's values, broadcast to a fresh array of the given shape
+    when the function returned a scalar or another shape."""
+    if np.shape(values) == shape:
         return values
-    return np.array(np.broadcast_to(values, x.shape), dtype=float)
+    return np.array(np.broadcast_to(values, shape), dtype=float)
 
 
 class PlaneFunction:
     """A vectorized function on the extended plane.
 
     eval is the one evaluation gate: it rejects a NaN in the coordinates as
-    given, broadcasts them against each other (scalars included) and shapes
-    the values that a subclass's _values returns for the broadcast arrays.
+    given and shapes the values that a subclass's _values returns to the
+    broadcast shape of the coordinates.  _values gets the coordinates as
+    float arrays that broadcast against each other, not broadcast copies, so
+    a term that depends on one coordinate is evaluated once per coordinate.
     on_grid is the one tensor-grid evaluation, overridden where the function
     is a product of one-dimensional factors.  jump_x / jump_y list the finite
     coordinates of known discontinuity lines: none for a continuous function
@@ -65,8 +67,8 @@ class PlaneFunction:
         raise NotImplementedError
 
     def eval(self, x, y):
-        x, y = np.broadcast_arrays(*_nan_free(self.label, x, y))
-        return _shaped(self._values(x, y), x)
+        x, y = _nan_free(self.label, x, y)
+        return _shaped(self._values(x, y), np.broadcast(x, y).shape)
 
     def __call__(self, x, y):
         out = self.eval(x, y)
@@ -76,9 +78,10 @@ class PlaneFunction:
         """Values G[j, i] = f(xs[i], ys[j]) on the tensor grid of two node rows.
 
         eval gets read-only views of the rows, xs of shape (n,) and ys of
-        shape (k, 1), so the NaN check reads n + k values and _values sees
-        read-only (k, n) broadcast views, not meshgrid copies: a value array
-        that aliases its input cannot be written through to the node rows.
+        shape (k, 1), and passes them on to _values as they are: the NaN
+        check reads n + k values, a term of one coordinate costs n or k
+        evaluations, not k n, and a value array that aliases its input
+        cannot be written through to the node rows.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)[:, None]
@@ -129,8 +132,8 @@ class SeparablePrimitive(ClosedFormPrimitive):
         coordinate or a non-finite value raises as in eval."""
         a, b = self.factors
         x, y = _nan_free(self.label, x, y)
-        ax = _require_finite(_shaped(np.asarray(a(x), dtype=float), x), self.label)
-        by = _require_finite(_shaped(np.asarray(b(y), dtype=float), y), self.label)
+        ax = _require_finite(_shaped(np.asarray(a(x), dtype=float), x.shape), self.label)
+        by = _require_finite(_shaped(np.asarray(b(y), dtype=float), y.shape), self.label)
         return ax, by
 
     def on_grid(self, xs, ys):
@@ -139,21 +142,22 @@ class SeparablePrimitive(ClosedFormPrimitive):
         return _require_finite(by[:, None] * ax[None, :], self.label)
 
 
-class CorrectedPrimitive(ClosedFormPrimitive):
+class CorrectedPrimitive(Primitive):
     """F(x, y) = G(x, y) + G(-inf, -inf) - G(x, -inf) - G(-inf, y).
 
     F has the mixed derivative of the continuous G and vanishes on the -inf
-    edges.  G is kept so that sums of F over many points can evaluate the
-    edge terms once per coordinate instead of once per point.
+    edges.  The edge terms take the scalar -inf, so on a tensor grid they
+    cost one evaluation per coordinate, not one per point; G is kept so that
+    sums of F over many points (the L1 convolution) can do the same.
     """
 
     def __init__(self, G, label=""):
-        def fn(x, y):
-            neg = np.full_like(x, NEG_INF)
-            return G(x, y) + G(neg, neg) - G(x, neg) - G(neg, y)
-
-        super().__init__(fn, label)
+        super().__init__(label)
         self.G = G
+
+    def _values(self, x, y):
+        G = self.G
+        return G(x, y) + G(NEG_INF, NEG_INF) - G(x, NEG_INF) - G(NEG_INF, y)
 
 
 class GridSamplePrimitive(Primitive):
@@ -257,7 +261,8 @@ class ProductBV(BVFunction):
         """(u(x), v(y)) as float arrays of the shapes of x and y; a NaN
         coordinate raises as in eval."""
         x, y = _nan_free(self.label, x, y)
-        return _shaped(np.asarray(self.u(x), dtype=float), x), _shaped(np.asarray(self.v(y), dtype=float), y)
+        return (_shaped(np.asarray(self.u(x), dtype=float), x.shape),
+                _shaped(np.asarray(self.v(y), dtype=float), y.shape))
 
     def on_grid(self, xs, ys):
         """The outer product of the factors: 2 r evaluations instead of r^2."""
@@ -329,6 +334,32 @@ def corrected_primitive(G_fn, label) -> CorrectedPrimitive:
     same mixed derivative as G.
     """
     return CorrectedPrimitive(G_fn, label)
+
+
+# |t| beyond this is clipped before squaring: t * t overflows from about
+# 1.3e154, and exp(-1e150) is already 0, so the clip changes no value
+_RADIAL_CLIP = 1e150
+
+
+def _exp_radial(x, y):
+    """exp(-sqrt(x^2 + y^2)) for floats or float arrays that broadcast.
+
+    The squares are taken on the inputs as given, so in a broadcast sum only
+    the one result buffer has the broadcast size; the square root, the
+    negation and the exponential then run in place on it.  A scalar result
+    takes the same operations on Python floats, which cost less than numpy
+    calls on 0-d arrays.  np.hypot gives the same values up to rounding but,
+    a scalar libm loop, runs several times slower per value.
+    """
+    if getattr(x, "ndim", 0) == 0 and getattr(y, "ndim", 0) == 0:
+        x, y = min(abs(float(x)), _RADIAL_CLIP), min(abs(float(y)), _RADIAL_CLIP)
+        return np.exp(-math.sqrt(x * x + y * y))
+    x = np.minimum(np.abs(x), _RADIAL_CLIP)
+    y = np.minimum(np.abs(y), _RADIAL_CLIP)
+    r = x * x + y * y
+    np.sqrt(r, out=r)
+    np.negative(r, out=r)
+    return np.exp(r, out=r)
 
 
 def _arctan_ramp(t):
@@ -438,8 +469,9 @@ def boundary_build(theta2="ramp", theta3="ramp") -> ClosedFormPrimitive:
 
     Requires theta2(-inf) = theta3(-inf) = 0 and theta2(inf) = theta3(inf).
     When the shared corner value is nonzero the product construction
-    theta2(x) theta3(y) / theta2(inf) applies; otherwise the arctan-ramp
-    blend is used.
+    theta2(x) theta3(y) / theta2(inf) applies, a SeparablePrimitive with the
+    factors theta2 / theta2(inf) and theta3; otherwise the arctan-ramp blend
+    is used.
     """
     t2 = _theta_preset(theta2)
     t3 = _theta_preset(theta3)
@@ -451,14 +483,10 @@ def boundary_build(theta2="ramp", theta3="ramp") -> ClosedFormPrimitive:
         raise ValueError("edge functions must vanish at -inf")
 
     if corner2 != 0.0:
+        return SeparablePrimitive((lambda x: np.asarray(t2(x), dtype=float) / corner2, t3), "boundaryBuild")
 
-        def fn(x, y):
-            return np.asarray(t2(x)) * np.asarray(t3(y)) / corner2
-
-    else:
-
-        def fn(x, y):
-            return np.asarray(t2(x)) * _arctan_ramp(y) + np.asarray(t3(y)) * _arctan_ramp(x)
+    def fn(x, y):
+        return np.asarray(t2(x)) * _arctan_ramp(y) + np.asarray(t3(y)) * _arctan_ramp(x)
 
     return ClosedFormPrimitive(fn, "boundaryBuild")
 
@@ -481,7 +509,7 @@ def catalog_primitive(name, **params) -> Primitive:
         # t^2 sin(t^-4) vanishes at -inf, so the edge correction is zero
         return SeparablePrimitive((_oscill_1d, _oscill_1d), "oscill")
     if name == "expRadial":
-        return corrected_primitive(lambda x, y: np.exp(-np.hypot(x, y)), "expRadial")
+        return corrected_primitive(_exp_radial, "expRadial")
     if name == "gauss2":
         which = params.get("which", "F")
         if which == "F":

@@ -28,6 +28,7 @@ from scipy import optimize
 from cpintegral import cli
 from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import distribution
+from test_integral import max_rounding_gap, use_replaced_formulas
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 HELP_COLUMNS = "100"
@@ -292,6 +293,22 @@ def test_holder_report_uses_exact_norms(runs):
     for name, params in (("prodArctan", {}), ("gauss2", {"which": "F"}), ("sineStrip", {"n": 2}),
                          ("expRadial", {})):
         assert abs(alexiewicz_norm(distribution(name, **params), tol=1e-8).value - 1.0) <= 1e-8
+
+
+# job-holder-seed was re-recorded when expRadial's G stopped calling np.hypot;
+# under that formula the report had this digest
+HOLDER_SEED_HYPOT_DIGEST = "2dbcbaa2138bd659960866bc23f21ee599d744f1df7c478efad9987d6698c8ba"
+
+
+def test_holder_report_differs_from_the_hypot_formula_by_rounding(runs, monkeypatch):
+    tmp, results = runs
+    code, stdout = results["job-holder-seed"]
+    use_replaced_formulas(monkeypatch)
+    old_code, old_stdout, _ = _call(["--job", os.path.join(tmp, "holder.json")])
+    assert (code, _digest(old_stdout, tmp)) == (old_code, HOLDER_SEED_HYPOT_DIGEST)
+    new, old = json.loads(stdout), json.loads(old_stdout)
+    new.pop("wallTime"), old.pop("wallTime")
+    assert 0.0 < max_rounding_gap(new, old) <= 1.2e-16
 
 
 def test_help_texts_match_golden(golden):

@@ -103,5 +103,6 @@ def test_first_use_of_scipy_gives_the_same_values():
 
 def test_import_builds_no_chart_table():
     # the whole-line partition tables fill on first use, so they add nothing to a cold start
-    proc, _ = _fresh("-c", "import cpintegral.cli; print(cpintegral.extplane._line_table.cache_info().currsize)")
-    assert proc.stdout.strip() == "0"
+    proc, _ = _fresh("-c", "import cpintegral.cli; from cpintegral.extplane import _line_nodes, _line_tags; "
+                           "print(_line_nodes.cache_info().currsize, _line_tags.cache_info().currsize)")
+    assert proc.stdout.strip() == "0 0"

@@ -218,6 +218,32 @@ def test_whole_line_tables_are_shared_and_read_only(resolution):
     assert all(array.flags.writeable and array is not nodes for array in (*jumped, *finite))
 
 
+def test_node_tables_never_build_tags(monkeypatch):
+    # axis_nodes and segment_nodes read the whole-line node table alone; its
+    # tags are built on the first partition that asks for them, and only then
+    import cpintegral.extplane as extplane
+
+    calls = []
+
+    def counting(nodes):
+        calls.append(len(nodes))
+        return cell_tags(nodes)
+
+    monkeypatch.setattr(extplane, "cell_tags", counting)
+    for resolution in (1001, 2999):  # resolutions no other test builds
+        nodes = axis_nodes(resolution)
+        assert segment_nodes(NEG_INF, POS_INF, resolution) is nodes
+        segment_nodes(NEG_INF, POS_INF, resolution, (0.5,))
+        segment_nodes(-1.0, 2.0, resolution)
+        uniform_grid(resolution)
+        assert calls == []
+        tags = partition(NEG_INF, POS_INF, resolution)[1]
+        assert calls == [resolution + 1]
+        assert partition(NEG_INF, POS_INF, resolution)[1] is tags and calls == [resolution + 1]
+        assert tags.tobytes() == cell_tags(nodes).tobytes()
+        calls.clear()
+
+
 def test_segment_nodes_sort_only_what_the_chart_cannot_resolve():
     a = 1e300
     b = np.nextafter(a, POS_INF)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from cpintegral import cli, integral
+from cpintegral import cli, integral, primitive
 from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.integral import (
     IntervalND,
@@ -215,14 +215,17 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 # 8 of its productSup values moved by 1 ulp, and no passed flag changed;
 # convolution was re-recorded when convolve_l1 reduced the infinite grid rows
 # to 1-d sums: 3 of its 4 expRadial errors moved by at most 4.4e-16 (see
-# test_convolution_suite_matches_the_full_3d_sum), and no passed flag changed
+# test_convolution_suite_matches_the_full_3d_sum), and no passed flag changed.
+# algebra was re-recorded again when boundaryBuild became separable, and
+# holder when expRadial's G stopped calling np.hypot; both differ from the
+# formulas they replace by rounding only (see REPLACED_FORMULA_DIGESTS)
 SUITE_DIGESTS = {
-    "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
+    "algebra": "fdc0abda8c09a9871a0388e6426a63b22d1ec42e2b69e47ee9485cf7487de9a5",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
     "convolution": "143f5a9140f1b6e6598e31b2a374e100f4c32d4052e6d1dc986c599f39dc9c2d",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
     "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
-    "holder": "6e8885840329baad1fa380a3421b60e7d50b20ea2ec17f6f2c27bfe0e7f2d218",
+    "holder": "8e02f2d36fddb7b88b8d35bf4f2674097849e35526c39c0cdaab110793e5bb2a",
     "lattice": "9eae44ba7e3bfa104274fb841a933066d2ab85d4343bcbb65314e1b4ceab7122",
     "mspace": "794336616d130bff1afc52ca33f8bed594a07e42f24a2541c227ca9138a0f804",
     "norms": "ca62f9a02ee254d68794d8243c093bcac89470c0292c984ff5bcaaad76f2de95",
@@ -239,6 +242,47 @@ def test_suite_reports_unchanged(name):
     assert sorted(SUITE_DIGESTS) == sorted(SUITES)
     report = json.dumps(_suite_report(name), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == SUITE_DIGESTS[name]
+
+
+# the digests the re-recorded suites had under the formulas they replaced:
+# boundaryBuild as the closed form theta2(x) theta3(y) / theta2(inf), and
+# expRadial's G as exp(-hypot(x, y))
+REPLACED_FORMULA_DIGESTS = {
+    "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
+    "holder": "6e8885840329baad1fa380a3421b60e7d50b20ea2ec17f6f2c27bfe0e7f2d218",
+}
+
+
+def use_replaced_formulas(monkeypatch):
+    """Put back the closed-form boundaryBuild and the np.hypot form of expRadial's G."""
+    separable = primitive.boundary_build
+    monkeypatch.setattr(primitive, "boundary_build",
+                        lambda *args: ClosedFormPrimitive(separable(*args).eval, "boundaryBuild"))
+    monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
+
+
+def max_rounding_gap(new, old, path="report"):
+    """The largest |new - old| over the float leaves of two JSON reports;
+    every other leaf, and the shape of the reports, must agree exactly."""
+    if isinstance(new, dict):
+        assert new.keys() == old.keys(), path
+        return max((max_rounding_gap(new[k], old[k], f"{path}.{k}") for k in new), default=0.0)
+    if isinstance(new, list):
+        assert len(new) == len(old), path
+        return max((max_rounding_gap(u, v, f"{path}[{i}]") for i, (u, v) in enumerate(zip(new, old))), default=0.0)
+    if isinstance(new, float) and isinstance(old, float):
+        return abs(new - old)
+    assert new == old, path
+    return 0.0
+
+
+@pytest.mark.parametrize("name", sorted(REPLACED_FORMULA_DIGESTS))
+def test_rerecorded_suites_differ_from_the_replaced_formulas_by_rounding(monkeypatch, name):
+    new = _suite_report(name)
+    use_replaced_formulas(monkeypatch)
+    old = cli._jsonable(run_suite(name))
+    assert hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest() == REPLACED_FORMULA_DIGESTS[name]
+    assert 0.0 < max_rounding_gap(new, old) <= 1.2e-16
 
 
 # sup |H_z - F| of expRadial in the convolution suite, z = 0.5 ... 0.0625, as

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,58 @@ def test_corrected_primitive_vanishes_on_edges():
     ys = axis_nodes(32)
     assert np.max(np.abs(prim.eval(np.full(ys.shape, NEG_INF), ys))) <= 1e-12
     assert np.max(np.abs(prim.eval(ys, np.full(ys.shape, NEG_INF)))) <= 1e-12
+
+
+def _radial_points():
+    """A log-spaced grid of both signs with 0, the least subnormal, the
+    squares' overflow range 1e154 ... 1e308 and +-inf."""
+    pos = np.concatenate([np.geomspace(1e-300, 1e300, 241), [5e-324, 1e154, 1.3e154, 1e155, 1e200, 1e308,
+                                                             np.finfo(float).max, POS_INF]])
+    return np.concatenate([[0.0, -0.0], pos, -pos])
+
+
+def test_exp_radial_matches_the_hypot_formula():
+    G = catalog_primitive("expRadial").G
+    t = _radial_points()
+    with np.errstate(over="ignore"):  # hypot overflows to inf near the top of the float range
+        reference = np.exp(-np.hypot(t, t[:, None]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = G(t, t[:, None])
+        assert grid.shape == reference.shape and grid.dtype == float
+        np.testing.assert_allclose(grid, reference, rtol=1e-13, atol=2.3e-16)
+        # 0-d arrays and Python floats take the scalar path, with the same bits
+        picks = t[::9]
+        for y in picks:
+            row = G(picks, y)
+            assert row.tobytes() == G(picks, np.array(y)).tobytes() == grid[t == y][0, ::9].tobytes()
+            for x in picks[::3]:
+                value = G(float(x), float(y))
+                assert np.ndim(value) == 0 and value == G(np.array(x), np.array(y)) == row[picks == x][0]
+        # the 4-d broadcast of a convolution sum, axes [l, k, j, i], has the grid's bits
+        X, Y = t[:120].reshape(1, 12, 1, 10), t[-90:].reshape(6, 1, 15, 1)
+        block = grid[-90:, :120].reshape(6, 15, 12, 10).transpose(0, 2, 1, 3)
+        assert G(X, Y).tobytes() == np.ascontiguousarray(block).tobytes()
+        assert G(NEG_INF, NEG_INF) == 0.0 and G(0.0, -0.0) == 1.0
+
+
+def test_corrected_primitive_evaluates_edge_terms_once_per_coordinate():
+    points = []
+
+    def G(x, y):
+        points.append(np.broadcast(x, y).size)
+        return np.exp(-np.hypot(x, y)) + np.arctan(x) + 0.25 * np.arctan(y)
+
+    F = corrected_primitive(G, "counted")
+    for n, k in ((257, 257), (17, 5), (1, 9)):
+        xs, ys = axis_nodes(n - 1) if n > 1 else np.array([0.5]), axis_nodes(k - 1)
+        points.clear()
+        values = F.on_grid(xs, ys)
+        assert sum(points) == k * n + n + k + 1
+        X, Y = np.meshgrid(xs, ys)
+        points.clear()
+        assert values.tobytes() == F.eval(X, Y).tobytes()
+        assert sum(points) == 3 * k * n + 1
 
 
 def test_grid_sample_matches_at_nodes():

@@ -11,7 +11,9 @@ lower bound.
 The convolve_l1 cases record a SHA-256 digest of the sampled H grid.  The
 expRadial digests were re-recorded when the infinite grid rows became 1-d
 sums; they differ from the full 3-d sum by rounding only
-(test_convolve_l1_golden_matches_the_full_3d_sum).
+(test_convolve_l1_golden_matches_the_full_3d_sum).  They were re-recorded
+again when expRadial's G stopped calling np.hypot, from which they differ
+by rounding only (test_convolve_l1_golden_matches_the_hypot_formula).
 The driver's stopping rule, the first increment within tol, and its give-up
 and NaN exits are also tested on synthetic level sequences.
 """
@@ -22,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from cpintegral import convolution, integral
+from cpintegral import convolution, integral, primitive
 from cpintegral.convolution import PoissonKernelL1, convolve_l1
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF
 from cpintegral.integral import alexiewicz_norm, norm_dual, norm_prime
@@ -94,11 +96,11 @@ def record(result):
 
 GOLDEN = {
     'convolve_l1-expRadial-0.0625': (
-        'c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3', 0.0036373536851653384, None, False,
+        '75af22ca175dfb3bd4fa3047cc6bf208b7b329cfca153fcc066637e8c3f67e41', 0.0036373536851653384, None, False,
         None,
     ),
     'convolve_l1-expRadial-0.5': (
-        '19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3', 0.002844967631338761, None, False,
+        'c97283c7051f35109b4cf155710ce341b5cd544dd0a645c006d40fd674047ac9', 0.002844967631338761, None, False,
         None,
     ),
     'convolve_l1-prodArctan-0.0625': (
@@ -320,6 +322,26 @@ def test_convolve_l1_golden_matches_the_full_3d_sum(monkeypatch, z):
     assert np.max(np.abs(new.primitive.values - full.primitive.values)) <= 1e-14
     assert abs(new.error_estimate - full.error_estimate) <= 1e-15
     assert (new.converged, new_levels) == (full.converged, full_levels)
+
+
+# the expRadial goldens' digests under G = exp(-hypot(x, y))
+HYPOT_DIGESTS = {
+    0.5: "19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3",
+    0.0625: "c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3",
+}
+
+
+@pytest.mark.parametrize("z", sorted(HYPOT_DIGESTS))
+def test_convolve_l1_golden_matches_the_hypot_formula(monkeypatch, z):
+    def run():
+        return convolve_l1(distribution("expRadial"), PoissonKernelL1(z), resolution=16, tol=1e-6, normalize=True)
+
+    new = run()
+    monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
+    old = run()
+    assert hashlib.sha256(old.primitive.values.tobytes()).hexdigest() == HYPOT_DIGESTS[z]
+    assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1.2e-16
+    assert (new.error_estimate, new.converged) == (old.error_estimate, old.converged)
 
 
 def test_line_integral_with_nan_integrand_raises():

@@ -35,7 +35,14 @@ from cpintegral.extplane import (
     uniform_grid,
 )
 from cpintegral.integral import cumulative
-from cpintegral.operators import lattice_join
+from cpintegral.operators import (
+    LinearAxisMap,
+    algebra_product,
+    lattice_join,
+    lattice_meet,
+    transform_distribution,
+    translate,
+)
 from cpintegral.primitive import (
     ClosedFormBV,
     ClosedFormPrimitive,
@@ -47,6 +54,7 @@ from cpintegral.primitive import (
     catalog_bv,
     catalog_primitive,
     corrected_primitive,
+    distribution,
     sample_primitive,
     translate_reflect_bv,
 )
@@ -63,6 +71,7 @@ SEPARABLE = (
     ("gauss2", {"which": "F"}),
     ("gauss2", {"which": "G"}),
     ("sineStrip", {"n": 2}),
+    ("boundaryBuild", {}),
 )
 SEPARABLE_IDS = [name + "".join(map(str, params.values())) for name, params in SEPARABLE]
 INTERVALS = {
@@ -101,8 +110,8 @@ def assert_same_run(fast, slow):
 def test_catalog_products_are_separable():
     for name, params in SEPARABLE:
         assert isinstance(catalog_primitive(name, **params), SeparablePrimitive), name
-    for name in ("expRadial", "boundaryBuild", "zero"):
-        assert not isinstance(catalog_primitive(name), SeparablePrimitive), name
+    for name, params in (("expRadial", {}), ("zero", {}), ("boundaryBuild", {"theta2": "hill", "theta3": "hill"})):
+        assert not isinstance(catalog_primitive(name, **params), SeparablePrimitive), name
     assert isinstance(catalog_primitive("expRadial"), CorrectedPrimitive)
 
 
@@ -137,6 +146,18 @@ PLANE_FUNCTIONS = {
     "poissonKernel": lambda: PoissonKernelL1(0.5),
     "skewGaussKernel": skew_gauss_kernel,
     "stepFunction": lambda: step_approximate(catalog_primitive("expRadial"), 8),
+    "zero": lambda: catalog_primitive("zero"),
+    "boundaryBuildHill": lambda: catalog_primitive("boundaryBuild", theta2="hill", theta3="hill"),
+    "latticeMeet": lambda: lattice_meet(catalog_primitive("expRadial"), catalog_primitive("prodArctan")),
+    "algebraProduct": lambda: algebra_product(distribution("expRadial"), distribution("gauss2", which="G")).primitive,
+    "separableAlgebraProduct": lambda: algebra_product(distribution("sinc2d"), distribution("boundaryBuild")).primitive,
+    "translate": lambda: translate(distribution("expRadial"), 0.75, -1.25).primitive,
+    "separableTranslate": lambda: translate(distribution("prodArctan"), -0.5, 2.0).primitive,
+    "transformStraight": lambda: transform_distribution(distribution("expRadial"),
+                                                        LinearAxisMap(-2.0, 0.5, 0.25, -1.0)).primitive,
+    "transformSwapped": lambda: transform_distribution(distribution("prodArctan"),
+                                                       LinearAxisMap(1.5, -3.0, kind="swapped")).primitive,
+    "reflectedDiagonal": lambda: translate_reflect_bv(catalog_bv("diagonalIndicator"), 0.5, -1.0),
 }
 
 
@@ -162,15 +183,12 @@ def test_on_grid_is_bit_identical_to_eval(key):
         f.on_grid(axis_nodes(4), np.array([np.nan]))
 
 
-NAN_ENTRY_FUNCTIONS = {**PLANE_FUNCTIONS, "zero": lambda: catalog_primitive("zero")}
-
-
-@pytest.mark.parametrize("key", NAN_ENTRY_FUNCTIONS)
+@pytest.mark.parametrize("key", PLANE_FUNCTIONS)
 def test_every_entry_rejects_a_nan_coordinate(key):
     # NaN is no point of the extended plane, so eval, a call and the factor
     # rows raise at it, scalar or array, in either coordinate; a closed form
     # that maps NaN to a finite value (zero, the clipped factors) included
-    f = NAN_ENTRY_FUNCTIONS[key]()
+    f = PLANE_FUNCTIONS[key]()
     entries = [f.eval, f]
     if isinstance(f, (SeparablePrimitive, ProductBV)):
         entries.append(f.eval_factors)
@@ -199,8 +217,8 @@ def test_no_meshgrid_evaluation_in_the_package():
 def test_one_evaluation_gate_in_the_package():
     # the NaN-coordinate check is written once, in the helper that
     # PlaneFunction.eval and the eval_factors rows share; eval is defined
-    # only by the base classes holding the gate, and since it broadcasts
-    # scalars no caller builds a coordinate row for it
+    # only by the base classes holding the gate, and since it takes scalars
+    # no caller builds a coordinate row for it
     assert len(_package_lines(r"evaluated at a NaN coordinate")) == 1
     assert _package_lines(r"\.eval\(.*np\.full") == []
     assert [name for name, _ in _package_lines(r"def eval\(")] == ["primitive.py"] * 2
@@ -248,7 +266,7 @@ def test_every_tagged_partition_comes_from_partition():
         if path.name != "extplane.py" and names_it(tree):
             uses.append((path.name, "<module>"))
         uses += [(path.name, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and names_it(fn)]
-    assert sorted(uses) == [("extplane.py", "_line_table"), ("extplane.py", "cell_tags"), ("extplane.py", "partition")]
+    assert sorted(uses) == [("extplane.py", "_line_tags"), ("extplane.py", "cell_tags"), ("extplane.py", "partition")]
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))
