@@ -168,6 +168,9 @@ def _eval_block(eval2, x, y):
     return np.broadcast_to(np.asarray(eval2(x, y), dtype=float), shape)
 
 
+_SUM_BLOCK = 2**16  # values per block of kernel rows in _broadcast_sum's 3-d part
+
+
 def _broadcast_sum(eval2, grid_xs, px, py, K):
     """H[j, i] = sum over l, k of K[l, k] eval2(x_i - p_k, y_j - q_l).
 
@@ -176,24 +179,29 @@ def _broadcast_sum(eval2, grid_xs, px, py, K):
     (sum_k K[l, k]) eval2(x_i, y_j - q_l), an infinite row the 1-d sum over
     k of (sum_l K[l, k]) eval2(x_i - p_k, y_j), and a corner is
     eval2(x_i, y_j) sum K.  Only the finite grid nodes are summed in 3-d.
-    eval2 gets the per-axis differences x_i - p_k and y_j - q_l shaped to
-    broadcast against each other, in blocks of kernel rows of about 2^18
-    points.
+    There, with n finite grid nodes and N kernel x nodes, eval2 gets the
+    on_grid shape: a row (1, n N) of the differences x_i - p_k, ordered
+    (i, k), against a column (n rows, 1) of the differences y_j - q_l,
+    ordered (j, l), for a block of whole kernel rows l of about _SUM_BLOCK =
+    2^16 values (512 KB), so that its temporaries stay in cache.  A kernel
+    row larger than that is a block of its own.
     """
     fin = np.isfinite(grid_xs)
     xs, ends = grid_xs[fin], grid_xs[~fin]
+    n, N = len(xs), len(px)
     dx = xs[None, :] - px[:, None]  # dx[k, i] = x_i - p_k
     dy = xs[None, :] - py[:, None]  # dy[l, j] = y_j - q_l
     H = np.empty((len(grid_xs), len(grid_xs)))
     H[np.ix_(fin, ~fin)] = np.tensordot(K.sum(axis=1), _eval_block(eval2, ends, dy[:, :, None]), axes=1)
     H[np.ix_(~fin, fin)] = np.tensordot(K.sum(axis=0), _eval_block(eval2, dx[:, None, :], ends[:, None]), axes=1)
     H[np.ix_(~fin, ~fin)] = _eval_block(eval2, ends, ends[:, None]) * np.sum(K)
-    inner = np.zeros((len(xs), len(xs)))
-    X = dx[None, :, None, :]  # axes [l, k, j, i]
-    rows = max(1, 2**18 // max(1, dx.size * len(xs)))
+    inner = np.zeros((n, n))
+    row = dx.T.reshape(1, -1)
+    rows = max(1, _SUM_BLOCK // max(1, n * n * N))
     for start in range(0, len(py), rows):
-        vals = _eval_block(eval2, X, dy[start : start + rows, None, :, None])
-        inner += (K[start : start + rows].ravel() @ vals.reshape(-1, inner.size)).reshape(inner.shape)
+        block = dy[start : start + rows]
+        vals = _eval_block(eval2, row, block.T.reshape(-1, 1)).reshape(n, len(block), n, N)
+        inner += np.matmul(vals, K[start : start + rows, :, None]).sum(axis=1)[:, :, 0]
     H[np.ix_(fin, fin)] = inner
     return H
 
@@ -321,6 +329,9 @@ def _mollify_1d(values, nodes, ts, z):
     return np.where(np.isnan(shifted), 0.0, 0.5 + np.arctan(shifted / z) / math.pi) @ e
 
 
+_NODE_SUM_CHUNK = 2**14  # values per chunk of output rows in _poisson_node_sum
+
+
 def _poisson_node_sum(d, p, q, xs, ys, z):
     """H[j, i] = sum over nodes (k, l) of d[l, k] Phi(x_i - p_k, y_j - q_l), outputs finite.
 
@@ -330,7 +341,9 @@ def _poisson_node_sum(d, p, q, xs, ys, z):
     sum.  At the infinite end nodes the cross term has the 1-d limit
     sign(a) atan(b/z) (a = x - p_k infinite) or sign(b) atan(a/z), which
     leaves 1-d sums; only the finite nodes need the full grid x nodes sum,
-    chunked over output rows to about 2^18 points.
+    chunked over output rows to about _NODE_SUM_CHUNK = 2^14 points (128 KB
+    a temporary, so the chunk stays in cache).  Each output row is summed on
+    its own, so the chunk size changes no value.
     """
     a = xs[:, None] - p[None, 1:-1]
     b = ys[:, None] - q[None, 1:-1]
@@ -339,7 +352,7 @@ def _poisson_node_sum(d, p, q, xs, ys, z):
          + (math.pi / 2) * (d[0, 0] - d[0, -1] - d[-1, 0] + d[-1, -1]))
     D = d[1:-1, 1:-1].ravel()
     a4, a2 = a[None, :, None, :], (a * a)[None, :, None, :]
-    chunk = max(1, 2**18 // max(1, a.size * b.shape[1]))
+    chunk = max(1, _NODE_SUM_CHUNK // max(1, a.size * b.shape[1]))
     for start in range(0, len(ys), chunk):
         bj = b[start : start + chunk, None, :, None]
         t = bj * a4

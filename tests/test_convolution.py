@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpintegral import convolution
 from cpintegral.convolution import (
     L1Kernel,
     PoissonKernelL1,
     StepFunction2,
     _broadcast_sum,
     _convolved_values,
+    _eval_block,
     convolve_bv,
     convolve_l1,
     mollify_step,
@@ -362,6 +364,74 @@ def test_broadcast_sum_passes_only_finite_nodes_to_the_3d_part():
     inner, ends, n = len(xs) - 2, 2, len(px)
     assert counts["finite"] == inner**2 * n * len(py)
     assert counts["infinite"] == ends * inner * (len(py) + n) + ends**2
+
+
+@pytest.mark.parametrize("kernel", [PoissonKernelL1(0.5), SKEW_GAUSS], ids=lambda k: k.label)
+def test_broadcast_sum_hands_eval2_a_row_and_a_column_in_cache_sized_blocks(kernel):
+    # the 3-d part calls eval2 in on_grid's shape, a row of x_i - p_k ordered
+    # (i, k) against a column of y_j - q_l ordered (j, l), in blocks of whole
+    # kernel rows of at most 2^16 values; 32 kernel rows make 3 blocks of 9
+    # and one of 5
+    xs = axis_nodes(16)
+    px, py, K = _level0(kernel)
+    inner = xs[1:-1]
+    row = (inner[:, None] - px[None, :]).reshape(1, -1)
+    columns = []
+
+    def G(x, y):
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            assert np.shape(x) == row.shape and np.array_equal(x, row)
+            assert np.ndim(y) == 2 and np.shape(y)[1] == 1 and np.shape(y)[0] % len(inner) == 0
+            assert np.size(x) * np.size(y) <= 2**16
+            columns.append(np.reshape(y, (len(inner), -1)))
+        return _edge_terms_G(x, y)
+
+    _broadcast_sum(G, xs, px, py, K)
+    assert [c.shape[1] for c in columns] == [9, 9, 9, 5]
+    assert np.array_equal(np.concatenate(columns, axis=1), inner[:, None] - py[None, :])
+    assert sum(c.size for c in columns) * row.size == len(inner) ** 2 * len(px) * len(py)
+
+
+def four_d_broadcast_sum(eval2, grid_xs, px, py, K):
+    """_broadcast_sum as it stood before its 3-d part took the on_grid shape.
+
+    The 3-d part broadcast 4-d views [l, k, j, i] in blocks of kernel rows of
+    about 2^18 values and contracted each block with one K-weighted sum over
+    (l, k).  Only its summation order differs from today's; it is kept as the
+    reference that reproduces the digests recorded under that order.
+    """
+    fin = np.isfinite(grid_xs)
+    xs, ends = grid_xs[fin], grid_xs[~fin]
+    dx = xs[None, :] - px[:, None]  # dx[k, i] = x_i - p_k
+    dy = xs[None, :] - py[:, None]  # dy[l, j] = y_j - q_l
+    H = np.empty((len(grid_xs), len(grid_xs)))
+    H[np.ix_(fin, ~fin)] = np.tensordot(K.sum(axis=1), _eval_block(eval2, ends, dy[:, :, None]), axes=1)
+    H[np.ix_(~fin, fin)] = np.tensordot(K.sum(axis=0), _eval_block(eval2, dx[:, None, :], ends[:, None]), axes=1)
+    H[np.ix_(~fin, ~fin)] = _eval_block(eval2, ends, ends[:, None]) * np.sum(K)
+    inner = np.zeros((len(xs), len(xs)))
+    X = dx[None, :, None, :]  # axes [l, k, j, i]
+    rows = max(1, 2**18 // max(1, dx.size * len(xs)))
+    for start in range(0, len(py), rows):
+        vals = _eval_block(eval2, X, dy[start : start + rows, None, :, None])
+        inner += (K[start : start + rows].ravel() @ vals.reshape(-1, inner.size)).reshape(inner.shape)
+    H[np.ix_(fin, fin)] = inner
+    return H
+
+
+# the benchmark's four mollifications of 16-cell step approximations at
+# resolution 16, and one at resolution 64, where a chunk is one output row
+MOLLIFY_CASES = [("prodArctan", 0.3, 16), ("gauss2F", 0.45, 16), ("expRadial", 0.6, 16), ("sinc2d", 0.8, 16),
+                 ("prodArctan", 0.3, 64)]
+
+
+@pytest.mark.parametrize("name,z,resolution", MOLLIFY_CASES)
+def test_mollify_step_values_do_not_depend_on_the_chunk(monkeypatch, name, z, resolution):
+    f = distribution("gauss2", which="F") if name == "gauss2F" else distribution(name)
+    sigma = step_approximate(f.primitive, 16)
+    default = mollify_step(sigma, z, resolution=resolution).values.tobytes()
+    for chunk in (1, 2**62):  # one output row a chunk, then every row in one chunk
+        monkeypatch.setattr(convolution, "_NODE_SUM_CHUNK", chunk)
+        assert mollify_step(sigma, z, resolution=resolution).values.tobytes() == default
 
 
 def test_nan_only_at_positive_infinity_raises():

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from cpintegral import cli, integral, primitive
+from cpintegral import cli, convolution, integral, primitive
 from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.integral import (
     IntervalND,
@@ -41,6 +41,7 @@ from cpintegral.primitive import (
 from cpintegral.stieltjes import integrate_product
 from cpintegral.suites import SUITES, catalog_distributions, run_suite
 from cpintegral.variation import hk_norm
+from test_convolution import four_d_broadcast_sum
 
 
 def test_total_integral_prod_arctan():
@@ -218,11 +219,14 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 # test_convolution_suite_matches_the_full_3d_sum), and no passed flag changed.
 # algebra was re-recorded again when boundaryBuild became separable, and
 # holder when expRadial's G stopped calling np.hypot; both differ from the
-# formulas they replace by rounding only (see REPLACED_FORMULA_DIGESTS)
+# formulas they replace by rounding only (see REPLACED_FORMULA_DIGESTS);
+# convolution was re-recorded again when the 3-d sum took the on_grid row x
+# column shape in cache-sized blocks, which changed its summation order only
+# (see test_convolution_suite_matches_the_four_d_sum)
 SUITE_DIGESTS = {
     "algebra": "fdc0abda8c09a9871a0388e6426a63b22d1ec42e2b69e47ee9485cf7487de9a5",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
-    "convolution": "143f5a9140f1b6e6598e31b2a374e100f4c32d4052e6d1dc986c599f39dc9c2d",
+    "convolution": "a2eb8d21ae36d8fbe10685b2def011fb2294e0f165c97f543ba3aaa4d29f1023",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
     "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
     "holder": "8e02f2d36fddb7b88b8d35bf4f2674097849e35526c39c0cdaab110793e5bb2a",
@@ -294,6 +298,18 @@ def test_convolution_suite_matches_the_full_3d_sum():
     (case,) = [c for c in _suite_report("convolution")["cases"] if c.get("f") == "expRadial"]
     assert case["passed"]
     assert np.max(np.abs(np.subtract(case["errors"], FULL_3D_EXPRADIAL_ERRORS))) <= 1e-14
+
+
+# the convolution suite's digest under the 4-d broadcast sum, the one it replaced
+FOUR_D_CONVOLUTION_DIGEST = "143f5a9140f1b6e6598e31b2a374e100f4c32d4052e6d1dc986c599f39dc9c2d"
+
+
+def test_convolution_suite_matches_the_four_d_sum(monkeypatch):
+    new = _suite_report("convolution")
+    monkeypatch.setattr(convolution, "_broadcast_sum", four_d_broadcast_sum)
+    old = cli._jsonable(run_suite("convolution"))
+    assert hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest() == FOUR_D_CONVOLUTION_DIGEST
+    assert 0.0 < max_rounding_gap(new, old) <= 1e-15
 
 
 # sup |F| of the catalog primitives where it is known; sinc2d peaks at x = y = pi

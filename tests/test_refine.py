@@ -13,7 +13,10 @@ expRadial digests were re-recorded when the infinite grid rows became 1-d
 sums; they differ from the full 3-d sum by rounding only
 (test_convolve_l1_golden_matches_the_full_3d_sum).  They were re-recorded
 again when expRadial's G stopped calling np.hypot, from which they differ
-by rounding only (test_convolve_l1_golden_matches_the_hypot_formula).
+by rounding only (test_convolve_l1_golden_matches_the_hypot_formula), and
+a third time when the 3-d sum took the on_grid row x column shape in
+cache-sized blocks, which changed its summation order only
+(test_convolve_l1_golden_matches_the_four_d_sum).
 The driver's stopping rule, the first increment within tol, and its give-up
 and NaN exits are also tested on synthetic level sequences.
 """
@@ -31,6 +34,7 @@ from cpintegral.integral import alexiewicz_norm, norm_dual, norm_prime
 from cpintegral.primitive import approx_identity, catalog_bv, distribution
 from cpintegral.stieltjes import integrate_product, rs_line_integral, rs_plane_integral
 from cpintegral.variation import hk_norm, sectional_variation_sup, variation_1d, vitali_variation
+from test_convolution import four_d_broadcast_sum
 
 INDICATORS = {
     "quadrant": lambda: catalog_bv("quadrantIndicator"),
@@ -96,11 +100,11 @@ def record(result):
 
 GOLDEN = {
     'convolve_l1-expRadial-0.0625': (
-        '75af22ca175dfb3bd4fa3047cc6bf208b7b329cfca153fcc066637e8c3f67e41', 0.0036373536851653384, None, False,
+        '1ec410fab9db75f1be6a3b616dc2e14e9e81b2a822051f321219526e97741048', 0.0036373536851645612, None, False,
         None,
     ),
     'convolve_l1-expRadial-0.5': (
-        'c97283c7051f35109b4cf155710ce341b5cd544dd0a645c006d40fd674047ac9', 0.002844967631338761, None, False,
+        '1cdc55b10e6145027a32e4ef6e780ee111e21946b6997d520b99080bac49cea2', 0.0028449676313387472, None, False,
         None,
     ),
     'convolve_l1-prodArctan-0.0625': (
@@ -326,8 +330,8 @@ def test_convolve_l1_golden_matches_the_full_3d_sum(monkeypatch, z):
 
 # the expRadial goldens' digests under G = exp(-hypot(x, y))
 HYPOT_DIGESTS = {
-    0.5: "19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3",
-    0.0625: "c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3",
+    0.5: "3adb4bb84bc646f9604afa6f054d29daba5caa862fd2d92514eb1c1d6d3f72e1",
+    0.0625: "40c368bf3e8437a297d823d502493b27cd75e3109d5c55a958c79195d0b2216c",
 }
 
 
@@ -342,6 +346,45 @@ def test_convolve_l1_golden_matches_the_hypot_formula(monkeypatch, z):
     assert hashlib.sha256(old.primitive.values.tobytes()).hexdigest() == HYPOT_DIGESTS[z]
     assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1.2e-16
     assert (new.error_estimate, new.converged) == (old.error_estimate, old.converged)
+
+
+def _exp_radial_levels(z):
+    """The expRadial golden run at height z, with the quadrature levels it took."""
+    kernel = PoissonKernelL1(z)
+    quad_points, levels = kernel.quad_points, []
+    kernel.quad_points = lambda level: levels.append(level) or quad_points(level)
+    dist = convolve_l1(distribution("expRadial"), kernel, resolution=16, tol=1e-6, normalize=True)
+    return dist, levels
+
+
+def _digest(dist):
+    return hashlib.sha256(dist.primitive.values.tobytes()).hexdigest()
+
+
+# the expRadial goldens' digests under the 4-d broadcast sum, with G as it is
+# and as exp(-hypot(x, y)): the golden and HYPOT_DIGESTS values they replaced
+FOUR_D_DIGESTS = {
+    0.5: ("c97283c7051f35109b4cf155710ce341b5cd544dd0a645c006d40fd674047ac9",
+          "19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3"),
+    0.0625: ("75af22ca175dfb3bd4fa3047cc6bf208b7b329cfca153fcc066637e8c3f67e41",
+             "c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3"),
+}
+
+
+@pytest.mark.parametrize("z", sorted(FOUR_D_DIGESTS))
+def test_convolve_l1_golden_matches_the_four_d_sum(monkeypatch, z):
+    # the row x column blocks change the 3-d sum's order only: with the 4-d
+    # sum put back the old digests return, and the grids differ by rounding
+    new, new_levels = _exp_radial_levels(z)
+    monkeypatch.setattr(convolution, "_broadcast_sum", four_d_broadcast_sum)
+    old, old_levels = _exp_radial_levels(z)
+    digest, hypot_digest = FOUR_D_DIGESTS[z]
+    assert _digest(old) == digest
+    assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1e-15
+    assert abs(new.error_estimate - old.error_estimate) <= 1e-15
+    assert (new.converged, new_levels) == (old.converged, old_levels)
+    monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
+    assert _digest(_exp_radial_levels(z)[0]) == hypot_digest
 
 
 def test_line_integral_with_nan_integrand_raises():
