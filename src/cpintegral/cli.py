@@ -284,13 +284,9 @@ def _box(spec):
 
 
 def _refined(res):
-    return {
-        "value": res.value,
-        "errorEstimate": res.error_estimate,
-        "depth": len(res.trace),
-        "resolution": res.resolution,
-        "converged": res.converged,
-    }
+    out = res.as_dict()
+    out["depth"] = len(out.pop("trace"))
+    return out
 
 
 def _written(spec, make_grid):

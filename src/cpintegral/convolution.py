@@ -32,6 +32,7 @@ from .primitive import (
 from .stieltjes import integrate_product
 
 TWO_PI = 2.0 * math.pi
+POISSON_RADIUS_FACTOR = 500.0  # PoissonKernelL1's support half-width, in units of z
 
 
 def poisson_kernel(x, y, z):
@@ -132,11 +133,11 @@ class PoissonKernelL1(L1Kernel):
     overflow or divide by zero.
     """
 
-    def __init__(self, z, radius_factor=500.0):
+    def __init__(self, z):
         z = float(z)
         if not (math.isfinite(z) and z > 0):
             raise ValueError(f"z must be positive and finite, got {z}")
-        radius = radius_factor * z
+        radius = POISSON_RADIUS_FACTOR * z
         with np.errstate(over="ignore", divide="ignore"):
             peak, least = z / (TWO_PI * (np.array([0.0, 2.0 * radius * radius]) + z * z) ** 1.5)
         if not (0.0 < least <= peak < math.inf and 0.0 < radius < math.inf):

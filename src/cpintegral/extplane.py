@@ -71,9 +71,6 @@ class Interval2:
     sign: int = 1
     degenerate: bool = False
 
-    def corners(self):
-        return corner_points(self)
-
 
 def make_interval(a, b, c, d) -> Interval2:
     """Normalize limits, record the orientation sign of the original order.

@@ -8,6 +8,7 @@ discontinuities.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -491,6 +492,21 @@ def boundary_build(theta2="ramp", theta3="ramp") -> ClosedFormPrimitive:
     return ClosedFormPrimitive(fn, "boundaryBuild")
 
 
+# A depth past MAX_DEPTH adds at most 1.6e-14 (the 0.6^k weier2d tail; the
+# 0.5^k terms and the 3^-k Cantor steps are below rounding by then) and, far
+# deeper, overflows b^k or runs the Cantor loop for minutes.
+MAX_DEPTH = 64
+
+
+def _whole(params, key, default, lo=-math.inf, hi=math.inf):
+    """params[key] as an int; ValueError unless it is an integer in [lo, hi]."""
+    v = params.get(key, default)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if int(v) == float(v) and lo <= int(v) <= hi:
+            return int(v)
+    raise ValueError(f"{key} must be an integer in [{lo}, {hi}], got {v!r}")
+
+
 def catalog_primitive(name, **params) -> Primitive:
     """Named primitives; see CATALOG_PRIMITIVES for the available entries."""
     if name == "prodArctan":
@@ -500,10 +516,10 @@ def catalog_primitive(name, **params) -> Primitive:
     if name == "sincQuadrant":
         return SeparablePrimitive((_si_quadrant, _si_quadrant), "sincQuadrant")
     if name == "weier2d":
-        depth = int(params.get("depth", 16))
+        depth = _whole(params, "depth", 16, 1, MAX_DEPTH)
         return SeparablePrimitive((_weier_1d(0.5, 2.0, depth), _weier_1d(0.6, 1.8, depth)), "weier2d")
     if name == "cantor2d":
-        c = _cantor_1d(int(params.get("depth", 20)))
+        c = _cantor_1d(_whole(params, "depth", 20, 1, MAX_DEPTH))
         return SeparablePrimitive((c, c), "cantor2d")
     if name == "oscill":
         # t^2 sin(t^-4) vanishes at -inf, so the edge correction is zero
@@ -520,9 +536,7 @@ def catalog_primitive(name, **params) -> Primitive:
     if name == "boundaryBuild":
         return boundary_build(params.get("theta2", "ramp"), params.get("theta3", "ramp"))
     if name == "sineStrip":
-        n = int(params.get("n", 1))
-        if n < 1:
-            raise ValueError("sineStrip needs n >= 1")
+        n = _whole(params, "n", 1, lo=1)
 
         def a(x):
             xc = np.clip(x, 0.0, 2 * PI)
@@ -577,7 +591,7 @@ def catalog_bv(name, **params) -> BVFunction:
         return ProductBV(_within(iv.a, iv.b), _within(iv.c, iv.d),
                          f"intervalIndicator([{iv.a},{iv.b}]x[{iv.c},{iv.d}])", (iv.a, iv.b), (iv.c, iv.d))
     if name == "approxIdentity":
-        return approx_identity(int(params.get("n", 4)))
+        return approx_identity(_whole(params, "n", 4))
     if name == "constant":
         c = params.get("c", 1.0)
         return ProductBV(_constant(float(c)), _constant(1.0), f"constant({c})")

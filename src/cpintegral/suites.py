@@ -14,6 +14,7 @@ from .integral import (
     alexiewicz_norm,
     ftc_residual,
     improper_example,
+    improper_iterated,
     norm_prime,
     xpowy_corner_probes,
 )
@@ -262,15 +263,7 @@ def suite_ftc(resolution=64):
 
 def poisson_mass(z=1.0, tol=1e-9):
     """Total mass of the Poisson kernel by nested improper quadrature."""
-    from scipy import integrate
-
-    def marginal(y):
-        val, _ = integrate.quad(lambda x: poisson_kernel(x, y, z), -np.inf, np.inf,
-                              epsabs=tol, limit=200)
-        return val
-
-    val, err = integrate.quad(marginal, -np.inf, np.inf, epsabs=tol, limit=200)
-    return val, err
+    return improper_iterated(lambda x, y: poisson_kernel(x, y, z), tol=2 * tol)
 
 
 def suite_convolution(tol=1e-4, resolution=32):

@@ -9,7 +9,7 @@ resolution no longer changes the total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +22,17 @@ GUARD = 1e12
 SLICE_VALUES = 1 << 16  # values of g reduced at a time: 512 KB of floats, folded through one reused buffer
 
 
-@dataclass
-class VariationEstimate:
-    value: float
-    error_estimate: float
+@dataclass(kw_only=True)
+class VariationEstimate(QuadResult):
+    """A variation refinement's QuadResult with the four components at its last level."""
+
     sup: float
     v1: float
     v2: float
     v12: float
-    resolution: int
-    converged: bool
-    trace: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "value": self.value,
-            "errorEstimate": self.error_estimate,
-            "sup": self.sup,
-            "v1": self.v1,
-            "v2": self.v2,
-            "v12": self.v12,
-            "resolution": self.resolution,
-            "converged": self.converged,
-            "trace": self.trace,
-        }
+        return {**super().as_dict(), "sup": self.sup, "v1": self.v1, "v2": self.v2, "v12": self.v12}
 
 
 def _sup_and_variation(values):
@@ -102,8 +89,8 @@ def _estimate(g, component, tol, start_resolution, max_doublings) -> VariationEs
         return component(components[r])
 
     res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
-    return VariationEstimate(res.value, res.error_estimate, *components[res.resolution], res.resolution,
-                             res.converged, res.trace)
+    sup, v1, v2, v12 = components[res.resolution]
+    return VariationEstimate(**vars(res), sup=sup, v1=v1, v2=v2, v12=v12)
 
 
 def hk_norm(g, tol=1e-9, start_resolution=64, max_doublings=10) -> VariationEstimate:
@@ -125,13 +112,14 @@ def sectional_variation_sup(g, axis, tol=1e-9, start_resolution=64, max_doubling
 
 def variation_trace(g, start_resolution=64, doublings=5):
     """Total-variation values at successive resolution doublings, no stopping."""
-    out = []
-    r = start_resolution
-    for _ in range(doublings + 1):
+    if doublings < 0:
+        raise ValueError(f"doublings must be >= 0, got {doublings}")
+
+    def row(r):
         c = grid_components(g, r)
-        out.append({"resolution": r, "value": c[0] + c[1] + c[2] + c[3], "v12": c[3]})
-        r *= 2
-    return out
+        return {"resolution": r, "value": c[0] + c[1] + c[2] + c[3], "v12": c[3]}
+
+    return [row(start_resolution * 2**k) for k in range(doublings + 1)]
 
 
 def variation_1d(fn, jumps=(), tol=1e-9, start_resolution=64, max_doublings=10) -> QuadResult:

@@ -62,11 +62,12 @@ INVALID = {
     "map": [[1, 2], {"alpha": 0}, {"kind": "rot"}, {"alpha": "inf"}, {"beta": [1]}],
     "primitive": ["nope", {"file": 5}, {"file": "{tmp}/missing.json"}, {"name": 5}, {},
                   {"name": "sineStrip", "params": {"n": -1}}, {"name": "gauss2", "params": [1]},
-                  {"name": "gauss2", "params": {"which": [1]}}],
+                  {"name": "gauss2", "params": {"which": [1]}}, {"name": "sineStrip", "params": {"n": 1.5}},
+                  {"name": "weier2d", "params": {"depth": 100000}}, {"name": "cantor2d", "params": {"depth": 1000000}}],
     "bv": ["nope", {"params": {}}, {"name": "constant", "params": {"c": [1]}},
            {"name": "intervalIndicator", "params": {"interval": 5}},
-           {"name": "quadrantIndicator", "params": {"x": "nan"}}],
-    "params": [[1], {"n": NAN}, {"n": [1]}],
+           {"name": "quadrantIndicator", "params": {"x": "nan"}}, {"name": "approxIdentity", "params": {"n": 2.9}}],
+    "params": [[1], {"n": NAN}, {"n": [1]}, {"n": 1.5}],
 }
 
 

@@ -49,11 +49,16 @@ def run_cli(capsys, argv):
     # positive and finite, but z^2 underflows and the mollified node sums turn NaN
     ["mollify", "--primitive", "prodArctan", "--z", "1e-200", "--resolution", "8", "--n", "8"],
     ["mollify", "--primitive", "prodArctan", "--z", "1e-320", "--resolution", "8", "--n", "8"],
+    # counts are integers; a depth above 64 overflows (weier2d) or runs for minutes (cantor2d)
+    ["norm", "--primitive", "sineStrip", "--params", '{"n": 1.5}'],
+    ["bvnorm", "--bv", "approxIdentity", "--bv-params", '{"n": 2.9}'],
+    ["integrate", "--primitive", "weier2d", "--params", '{"depth": 100000}'],
+    ["norm", "--primitive", "cantor2d", "--params", '{"depth": 1000000}'],
 ], ids=["mollify-n1", "map-alpha0", "map-kind", "map-list", "nd-lower-above-upper",
         "nd-lengths", "shift-inf", "doublings-negative", "params-list", "tol-nan", "tol-inf",
         "resolution-above-cap", "doublings-above-cap", "n-above-cap", "mollify-terms-above-cap",
         "nd-dims-above-cap", "z-peak-inf", "z-peak-zero", "mollify-z-1e-200",
-        "mollify-z-1e-320"])
+        "mollify-z-1e-320", "n-fraction", "bv-n-fraction", "weier-depth-above-cap", "cantor-depth-above-cap"])
 def test_bad_flag_value_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 64
@@ -75,9 +80,10 @@ def test_bad_flag_value_exit_64(capsys, argv):
     {"command": "convolve-l1", "primitive": "prodArctan", "z": "abc"},
     {"command": "bvnorm", "bv": {"name": "intervalIndicator", "params": {"interval": 5}}},
     {"command": "order", "primitive": "prodArctan", "primitive2": "gauss2", "resolution": 4096},
+    {"command": "norm", "primitive": {"name": "weier2d", "params": {"depth": 0.5}}},
 ], ids=["top-level-list", "primitive-number", "file-number", "interval-number", "seed-string",
         "improper-name", "improper-order", "tol-string", "resolution-string", "n-string",
-        "z-string", "bv-interval-number", "resolution-above-cap"])
+        "z-string", "bv-interval-number", "resolution-above-cap", "depth-fraction"])
 def test_bad_job_field_exit_64(tmp_path, capsys, spec):
     job = tmp_path / "job.json"
     job.write_text(json.dumps(spec))

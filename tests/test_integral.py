@@ -541,6 +541,39 @@ def test_improper_arctanxy_order_dependent():
     assert abs(dx.value) <= 1e-6
 
 
+# (value, error estimate) as float.hex, and the number of quad calls, of each
+# nested improper quadrature; the values were recorded before the nests
+# shared one helper, and the s-integral of xPowY dyFirst is taken once
+IMPROPER = {
+    ("xPowY", "dyFirst"): ("0x1.f251d6aa77037p-50", "0x1.02d12707da0a0p-49", 2),
+    ("xPowY", "dxFirst"): ("-0x1.0a64ca22698d4p-45", "0x1.a27a72499c71cp-44", 46),
+    ("arctanXY", "dyFirst"): ("0x1.921fb54442d46p+1", "0x1.1b6f60f400000p-31", 91),
+    ("arctanXY", "dxFirst"): ("-0x1.ac3568a791603p-52", "0x1.0d51988522eeap-51", 64),
+    ("poisson mass", 1.0): ("0x1.0000000000011p+0", "0x1.68df956300000p-33", 91),
+}
+
+
+@pytest.mark.parametrize("name, arg", list(IMPROPER))
+def test_nested_quadratures_keep_their_values_and_quad_calls(name, arg, monkeypatch):
+    from scipy import integrate
+
+    from cpintegral.suites import poisson_mass
+
+    quad, calls = integrate.quad, []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting_quad)
+    if name == "poisson mass":
+        value, err = poisson_mass(arg)
+    else:
+        res = improper_example(name, arg)
+        value, err = res.value, res.error_estimate
+    assert (float(value).hex(), float(err).hex(), len(calls)) == IMPROPER[name, arg]
+
+
 def test_improper_rejects_bad_names():
     with pytest.raises(ValueError):
         improper_example("nope", "dyFirst")

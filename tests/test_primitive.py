@@ -432,6 +432,41 @@ def test_unknown_catalog_names_raise():
         catalog_bv("nope")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("sineStrip", {"n": 1.5}),
+    ("sineStrip", {"n": 0}),
+    ("sineStrip", {"n": math.inf}),
+    ("weier2d", {"depth": 2.5}),
+    ("weier2d", {"depth": 0}),
+    ("weier2d", {"depth": 100000}),
+    ("cantor2d", {"depth": 65}),
+    ("cantor2d", {"depth": 1000000}),
+    ("cantor2d", {"depth": [3]}),
+])
+def test_catalog_primitive_rejects_a_non_integral_or_out_of_range_count(name, params):
+    # int() would truncate 1.5 to 1 while the spec still says 1.5; a depth
+    # past 64 adds nothing a double resolves, and a huge one overflows or hangs
+    with pytest.raises(ValueError, match="must be an integer"):
+        catalog_primitive(name, **params)
+
+
+def test_catalog_bv_rejects_a_non_integral_n():
+    with pytest.raises(ValueError, match="must be an integer"):
+        catalog_bv("approxIdentity", n=2.9)
+    with pytest.raises(ValueError, match="must be an integer"):
+        catalog_bv("approxIdentity", n=math.nan)
+
+
+def test_integral_floats_are_catalog_counts():
+    assert catalog_bv("approxIdentity", n=2.0).label == "approxIdentity(2)"
+    assert catalog_primitive("sineStrip", n=2.0).label == "sineStrip(2)"
+    xs = axis_nodes(16)
+    for name in ("weier2d", "cantor2d"):
+        F = catalog_primitive(name, depth=64.0)
+        assert np.all(np.isfinite(F.on_grid(xs, xs)))
+        assert F.factors[0](xs).tolist() == catalog_primitive(name, depth=64).factors[0](xs).tolist()
+
+
 def test_grid_sample_returns_its_values_at_its_own_nodes():
     # a node takes its stored value by a hit test, not through forward(inverse(u))
     rng = np.random.default_rng(20261018)

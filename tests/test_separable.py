@@ -224,6 +224,19 @@ def test_one_evaluation_gate_in_the_package():
     assert [name for name, _ in _package_lines(r"def eval\(")] == ["primitive.py"] * 2
 
 
+def test_one_nested_quadrature_in_the_package():
+    # scipy's quad is called in integral.py alone: in _nested, which every
+    # iterated improper integral goes through, and in the xPowY dyFirst
+    # order, whose inner integral does not depend on x and is taken once
+    source = Path(cpintegral.integral.__file__).read_text(encoding="utf-8")
+    spans = {node.name: (node.lineno, node.end_lineno) for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name in ("_nested", "_xpowy_iterated")}
+    calls = _package_lines(r"\bquad\(")
+    assert len(calls) == 4
+    assert all(name == "integral.py" and any(lo <= k <= hi for lo, hi in spans.values()) for name, k in calls)
+    assert [name for name, _ in _package_lines(r"\b_nested\(")] == ["integral.py"] * 4
+
+
 def test_no_attribute_probes_or_kind_tags_in_the_package():
     # every PlaneFunction has jump lines (none unless it declares them), and
     # raw callables are wrapped in ClosedFormBV, so nothing probes for them

@@ -7,8 +7,10 @@ import pytest
 from cpintegral import _kernels_py as kernels
 from cpintegral import variation
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, segment_nodes
+from cpintegral.integral import QuadResult
 from cpintegral.primitive import ClosedFormBV, catalog_bv
 from cpintegral.variation import (
+    VariationEstimate,
     grid_components,
     hk_norm,
     sectional_variation_sup,
@@ -118,6 +120,20 @@ def test_variation_trace_resolutions():
     trace = variation_trace(catalog_bv("quadrantIndicator"), start_resolution=32, doublings=2)
     assert [row["resolution"] for row in trace] == [32, 64, 128]
     assert all(row["value"] == 4.0 for row in trace)
+
+
+def test_variation_trace_rejects_negative_doublings():
+    # like the refinement driver's max_doublings: -1 would leave no level at all
+    with pytest.raises(ValueError, match="must be >= 0"):
+        variation_trace(catalog_bv("constant"), doublings=-1)
+
+
+def test_a_variation_estimate_is_a_quad_result():
+    assert issubclass(VariationEstimate, QuadResult)
+    est = hk_norm(catalog_bv("quadrantIndicator"), tol=1e-3)
+    assert est.as_dict() == {"value": 4.0, "errorEstimate": 0.0, "sup": 1.0, "v1": 1.0, "v2": 1.0, "v12": 1.0,
+                             "resolution": 128, "converged": True, "trace": est.trace}
+    assert [row["resolution"] for row in est.trace] == [64, 128]
 
 
 def _full_matrix_components(G):
