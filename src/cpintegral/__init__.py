@@ -31,7 +31,6 @@ from .primitive import (
     approx_identity,
     catalog_bv,
     catalog_primitive,
-    corrected_primitive,
     distribution,
     export_grid_csv,
     export_grid_json,

@@ -35,10 +35,16 @@ TWO_PI = 2.0 * math.pi
 POISSON_RADIUS_FACTOR = 500.0  # PoissonKernelL1's support half-width, in units of z
 
 
-def poisson_kernel(x, y, z):
-    """Half-space Poisson kernel z (x^2 + y^2 + z^2)^(-3/2) / (2 pi)."""
+def _poisson_height(z):
+    """z as given; ValueError unless the Poisson kernel's height z is positive and finite."""
     if not (math.isfinite(z) and z > 0):
         raise ValueError(f"z must be positive and finite, got {z}")
+    return z
+
+
+def poisson_kernel(x, y, z):
+    """Half-space Poisson kernel z (x^2 + y^2 + z^2)^(-3/2) / (2 pi)."""
+    _poisson_height(z)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = z / (TWO_PI * (x**2 + y**2 + z**2) ** 1.5)
@@ -134,9 +140,7 @@ class PoissonKernelL1(L1Kernel):
     """
 
     def __init__(self, z):
-        z = float(z)
-        if not (math.isfinite(z) and z > 0):
-            raise ValueError(f"z must be positive and finite, got {z}")
+        z = _poisson_height(float(z))
         radius = POISSON_RADIUS_FACTOR * z
         with np.errstate(over="ignore", divide="ignore"):
             peak, least = z / (TWO_PI * (np.array([0.0, 2.0 * radius * radius]) + z * z) ** 1.5)
@@ -380,9 +384,7 @@ def mollify_step(sigma: StepFunction2, z, resolution=64) -> GridSamplePrimitive:
     the float range (z^2 underflows, and 0 / 0 turns up where a node of the
     output meets a node of sigma) raises ValueError.
     """
-    z = float(z)
-    if not (math.isfinite(z) and z > 0):
-        raise ValueError(f"z must be positive and finite, got {z}")
+    z = _poisson_height(float(z))
     xs = axis_nodes(resolution)
     V = sigma.values
     H = np.zeros((len(xs), len(xs)))

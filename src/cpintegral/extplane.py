@@ -62,14 +62,18 @@ DEFAULT_CHART = Chart()
 
 @dataclass(frozen=True)
 class Interval2:
-    """Normalized interval [a,b] x [c,d] with orientation sign and degeneracy flag."""
+    """Normalized interval [a,b] x [c,d] with orientation sign."""
 
     a: float
     b: float
     c: float
     d: float
     sign: int = 1
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """a = b or c = d: the interval has no area, and every integral over it is 0."""
+        return self.a == self.b or self.c == self.d
 
 
 def make_interval(a, b, c, d) -> Interval2:
@@ -86,7 +90,7 @@ def make_interval(a, b, c, d) -> Interval2:
     if c > d:
         c, d = d, c
         sign = -sign
-    return Interval2(a, b, c, d, sign, degenerate=(a == b or c == d))
+    return Interval2(a, b, c, d, sign)
 
 
 FULL_PLANE = make_interval(NEG_INF, POS_INF, NEG_INF, POS_INF)
@@ -100,18 +104,18 @@ def corner_points(interval: Interval2):
 
 @dataclass(frozen=True)
 class Grid2:
-    """Chart-uniform grid on the extended plane; endpoints exactly +-inf."""
+    """The chart-uniform grid of one resolution: both axes are the shared axis_nodes(resolution)."""
 
-    xs: np.ndarray
-    ys: np.ndarray
     resolution: int
 
     def __post_init__(self):
-        for nodes in (self.xs, self.ys):
-            if not (np.isneginf(nodes[0]) and np.isposinf(nodes[-1])):
-                raise ValueError("grid must span [-inf, inf] on both axes")
-            if np.any(np.diff(nodes) <= 0):
-                raise ValueError("grid nodes must be strictly ascending")
+        axis_nodes(self.resolution)  # rejects a resolution below 2
+
+    @property
+    def xs(self) -> np.ndarray:
+        return axis_nodes(self.resolution)
+
+    ys = xs
 
 
 def chart_nodes(resolution: int) -> np.ndarray:
@@ -202,5 +206,4 @@ def axis_nodes(resolution: int) -> np.ndarray:
 
 
 def uniform_grid(resolution: int) -> Grid2:
-    nodes = axis_nodes(resolution)
-    return Grid2(xs=nodes, ys=nodes.copy(), resolution=resolution)
+    return Grid2(resolution)

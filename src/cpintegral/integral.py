@@ -116,17 +116,14 @@ def _refine(step, tol, start_resolution, max_doublings, give_up=None):
 _SWEEP_BLOCK = 32  # rows per block of the column extremes that bound the sweep
 
 
-def _interval_sweep(G, top=0):
+def _interval_sweep(G):
     """Largest |corner difference| of the grid values G[j, i] over node intervals.
 
     For x-indices i < k the interval integral is D(d) - D(c) with
     D = G[:, k] - G[:, i], so its supremum over y-limits is max D - min D.
-    With top > 0 it returns (best, nodes) instead: row m of nodes is
-    (i, k, argmin D, argmax D) for one of the `top` best column pairs, the
-    corners of its best interval.
 
-    With top == 0 only the column pairs that can beat the running best are
-    swept.  Rounded subtraction is monotone, so with column maxima M_b and
+    Only the column pairs that can beat the running best are swept.
+    Rounded subtraction is monotone, so with column maxima M_b and
     minima m_b over each block b of _SWEEP_BLOCK rows the computed
     max D - min D of the pair (i, k) never exceeds
     fl(max_b fl(M_b[k] - m_b[i]) - min_b fl(m_b[k] - M_b[i])).  Rounding is
@@ -139,23 +136,27 @@ def _interval_sweep(G, top=0):
     sweep to NaN, are skipped: a NaN in G, or differences that overflow to
     inf - inf, still give NaN.
     """
-    if not top:
-        starts = np.arange(0, G.shape[0], _SWEEP_BLOCK)
-        M, m = np.maximum.reduceat(G, starts), np.minimum.reduceat(G, starts)
-        hi = M[0] - m[0][:, None]
-        for Mb, mb in zip(M[1:], m[1:]):
-            np.maximum(hi, Mb - mb[:, None], out=hi)
-        bound = np.triu(hi + hi.T, 1)
-        rows = np.max(bound, axis=1)
-        best = 0.0
-        for i in np.argsort(rows)[::-1]:  # a NaN row comes first
-            cut = min(best, sys.float_info.max)
-            if rows[i] <= cut:
-                break
-            k = np.flatnonzero(~(bound[i] <= cut))
-            D = G[:, k] - G[:, i : i + 1]
-            best = np.maximum(best, np.max(np.max(D, axis=0) - np.min(D, axis=0)))
-        return float(best)
+    starts = np.arange(0, G.shape[0], _SWEEP_BLOCK)
+    M, m = np.maximum.reduceat(G, starts), np.minimum.reduceat(G, starts)
+    hi = M[0] - m[0][:, None]
+    for Mb, mb in zip(M[1:], m[1:]):
+        np.maximum(hi, Mb - mb[:, None], out=hi)
+    bound = np.triu(hi + hi.T, 1)
+    rows = np.max(bound, axis=1)
+    best = 0.0
+    for i in np.argsort(rows)[::-1]:  # a NaN row comes first
+        cut = min(best, sys.float_info.max)
+        if rows[i] <= cut:
+            break
+        k = np.flatnonzero(~(bound[i] <= cut))
+        D = G[:, k] - G[:, i : i + 1]
+        best = np.maximum(best, np.max(np.max(D, axis=0) - np.min(D, axis=0)))
+    return float(best)
+
+
+def _best_intervals(G, top):
+    """_interval_sweep(G), swept over every column pair, and the corners of the best intervals:
+    row m of nodes is (i, k, argmin D, argmax D) for one of the `top` best pairs (i, k)."""
     n = G.shape[1]
     osc = np.zeros((n, n))
     for i in range(n - 1):
@@ -295,7 +296,7 @@ def _prime_levels(F):
         return np.abs(F22 - F12 - F21 + F11)
 
     def candidates(G, u):
-        best, nodes = _interval_sweep(G, _POLISH_STARTS)
+        best, nodes = _best_intervals(G, _POLISH_STARTS)
         return best, u[nodes]
 
     return _polished(abs_corner, candidates)
@@ -587,7 +588,7 @@ def improper_example(name, order, tol=1e-8) -> QuadResult:
                                            ylim=(0.0, 1.0), tol=tol)
         else:
             raise ValueError(f"unknown example {name!r}")
-    return QuadResult(value, float(err), 0, err <= max(tol, 1e-6), [])
+    return QuadResult(value, float(err), 0, err <= tol, [])
 
 
 def xpowy_corner_probes():

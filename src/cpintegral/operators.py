@@ -5,13 +5,13 @@ pointwise-primitive product, and the bounded-variation convergence theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .extplane import Interval2, axis_nodes, ext, make_interval
 from .integral import _primitive_of, corner_integral
-from .primitive import BVFunction, ClosedFormPrimitive, Distribution, SeparablePrimitive, corrected_primitive
+from .primitive import BVFunction, ClosedFormPrimitive, CorrectedPrimitive, Distribution, SeparablePrimitive
 
 
 def translate(f, s, t) -> Distribution:
@@ -86,7 +86,7 @@ def transform_distribution(f, m: LinearAxisMap) -> Distribution:
         def raw(u, v):
             return np.asarray(F.eval(m.beta * v + m.gamma2, m.alpha * u + m.gamma1))
 
-    prim = corrected_primitive(raw, f"{F.label} under {m.kind} map")
+    prim = CorrectedPrimitive(raw, f"{F.label} under {m.kind} map")
     return Distribution(prim)
 
 
@@ -106,7 +106,7 @@ def map_interval(m: LinearAxisMap, interval: Interval2) -> Interval2:
         vd = _mapped_limit(b, m.beta, m.gamma2)
     result = make_interval(ua, ub, vc, vd)
     if interval.sign < 0:
-        result = Interval2(result.a, result.b, result.c, result.d, -result.sign, result.degenerate)
+        result = replace(result, sign=-result.sign)
     return result
 
 
@@ -154,21 +154,23 @@ def jordan_parts(f):
     return Distribution(plus), Distribution(minus), Distribution(absd)
 
 
-def order_leq(f1, f2, resolution=64, slack=1e-12) -> bool:
-    """Partial order via primitives: F1 <= F2 + slack at every grid node.
+_ORDER_SLACK = 1e-12  # absorbs interpolation noise on grid samples in order_leq
 
-    The slack absorbs interpolation noise on grid samples; it is a numeric
-    proxy for the exact pointwise order.
+
+def order_leq(f1, f2, resolution=64) -> bool:
+    """Partial order via primitives: F1 <= F2 + _ORDER_SLACK at every grid node.
+
+    The slack makes it a numeric proxy for the exact pointwise order.
     """
     F1 = _primitive_of(f1)
     F2 = _primitive_of(f2)
     xs = axis_nodes(resolution)
-    return bool(np.all(F1.on_grid(xs, xs) <= F2.on_grid(xs, xs) + slack))
+    return bool(np.all(F1.on_grid(xs, xs) <= F2.on_grid(xs, xs) + _ORDER_SLACK))
 
 
-def order_compare(f1, f2, resolution=64, slack=1e-12) -> str:
-    le = order_leq(f1, f2, resolution, slack)
-    ge = order_leq(f2, f1, resolution, slack)
+def order_compare(f1, f2, resolution=64) -> str:
+    le = order_leq(f1, f2, resolution)
+    ge = order_leq(f2, f1, resolution)
     if le and ge:
         return "equal"
     if le:

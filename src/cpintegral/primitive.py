@@ -174,14 +174,14 @@ class GridSamplePrimitive(Primitive):
         self.grid = grid
         self.values = values
 
-    def _cells(self, t, nodes):
-        """Cell index and chart fraction of each coordinate t along one axis.
+    def _cells(self, t):
+        """Cell index and chart fraction of each coordinate t along either axis.
 
         A coordinate equal to a node takes fraction 0 in the cell it starts
         (1 in the last cell for the last node), so eval returns the stored
         value there exactly rather than after a chart round trip.
         """
-        r = self.grid.resolution
+        r, nodes = self.grid.resolution, self.grid.xs
         u = (np.asarray(DEFAULT_CHART.forward(t)) + 1.0) * (r / 2.0)
         i = np.clip(np.floor(u).astype(int), 0, r - 1)
         k = np.minimum(np.searchsorted(nodes, t), r)
@@ -190,8 +190,8 @@ class GridSamplePrimitive(Primitive):
         return i, np.where(hit, k - i, u - i)
 
     def _values(self, x, y):
-        i, fu = self._cells(x, self.grid.xs)
-        j, fv = self._cells(y, self.grid.ys)
+        i, fu = self._cells(x)
+        j, fv = self._cells(y)
         V = self.values
         out = (
             V[j, i] * (1 - fu) * (1 - fv)
@@ -285,18 +285,13 @@ def _constant(c):
     return lambda t: np.full(np.shape(t), c)
 
 
-def approx_identity_ramp(n):
-    """One-dimensional ramp u_n: 0 below -n, linear up to 1 at 1-n, then 1."""
+def approx_identity(n) -> BVFunction:
+    """u_n(x) u_n(y) for the ramp u_n: 0 below -n, linear up to 1 at 1-n, then 1."""
 
     def u(t):
         t = np.asarray(t, dtype=float)
         return np.clip(t + n, 0.0, 1.0)
 
-    return u
-
-
-def approx_identity(n) -> BVFunction:
-    u = approx_identity_ramp(n)
     return ProductBV(u, u, f"approxIdentity({n})", (-n, 1 - n), (-n, 1 - n))
 
 
@@ -326,15 +321,6 @@ def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
 
 # ---------------------------------------------------------------------------
 # catalog: primitives
-
-
-def corrected_primitive(G_fn, label) -> CorrectedPrimitive:
-    """Shift a continuous G so the result vanishes on the -inf edges.
-
-    F(x, y) = G(x, y) + G(-inf, -inf) - G(x, -inf) - G(-inf, y); F has the
-    same mixed derivative as G.
-    """
-    return CorrectedPrimitive(G_fn, label)
 
 
 # |t| beyond this is clipped before squaring: t * t overflows from about
@@ -525,7 +511,7 @@ def catalog_primitive(name, **params) -> Primitive:
         # t^2 sin(t^-4) vanishes at -inf, so the edge correction is zero
         return SeparablePrimitive((_oscill_1d, _oscill_1d), "oscill")
     if name == "expRadial":
-        return corrected_primitive(_exp_radial, "expRadial")
+        return CorrectedPrimitive(_exp_radial, "expRadial")
     if name == "gauss2":
         which = params.get("which", "F")
         if which == "F":
@@ -615,18 +601,16 @@ CATALOG_BV = (
 # validation and comparison
 
 
-def validate_primitive(F: Primitive, resolution: int = 64) -> dict:
-    """Check the defining invariants on a validation grid.
+def validate_primitive(F: Primitive) -> dict:
+    """Check the defining invariants on validation grids from resolution 64.
 
     Boundary rows/columns must vanish (exactly for grid samples, within
     1e-12 for closed forms); the adjacent-node oscillation must decrease
     monotonically over three grid doublings (continuity proxy).
     """
-    if resolution < 4:
-        raise ValueError("resolution must be >= 4")
     tol = 0.0 if isinstance(F, GridSamplePrimitive) else 1e-12
 
-    nodes = axis_nodes(resolution)
+    nodes = axis_nodes(64)
     try:
         edge1 = np.abs(np.asarray(F.eval(NEG_INF, nodes)))
         edge2 = np.abs(np.asarray(F.eval(nodes, NEG_INF)))
@@ -638,7 +622,7 @@ def validate_primitive(F: Primitive, resolution: int = 64) -> dict:
 
     trace = []
     if finite:
-        r = resolution
+        r = 64
         for _ in range(4):
             xs = axis_nodes(r)
             try:
@@ -668,18 +652,18 @@ def validate_primitive(F: Primitive, resolution: int = 64) -> dict:
     }
 
 
-def primitives_equal(F1: Primitive, F2: Primitive, resolutions=(16, 32, 64), tol=1e-12) -> bool:
-    """Equality surrogate: agreement at every node of each listed resolution."""
+def primitives_equal(F1: Primitive, F2: Primitive, resolutions=(16, 32, 64)) -> bool:
+    """Equality surrogate: agreement within 1e-12 at every node of each listed resolution."""
     for r in resolutions:
         xs = axis_nodes(r)
-        if np.max(np.abs(F1.on_grid(xs, xs) - F2.on_grid(xs, xs))) > tol:
+        if np.max(np.abs(F1.on_grid(xs, xs) - F2.on_grid(xs, xs))) > 1e-12:
             return False
     return True
 
 
-def sample_primitive(F: Primitive, resolution: int, label=None) -> GridSamplePrimitive:
+def sample_primitive(F: Primitive, resolution: int) -> GridSamplePrimitive:
     grid = uniform_grid(resolution)
-    return GridSamplePrimitive(grid, F.on_grid(grid.xs, grid.ys), label or F.label)
+    return GridSamplePrimitive(grid, F.on_grid(grid.xs, grid.ys), F.label)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +717,11 @@ def import_grid_json(path) -> GridSamplePrimitive:
 
 
 def export_grid_csv(prim: GridSamplePrimitive, path):
-    ux = DEFAULT_CHART.forward(prim.grid.xs)
-    uy = DEFAULT_CHART.forward(prim.grid.ys)
+    nodes = np.atleast_1d(DEFAULT_CHART.forward(prim.grid.xs))  # both axes
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([""] + [repr(float(u)) for u in np.atleast_1d(ux)])
-        for j, u in enumerate(np.atleast_1d(uy)):
+        writer.writerow([""] + [repr(float(u)) for u in nodes])
+        for j, u in enumerate(nodes):
             writer.writerow([repr(float(u))] + [repr(float(v)) for v in prim.values[j]])
 
 
@@ -759,6 +742,7 @@ def import_grid_csv(path, label="") -> GridSamplePrimitive:
     resolution = len(ux) - 1
     values = _square_values(values, resolution)
     grid = uniform_grid(resolution)
-    if not (np.allclose(DEFAULT_CHART.forward(grid.xs), ux) and np.allclose(DEFAULT_CHART.forward(grid.ys), uy)):
+    u = DEFAULT_CHART.forward(grid.xs)
+    if not (np.allclose(u, ux) and np.allclose(u, uy)):
         raise ValueError("CSV nodes are not chart-uniform for the default chart")
     return GridSamplePrimitive(grid, values, label)

@@ -168,21 +168,22 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     return GridSamplePrimitive(grid, values, f"parts({F.label},{g.label})")
 
 
-def _vanishes_on_edges(g, sign, resolution=64, tol=1e-12):
-    """True if g is ~0 whenever x or y equals sign * inf, sampled at nodes."""
+def _vanishes_on_edges(g, sign):
+    """True if |g| <= 1e-12 whenever x or y equals sign * inf, sampled at the nodes of resolution 64."""
     edge = np.inf if sign > 0 else NEG_INF
-    nodes = segment_nodes(NEG_INF, np.inf, resolution)
+    nodes = segment_nodes(NEG_INF, np.inf, 64)
     v1 = np.max(np.abs(np.asarray(g.eval(edge, nodes))))
     v2 = np.max(np.abs(np.asarray(g.eval(nodes, edge))))
-    return max(float(v1), float(v2)) <= tol
+    return max(float(v1), float(v2)) <= 1e-12
 
 
-def gdf_identity_check(f, g: BVFunction, tol=1e-6):
+def gdf_identity_check(f, g: BVFunction):
     """Compare integral of f g with the Stieltjes forms over the full plane.
 
     When g vanishes on the +inf edges, the product integral equals both
     F d12 g and g d12 F; when g instead vanishes on the -inf edges, it
     equals g d12 F.  Raises when g vanishes on neither pair of edges.
+    Each integral is refined to tol 1e-7.
     """
     F = _primitive_of(f)
     at_plus = _vanishes_on_edges(g, +1)
@@ -190,12 +191,8 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
     if not (at_plus or at_minus):
         raise ValueError("g must vanish on the +inf edges or on the -inf edges")
 
-    fg = integrate_product(f, g, FULL_PLANE, tol=tol / 10)
-    g_df = rs_plane_integral(
-        g, F, FULL_PLANE,
-        jumps_x=g.jump_x, jumps_y=g.jump_y,
-        tol=tol / 10,
-    )
+    fg = integrate_product(f, g, FULL_PLANE, tol=1e-7)
+    g_df = rs_plane_integral(g, F, FULL_PLANE, jumps_x=g.jump_x, jumps_y=g.jump_y, tol=1e-7)
     report = {
         "mode": "vanishesAtPlusInf" if at_plus else "vanishesAtMinusInf",
         "productIntegral": fg.value,
@@ -204,7 +201,7 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
     }
     values = [fg.value, g_df.value]
     if at_plus:
-        f_dg = rs_plane_integral(F, g, FULL_PLANE, tol=tol / 10)
+        f_dg = rs_plane_integral(F, g, FULL_PLANE, tol=1e-7)
         report["fAgainstDG"] = f_dg.value
         report["converged"] = report["converged"] and f_dg.converged
         values.append(f_dg.value)
@@ -212,13 +209,13 @@ def gdf_identity_check(f, g: BVFunction, tol=1e-6):
     return report
 
 
-def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
+def mean_value_point(f, g: BVFunction, tol=1e-6):
     """Point (xi, eta) with F(xi, eta) * Delta = double Stieltjes integral.
 
     Delta is the corner difference of g over the whole plane; g must have
     nonnegative cell corner differences (checked by sampling) so the ratio
-    lies in the range of F.  Returns the first grid node in row-major chart
-    order where |F - ratio| <= tol.
+    lies in the range of F.  Returns the first node of the resolution-256
+    grid in row-major chart order where |F - ratio| <= tol.
     """
     F = _primitive_of(f)
     xs = segment_nodes(NEG_INF, np.inf, 64, g.jump_x)
@@ -234,7 +231,7 @@ def mean_value_point(f, g: BVFunction, tol=1e-6, resolution=256):
         raise ValueError("the integrator has zero total corner mass")
     target = integral.value / delta
 
-    nodes = segment_nodes(NEG_INF, np.inf, resolution)
+    nodes = segment_nodes(NEG_INF, np.inf, 256)
     Fv = F.on_grid(nodes, nodes)
     hits = np.argwhere(np.abs(Fv - target) <= tol)
     if len(hits) == 0:

@@ -1,8 +1,8 @@
 """Verification suites: randomized and exact checks of the core identities.
 
-Each suite returns a dict with a per-case table and an overall pass flag;
-the CLI exposes them under the verify subcommand.  Suites are deterministic
-for a fixed seed.
+Each suite returns its per-case rows, and run_suite builds the report with
+the overall pass flag; the CLI exposes them under the verify subcommand.
+Suites are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -50,31 +50,31 @@ def catalog_distributions(include_zero=True):
     return [distribution(n, **p) for n, p in names]
 
 
-def suite_norms(tol=1e-6, resolution=256):
+def suite_norms():
     """Sandwiches ||f|| <= ||f||' <= 4||f|| and ||f||/4 <= ||f||'' <= ||f||.
 
     The norms are the exact ones of each primitive's grid sample at
-    resolution; the dual is the larger of the sup / 4 and the prime / 9,
+    resolution 256; the dual is the larger of the sup / 4 and the prime / 9,
     as norm_dual of the sample gives it, without a second sweep.
     """
     cases = []
     for dist in catalog_distributions():
-        S = sample_primitive(dist.primitive, resolution)
+        S = sample_primitive(dist.primitive, 256)
         a, p = alexiewicz_norm(S).value, norm_prime(S).value
         d = max(a / 4.0, p / 9.0)
         ok = (
-            a <= p + tol
-            and p <= 4.0 * a + tol
-            and a / 4.0 - tol <= d <= a + tol
+            a <= p + 1e-6
+            and p <= 4.0 * a + 1e-6
+            and a / 4.0 - 1e-6 <= d <= a + 1e-6
         )
         cases.append(
             {"f": dist.label, "norm": a, "normPrime": p, "normDual": d, "passed": bool(ok)}
         )
-    return {"suite": "norms", "cases": cases, "passed": all(c["passed"] for c in cases)}
+    return cases
 
 
-def suite_holder(seed=7, cases=200, tol=1e-6):
-    """|integral of f g over a corner interval| <= ||f|| ||g||_bv + tol."""
+def suite_holder(seed=7):
+    """|integral of f g over a corner interval| <= ||f|| ||g||_bv + 1e-6, in 200 random cases."""
     rng = np.random.default_rng(seed)
     fs = [distribution("prodArctan"), distribution("gauss2", which="F"),
           distribution("sineStrip", n=2), distribution("expRadial")]
@@ -93,7 +93,7 @@ def suite_holder(seed=7, cases=200, tol=1e-6):
         return catalog_bv("constant", c=rng.uniform(-2, 2))
 
     rows = []
-    for k in range(cases):
+    for k in range(200):
         f = fs[rng.integers(0, len(fs))]
         g = random_bv()
         x = float(rng.uniform(-5, 5)) if rng.random() < 0.8 else POS_INF
@@ -101,19 +101,19 @@ def suite_holder(seed=7, cases=200, tol=1e-6):
         interval = make_interval(NEG_INF, x, NEG_INF, y)
         gn = hk_norm(g, tol=1e-9)
         res = integrate_product(f, g, interval, tol=1e-7, max_doublings=4)
-        bound = norm_f[f.label] * gn.value + tol + res.error_estimate
+        bound = norm_f[f.label] * gn.value + 1e-6 + res.error_estimate
         ok = abs(res.value) <= bound
         rows.append(
             {"case": k, "f": f.label, "g": g.label, "value": res.value,
              "bound": bound, "passed": bool(ok)}
         )
-    return {"suite": "holder", "cases": rows, "passed": all(r["passed"] for r in rows)}
+    return rows
 
 
-def suite_lattice(resolution=32):
+def suite_lattice():
     """Distributive/modular lattice identities and the incomparable pair."""
     dists = catalog_distributions(include_zero=False)
-    xs = axis_nodes(resolution)
+    xs = axis_nodes(32)
     rows = []
     triples = [(dists[i], dists[(i + 3) % len(dists)], dists[(i + 7) % len(dists)])
                for i in range(10)]
@@ -136,13 +136,13 @@ def suite_lattice(resolution=32):
     incomparable = (not order_leq(g1, g2)) and (not order_leq(g2, g1))
     rows.append({"pair": (g1.label, g2.label), "incomparableBothWays": bool(incomparable),
                  "passed": bool(incomparable)})
-    return {"suite": "lattice", "cases": rows, "passed": all(r["passed"] for r in rows)}
+    return rows
 
 
-def suite_mspace(resolution=256):
+def suite_mspace():
     """Sup norm of a join of nonnegative primitives is the max of sup norms;
     the additive (L-type) identity fails for the overlapping pair."""
-    xs = axis_nodes(resolution)
+    xs = axis_nodes(256)
     nonneg = [d for d in catalog_distributions(include_zero=False)
               if np.min(d.primitive.on_grid(xs, xs)) >= 0.0]
     rows = []
@@ -163,17 +163,17 @@ def suite_mspace(resolution=256):
     strict = float(np.max(A + B)) < float(np.max(A)) + float(np.max(B)) - 1e-6
     rows.append({"pair": (g1.label, g2.label), "additiveNormFails": bool(strict),
                  "passed": bool(strict)})
-    return {"suite": "mspace", "cases": rows, "passed": all(r["passed"] for r in rows)}
+    return rows
 
 
-def suite_algebra(seed=11, pairs=50, resolution=128):
-    """Submultiplicativity, a zero-divisor witness, and the approximate identity."""
+def suite_algebra(seed=11):
+    """Submultiplicativity over 50 random pairs, a zero-divisor witness, and the approximate identity."""
     rng = np.random.default_rng(seed)
     dists = catalog_distributions()
-    xs = axis_nodes(resolution)
+    xs = axis_nodes(128)
     sups = {d.label: float(np.max(np.abs(d.primitive.on_grid(xs, xs)))) for d in dists}
     rows = []
-    for k in range(pairs):
+    for k in range(50):
         f1 = dists[rng.integers(0, len(dists))]
         f2 = dists[rng.integers(0, len(dists))]
         prod = algebra_product(f1, f2)
@@ -201,12 +201,13 @@ def suite_algebra(seed=11, pairs=50, resolution=128):
     decreasing = errs[0] > errs[1] > errs[2]
     rows.append({"witness": "approximate identity", "errors": errs,
                  "passed": bool(decreasing)})
-    return {"suite": "algebra", "cases": rows, "passed": all(r["passed"] for r in rows)}
+    return rows
 
 
-def suite_convergence(tol=1e-4):
+def suite_convergence():
     """Bounded-variation convergence: quadrant corners marching to a limit,
     and the approximate identity marching to the constant 1."""
+    tol = 1e-4
     f = distribution("prodArctan")
     x0, y0 = 0.5, -0.25
     seq = [catalog_bv("quadrantIndicator", x=x0 + 2.0**-k, y=y0 + 2.0**-k) for k in range(1, 16)]
@@ -222,13 +223,12 @@ def suite_convergence(tol=1e-4):
     total = float(f.primitive(POS_INF, POS_INF))
     u_ok = u_report["converged"] and abs(u_report["limitValue"] - total) <= 0.05
 
-    cases = [
+    return [
         {"sequence": "quadrant corners", "limitValue": quad_report["limitValue"],
          "expected": expected, "threshold": quad_report["threshold"], "passed": bool(quad_ok)},
         {"sequence": "approximate identity", "limitValue": u_report["limitValue"],
          "expected": total, "threshold": u_report["threshold"], "passed": bool(u_ok)},
     ]
-    return {"suite": "convergence", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
 def suite_fubini():
@@ -249,37 +249,37 @@ def suite_fubini():
     r = improper_example("arctanXY", "dxFirst")
     cases.append({"example": "arctanXY", "order": "dxFirst", "value": r.value,
                   "expected": 0.0, "passed": bool(abs(r.value) <= 1e-6)})
-    return {"suite": "fubini", "cases": cases, "passed": all(c["passed"] for c in cases)}
+    return cases
 
 
-def suite_ftc(resolution=64):
+def suite_ftc():
     """Cumulative corner integral reproduces the primitive at every node."""
     cases = []
     for dist in catalog_distributions():
-        ulps = ftc_residual(dist, resolution)
+        ulps = ftc_residual(dist, 64)
         cases.append({"f": dist.label, "maxUlps": ulps, "passed": bool(ulps <= 4.0)})
-    return {"suite": "ftc", "cases": cases, "passed": all(c["passed"] for c in cases)}
+    return cases
 
 
-def poisson_mass(z=1.0, tol=1e-9):
+def poisson_mass(z=1.0):
     """Total mass of the Poisson kernel by nested improper quadrature."""
-    return improper_iterated(lambda x, y: poisson_kernel(x, y, z), tol=2 * tol)
+    return improper_iterated(lambda x, y: poisson_kernel(x, y, z), tol=2e-9)
 
 
-def suite_convolution(tol=1e-4, resolution=32):
+def suite_convolution():
     """Poisson mass, mollification monotonicity, and the corner limits."""
     cases = []
     mass, _ = poisson_mass(1.0)
     cases.append({"check": "poisson mass", "value": mass,
                   "passed": bool(abs(mass - 1.0) <= 1e-6)})
 
-    xs = axis_nodes(resolution)
+    xs = axis_nodes(32)
     for name, params in (("prodArctan", {}), ("gauss2", {"which": "F"}), ("expRadial", {})):
         f = distribution(name, **params)
         Fv = f.primitive.on_grid(xs, xs)
         errs = []
         for z in (0.5, 0.25, 0.125, 0.0625):
-            conv = convolve_l1(f, PoissonKernelL1(z), resolution=resolution,
+            conv = convolve_l1(f, PoissonKernelL1(z), resolution=32,
                                tol=1e-6, normalize=True)
             Hv = np.asarray(conv.primitive.values)
             errs.append(float(np.max(np.abs(Hv - Fv))))
@@ -297,8 +297,8 @@ def suite_convolution(tol=1e-4, resolution=32):
                 got = convolve_bv(f, g, (e1 * big, e2 * big), tol=1e-6).value
                 cases.append({"check": "corner limit", "g": g.label,
                               "corner": (e1, e2), "value": got, "expected": expected,
-                              "passed": bool(abs(got - expected) <= tol)})
-    return {"suite": "convolution", "cases": cases, "passed": all(c["passed"] for c in cases)}
+                              "passed": bool(abs(got - expected) <= 1e-4)})
+    return cases
 
 
 SUITES = {
@@ -318,6 +318,5 @@ def run_suite(name, seed=None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
-    if seed is not None and name in ("holder", "algebra"):
-        return fn(seed=seed)
-    return fn()
+    rows = fn(seed=seed) if seed is not None and name in ("holder", "algebra") else fn()
+    return {"suite": name, "cases": rows, "passed": all(r["passed"] for r in rows)}

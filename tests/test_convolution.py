@@ -24,8 +24,8 @@ from cpintegral.integral import corner_integral, total_integral
 from cpintegral.primitive import (
     BVFunction,
     ClosedFormPrimitive,
+    CorrectedPrimitive,
     catalog_bv,
-    corrected_primitive,
     distribution,
     sample_primitive,
 )
@@ -41,6 +41,17 @@ def test_poisson_kernel_values():
 def test_poisson_kernel_rejects_nonfinite_height(z):
     with pytest.raises(ValueError, match="z must be positive and finite"):
         poisson_kernel(0.0, 0.0, z)
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+def test_one_poisson_height_rule(z):
+    # the kernel, the L1 kernel and the mollifier reject a height with one
+    # message, which the CLI echoes on exit 64
+    sigma = step_approximate(distribution("prodArctan").primitive, 8)
+    for reject in (lambda: poisson_kernel(0.0, 0.0, z), lambda: PoissonKernelL1(z), lambda: mollify_step(sigma, z)):
+        with pytest.raises(ValueError) as info:
+            reject()
+        assert str(info.value) == f"z must be positive and finite, got {z}"
 
 
 def test_convolve_bv_with_constant_one():
@@ -314,9 +325,9 @@ SKEW_GAUSS = L1Kernel(lambda x, y: np.exp(-(x**2) - 2.0 * (y - 0.5) ** 2),
 
 NON_SEPARABLE = {
     "expRadial": (lambda: distribution("expRadial").primitive, PoissonKernelL1(0.5)),
-    "edgeTerms": (lambda: corrected_primitive(_edge_terms_G, "edgeTerms"), PoissonKernelL1(0.5)),
+    "edgeTerms": (lambda: CorrectedPrimitive(_edge_terms_G, "edgeTerms"), PoissonKernelL1(0.5)),
     "plain": (lambda: ClosedFormPrimitive(_plain, "plain"), PoissonKernelL1(0.5)),
-    "edgeTerms-skewGauss": (lambda: corrected_primitive(_edge_terms_G, "edgeTerms"), SKEW_GAUSS),
+    "edgeTerms-skewGauss": (lambda: CorrectedPrimitive(_edge_terms_G, "edgeTerms"), SKEW_GAUSS),
     "plain-skewGauss": (lambda: ClosedFormPrimitive(_plain, "plain"), SKEW_GAUSS),
 }
 
@@ -443,6 +454,6 @@ def test_nan_only_at_positive_infinity_raises():
     H = _broadcast_sum(G, xs, px, py, K)
     assert np.all(np.isnan(H[:, -1])) and np.all(np.isfinite(H[:, :-1]))
     with pytest.raises(ArithmeticError):
-        convolve_l1(corrected_primitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)
+        convolve_l1(CorrectedPrimitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)
     with pytest.raises(ArithmeticError):
         convolve_l1(ClosedFormPrimitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)

@@ -8,6 +8,7 @@ from cpintegral.extplane import (
     FULL_PLANE,
     NEG_INF,
     POS_INF,
+    Grid2,
     Interval2,
     axis_nodes,
     cell_tags,
@@ -64,6 +65,15 @@ def test_make_interval_degenerate():
     assert not make_interval(0, 1, 0, 1).degenerate
 
 
+def test_interval_degeneracy_follows_its_limits():
+    # degenerate is derived from the limits, so no constructed interval can contradict them
+    assert Interval2(0.0, 0.0, 0.0, 1.0).degenerate
+    assert Interval2(0.0, 1.0, 2.0, 2.0).degenerate
+    assert not Interval2(0.0, 1.0, 0.0, 1.0, -1).degenerate
+    with pytest.raises(TypeError):
+        Interval2(0.0, 1.0, 0.0, 1.0, 1, False)
+
+
 def test_full_plane_and_corners():
     assert FULL_PLANE.a == NEG_INF and FULL_PLANE.d == POS_INF
     pts = corner_points(make_interval(0, 1, 2, 3))
@@ -89,6 +99,21 @@ def test_uniform_grid():
     g = uniform_grid(8)
     assert len(g.xs) == 9 and len(g.ys) == 9
     assert g.xs[0] == NEG_INF and g.ys[-1] == POS_INF
+
+
+@pytest.mark.parametrize("resolution", [2, 8, 4096])
+def test_grid_is_the_chart_nodes_of_one_resolution(resolution):
+    # a Grid2 holds its resolution alone, and both axes are the shared node table
+    g = Grid2(resolution)
+    assert g.xs is axis_nodes(resolution) and g.ys is axis_nodes(resolution)
+    assert uniform_grid(resolution) == g
+    with pytest.raises(TypeError):
+        Grid2(xs=np.array([NEG_INF, -1.0, 0.0, 5.0, POS_INF]), ys=axis_nodes(4), resolution=4)
+
+
+def test_grid_rejects_a_resolution_below_two():
+    with pytest.raises(ValueError):
+        Grid2(1)
 
 
 def _old_forward(t):

@@ -13,6 +13,7 @@ from cpintegral import cli, convolution, integral, primitive
 from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
 from cpintegral.integral import (
     IntervalND,
+    _best_intervals,
     _interval_sweep,
     alexiewicz_norm,
     corner_integral,
@@ -140,9 +141,9 @@ def test_pruned_interval_sweep_is_the_full_sweep_bit_for_bit():
     rng = np.random.default_rng(20261018)
     for _ in range(300):
         G = _random_sweep_grid(rng)
-        assert _interval_sweep(G) == _interval_sweep(G, 1)[0], G.shape
+        assert _interval_sweep(G) == _best_intervals(G, 1)[0], G.shape
     for G in (np.zeros((1, 1)), np.zeros((5, 4)), np.full((3, 6), 7.5), np.arange(12.0).reshape(3, 4)):
-        assert _interval_sweep(G) == _interval_sweep(G, 1)[0]
+        assert _interval_sweep(G) == _best_intervals(G, 1)[0]
 
 
 def test_interval_sweep_of_nan_grid_is_nan():
@@ -156,19 +157,19 @@ def test_interval_sweep_of_nan_grid_is_nan():
         G = _random_sweep_grid(rng)
         G[tuple(rng.integers(0, n) for n in G.shape)] = np.nan
         # a single column has no pairs, so both sweeps give 0 there
-        assert np.isnan(_interval_sweep(G)) == (G.shape[1] > 1) == np.isnan(_interval_sweep(G, 1)[0])
+        assert np.isnan(_interval_sweep(G)) == (G.shape[1] > 1) == np.isnan(_best_intervals(G, 1)[0])
     # columns 0 and 1 differ by +inf in every row, so their sweep is inf - inf,
     # though their bound is inf, not NaN, and columns 2 and 3 already sweep to inf
     big = 1.7e308
     G = np.array([[-0.5e308, big, 0.0, big], [-big, 0.5e308, 0.0, -big]])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(_interval_sweep(G, 1)[0])
+        assert np.isnan(_best_intervals(G, 1)[0])
         assert np.isnan(_interval_sweep(G))
     # the same pair with its two rows in separate row blocks: both block bounds are inf
     B = integral._SWEEP_BLOCK
     G = np.vstack([np.tile(G[0], (B, 1)), np.tile(G[1], (B + 3, 1))])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(_interval_sweep(G, 1)[0])
+        assert np.isnan(_best_intervals(G, 1)[0])
         assert np.isnan(_interval_sweep(G))
 
 
@@ -181,7 +182,7 @@ def test_row_block_sweep_bound_is_the_full_sweep_bit_for_bit():
             G = rng.standard_normal((rows, int(rng.integers(1, 25)))) * 10.0 ** rng.uniform(-3, 3)
             if rng.random() < 0.5:
                 G = np.round(G)  # ties between values and between pair sweeps
-            assert _interval_sweep(G) == _interval_sweep(G, 1)[0], G.shape
+            assert _interval_sweep(G) == _best_intervals(G, 1)[0], G.shape
 
 
 def test_row_block_sweep_keeps_a_pair_whose_extremes_sit_in_different_blocks():
@@ -196,7 +197,7 @@ def test_row_block_sweep_keeps_a_pair_whose_extremes_sit_in_different_blocks():
     G[B + 1, 1] += 7.0
     G[B + 4, 2] += 7.0
     best = _interval_sweep(G)
-    assert best == _interval_sweep(G, 1)[0]
+    assert best == _best_intervals(G, 1)[0]
     assert best > 19.99
 
 

@@ -14,6 +14,7 @@ from cpintegral.primitive import (
     CHART_NAME,
     ClosedFormBV,
     ClosedFormPrimitive,
+    CorrectedPrimitive,
     Distribution,
     GridSamplePrimitive,
     ProductBV,
@@ -21,7 +22,6 @@ from cpintegral.primitive import (
     approx_identity,
     catalog_bv,
     catalog_primitive,
-    corrected_primitive,
     distribution,
     export_grid_csv,
     export_grid_json,
@@ -169,7 +169,7 @@ def test_clipped_factors_match_the_infinity_branches_bit_for_bit():
 
 
 def test_corrected_primitive_vanishes_on_edges():
-    prim = corrected_primitive(lambda x, y: np.exp(-np.hypot(x, y)) + 0.5, "shifted")
+    prim = CorrectedPrimitive(lambda x, y: np.exp(-np.hypot(x, y)) + 0.5, "shifted")
     ys = axis_nodes(32)
     assert np.max(np.abs(prim.eval(np.full(ys.shape, NEG_INF), ys))) <= 1e-12
     assert np.max(np.abs(prim.eval(ys, np.full(ys.shape, NEG_INF)))) <= 1e-12
@@ -215,7 +215,7 @@ def test_corrected_primitive_evaluates_edge_terms_once_per_coordinate():
         points.append(np.broadcast(x, y).size)
         return np.exp(-np.hypot(x, y)) + np.arctan(x) + 0.25 * np.arctan(y)
 
-    F = corrected_primitive(G, "counted")
+    F = CorrectedPrimitive(G, "counted")
     for n, k in ((257, 257), (17, 5), (1, 9)):
         xs, ys = axis_nodes(n - 1) if n > 1 else np.array([0.5]), axis_nodes(k - 1)
         points.clear()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cpintegral.convolution import PoissonKernelL1, convolve_l1
-from cpintegral.integral import alexiewicz_norm, norm_prime
+from cpintegral.integral import alexiewicz_norm, improper_example, norm_prime
 from cpintegral.primitive import ClosedFormBV, approx_identity, catalog_bv, distribution
 from cpintegral.stieltjes import integrate_product
 from cpintegral.variation import hk_norm, sectional_variation_sup, variation_1d, vitali_variation
@@ -51,6 +51,9 @@ CASES = {
         1e-9, lambda: _result(integrate_product(distribution("prodArctan"), catalog_bv("quadrantIndicator")))),
     "integrate_product-approxIdentity-two-doublings": (
         1e-9, lambda: _result(integrate_product(distribution("prodArctan"), approx_identity(4), max_doublings=2))),
+    "improper_example-arctanXY": (1e-6, lambda: _result(improper_example("arctanXY", "dyFirst", tol=1e-6))),
+    "improper_example-arctanXY-below-quad-accuracy": (
+        1e-12, lambda: _result(improper_example("arctanXY", "dyFirst", tol=1e-12))),
 }
 
 # cases that break the contract: name -> (tol, thunk, why)

@@ -9,6 +9,7 @@ variation components.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -53,7 +54,6 @@ from cpintegral.primitive import (
     approx_identity,
     catalog_bv,
     catalog_primitive,
-    corrected_primitive,
     distribution,
     sample_primitive,
     translate_reflect_bv,
@@ -237,6 +237,20 @@ def test_one_nested_quadrature_in_the_package():
     assert [name for name, _ in _package_lines(r"\b_nested\(")] == ["integral.py"] * 4
 
 
+def test_one_suite_report_no_alias_and_no_sweep_flag():
+    # run_suite builds the one suite report, the alias of CorrectedPrimitive
+    # is gone, and the pruned interval sweep takes no mode flag: the corners
+    # of the best intervals come from _best_intervals
+    source = Path(cpintegral.suites.__file__).read_text(encoding="utf-8")
+    (run,) = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == "run_suite"]
+    ((name, k),) = _package_lines(r'"passed": all\(')
+    assert name == "suites.py" and run.lineno <= k <= run.end_lineno
+    assert not hasattr(cpintegral, "corrected_primitive")
+    assert _package_lines(r"\bcorrected_primitive\b") == []
+    sweep = inspect.signature(cpintegral.integral._interval_sweep)
+    assert list(sweep.parameters) == ["G"]
+
+
 def test_no_attribute_probes_or_kind_tags_in_the_package():
     # every PlaneFunction has jump lines (none unless it declares them), and
     # raw callables are wrapped in ClosedFormBV, so nothing probes for them
@@ -388,7 +402,7 @@ def test_corrected_edge_terms_match_generic():
     def G(x, y):
         return np.arctan(x) + np.arctan(2.0 * y) + np.arctan(x) * np.arctan(y) + np.exp(-np.hypot(x, y))
 
-    F = corrected_primitive(G, "edgeTerms")
+    F = CorrectedPrimitive(G, "edgeTerms")
     kernel = PoissonKernelL1(0.5)
     fast = convolve_l1(F, kernel, resolution=16, tol=0.0, max_levels=0, normalize=True)
     slow = convolve_l1(generic(F), kernel, resolution=16, tol=0.0, max_levels=0, normalize=True)
@@ -411,6 +425,6 @@ def test_nonfinite_factor_raises():
 
 
 def test_nonfinite_corrected_primitive_raises():
-    F = corrected_primitive(lambda x, y: np.where(x > 1.0, np.nan, np.exp(-np.hypot(x, y))), "holes")
+    F = CorrectedPrimitive(lambda x, y: np.where(x > 1.0, np.nan, np.exp(-np.hypot(x, y))), "holes")
     with pytest.raises(ArithmeticError):
         convolve_l1(F, PoissonKernelL1(0.5), resolution=8, max_levels=0)
