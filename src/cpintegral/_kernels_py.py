@@ -10,25 +10,30 @@ def hk_fold(G, prev, colvar, acc, work):
     acc = [max |G|, max row variation, Vitali sum] and colvar, the variation
     of each column, cover the rows folded so far and are updated in place.
     Folded over all rows in order, acc and max(colvar) are the grid
-    estimates of ||g||_inf, ||V1 g||_inf, V12 g and ||V2 g||_inf.  Columns
-    gain their increments one row at a time, in the order of a one-pass sum
+    estimates of ||g||_inf, ||V1 g||_inf, V12 g and ||V2 g||_inf.  max |G|
+    is max(max G, -min G), and a NaN in G makes it NaN.  Columns gain their
+    increments one row at a time: colvar is the first row of a stack under
+    the |increment| rows, reduced down the stack in order, as a one-pass sum
     down each column, so v2 does not depend on where the folds split.
     Every temporary of G's size goes into contiguous views of work, a flat
-    float buffer of at least 2 G.size values.  Corner differences are the
-    column differences of the column increments, exact for 0/1-valued g.
+    float buffer of at least (2 k + 1) n values for G of shape (k, n).
+    Corner differences are the column differences of the column increments,
+    exact for 0/1-valued g.
     """
     k, n = G.shape
-    whole, cells = work[: k * n].reshape(k, n), work[k * n : k * (2 * n - 1)].reshape(k, n - 1)
-    acc[0] = np.maximum(acc[0], np.max(np.abs(G, out=whole)))
+    m = len(prev)
+    stack = work[: (m + k) * n].reshape(m + k, n)
+    cells = work[(k + 1) * n : (2 * k + 1) * n - k].reshape(k, n - 1)
+    acc[0] = np.maximum(acc[0], np.maximum(np.max(G), -np.min(G)))
     np.abs(np.subtract(G[:, 1:], G[:, :-1], out=cells), out=cells)
     acc[1] = np.maximum(acc[1], np.max(np.sum(cells, axis=1)))
-    m = len(prev)
-    d0, corners = whole[: m + k - 1], cells[: m + k - 1]
+    d0, corners = stack[1:], cells[: m + k - 1]
     np.subtract(G[:1], prev, out=d0[:m])
     np.subtract(G[1:], G[:-1], out=d0[m:])
     acc[2] += np.sum(np.abs(np.subtract(d0[:, 1:], d0[:, :-1], out=corners), out=corners))
-    for row in np.abs(d0, out=d0):
-        colvar += row
+    np.abs(d0, out=d0)
+    stack[0] = colvar
+    np.add.reduce(stack, axis=0, out=colvar)
 
 
 def corner_differences(G):

@@ -283,6 +283,8 @@ class StepFunction2(BVFunction):
     belong to no cell and evaluate to 0.  The finite nodes are the jump lines.
     """
 
+    is_step = True
+
     def __init__(self, nodes_x, nodes_y, values, label="stepFunction"):
         self.nodes_x = np.asarray(nodes_x, dtype=float)
         self.nodes_y = np.asarray(nodes_y, dtype=float)

@@ -96,12 +96,6 @@ def make_interval(a, b, c, d) -> Interval2:
 FULL_PLANE = make_interval(NEG_INF, POS_INF, NEG_INF, POS_INF)
 
 
-def corner_points(interval: Interval2):
-    """The four corners in the fixed order (a,c), (b,d), (a,d), (b,c)."""
-    a, b, c, d = interval.a, interval.b, interval.c, interval.d
-    return ((a, c), (b, d), (a, d), (b, c))
-
-
 @dataclass(frozen=True)
 class Grid2:
     """The chart-uniform grid of one resolution: both axes are the shared axis_nodes(resolution)."""

@@ -59,10 +59,12 @@ class PlaneFunction:
     on_grid is the one tensor-grid evaluation, overridden where the function
     is a product of one-dimensional factors.  jump_x / jump_y list the finite
     coordinates of known discontinuity lines: none for a continuous function
-    such as a primitive.
+    such as a primitive.  is_step marks, by type alone, a function that is
+    constant between its jump lines.
     """
 
     jump_x = jump_y = ()
+    is_step = False
 
     def _values(self, x, y):
         raise NotImplementedError
@@ -270,19 +272,32 @@ class ProductBV(BVFunction):
         ux, vy = self.eval_factors(xs, ys)
         return vy[:, None] * ux[None, :]
 
-
-def _below(t0):
-    """The 0/1 factor of t < t0."""
-    return lambda t: (np.asarray(t) < t0).astype(float)
-
-
-def _within(lo, hi):
-    """The 0/1 factor of lo <= t <= hi."""
-    return lambda t: ((np.asarray(t) >= lo) & (np.asarray(t) <= hi)).astype(float)
+    @property
+    def is_step(self):
+        """True when both factors are step factors."""
+        return isinstance(self.u, StepFactor) and isinstance(self.v, StepFactor)
 
 
-def _constant(c):
-    return lambda t: np.full(np.shape(t), c)
+class StepFactor:
+    """The one-dimensional step factor t -> c on the piece from lo to hi, 0 off it.
+
+    closed says which ends the piece holds: (True, False) is lo <= t < hi.
+    The finite ends are the breakpoints; between and beyond them the factor
+    is constant, so a ProductBV of two step factors is a step multiplier.
+    """
+
+    def __init__(self, lo, hi, c=1.0, closed=(True, True)):
+        self.lo, self.hi, self.c, self.closed = lo, hi, c, closed
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        above = t >= self.lo if self.closed[0] else t > self.lo
+        below = t <= self.hi if self.closed[1] else t < self.hi
+        return np.where(above & below, self.c, 0.0)
+
+    def reflected(self, t0):
+        """The step factor of s -> self(t0 - s), for a finite t0."""
+        return StepFactor(t0 - self.hi, t0 - self.lo, self.c, self.closed[::-1])
 
 
 def approx_identity(n) -> BVFunction:
@@ -295,12 +310,20 @@ def approx_identity(n) -> BVFunction:
     return ProductBV(u, u, f"approxIdentity({n})", (-n, 1 - n), (-n, 1 - n))
 
 
+def _reflected(factor, t0):
+    """s -> factor(t0 - s)."""
+    if isinstance(factor, StepFactor):
+        return factor.reflected(t0)
+    return lambda s: factor(t0 - np.asarray(s, dtype=float))
+
+
 def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
     """(s, t) -> g(x0 - s, y0 - t), with jump lines mapped accordingly.
 
     A ProductBV stays a ProductBV of the reflected factors u(x0 - s) and
-    v(y0 - t); any other g becomes a ClosedFormBV.  The point must be finite:
-    about an infinite point x0 - s is inf - inf at s = x0.
+    v(y0 - t), a step factor the reflected step factor; any other g becomes
+    a ClosedFormBV.  The point must be finite: about an infinite point
+    x0 - s is inf - inf at s = x0.
     """
     x0, y0 = ext(x0), ext(y0)
     if math.isinf(x0) or math.isinf(y0):
@@ -309,9 +332,7 @@ def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
     jy = tuple(y0 - j for j in g.jump_y if math.isfinite(y0 - j))
     label = f"{g.label} reflected about ({x0},{y0})"
     if isinstance(g, ProductBV):
-        u, v = g.u, g.v
-        return ProductBV(lambda s: u(x0 - np.asarray(s, dtype=float)),
-                         lambda t: v(y0 - np.asarray(t, dtype=float)), label, jx, jy)
+        return ProductBV(_reflected(g.u, x0), _reflected(g.v, y0), label, jx, jy)
 
     def fn(s, t):
         return np.asarray(g.eval(x0 - s, y0 - t), dtype=float)
@@ -562,9 +583,11 @@ def catalog_bv(name, **params) -> BVFunction:
         # indicator of [-inf, x) x [-inf, y), the -inf endpoints included
         x0, y0 = params.get("x", 0.0), params.get("y", 0.0)
         x, y = ext(x0), ext(y0)
-        return ProductBV(_below(x), _below(y), f"quadrantIndicator({x0},{y0})", (x,), (y,))
+        below = (True, False)
+        return ProductBV(StepFactor(NEG_INF, x, closed=below), StepFactor(NEG_INF, y, closed=below),
+                         f"quadrantIndicator({x0},{y0})", (x,), (y,))
     if name == "halfPlaneIndicator":
-        return ProductBV(_within(0.0, POS_INF), _constant(1.0), "halfPlaneIndicator", (0.0,), ())
+        return ProductBV(StepFactor(0.0, POS_INF), StepFactor(NEG_INF, POS_INF), "halfPlaneIndicator", (0.0,), ())
     if name == "intervalIndicator":
         if "interval" in params:
             iv = params["interval"]
@@ -574,13 +597,13 @@ def catalog_bv(name, **params) -> BVFunction:
             iv = make_interval(
                 params.get("a", 0.0), params.get("b", 1.0), params.get("c", 0.0), params.get("d", 1.0)
             )
-        return ProductBV(_within(iv.a, iv.b), _within(iv.c, iv.d),
+        return ProductBV(StepFactor(iv.a, iv.b), StepFactor(iv.c, iv.d),
                          f"intervalIndicator([{iv.a},{iv.b}]x[{iv.c},{iv.d}])", (iv.a, iv.b), (iv.c, iv.d))
     if name == "approxIdentity":
         return approx_identity(_whole(params, "n", 4))
     if name == "constant":
         c = params.get("c", 1.0)
-        return ProductBV(_constant(float(c)), _constant(1.0), f"constant({c})")
+        return ProductBV(StepFactor(NEG_INF, POS_INF, float(c)), StepFactor(NEG_INF, POS_INF), f"constant({c})")
     if name == "diagonalIndicator":
         # the half-plane y > x: not of bounded Hardy-Krause variation
         return ClosedFormBV(lambda x, y: (y > x).astype(float), "diagonalIndicator")
@@ -598,7 +621,7 @@ CATALOG_BV = (
 
 
 # ---------------------------------------------------------------------------
-# validation and comparison
+# validation and sampling
 
 
 def validate_primitive(F: Primitive) -> dict:
@@ -650,15 +673,6 @@ def validate_primitive(F: Primitive) -> dict:
         "continuityPassed": continuity_ok,
         "passed": boundary_ok and continuity_ok,
     }
-
-
-def primitives_equal(F1: Primitive, F2: Primitive, resolutions=(16, 32, 64)) -> bool:
-    """Equality surrogate: agreement within 1e-12 at every node of each listed resolution."""
-    for r in resolutions:
-        xs = axis_nodes(r)
-        if np.max(np.abs(F1.on_grid(xs, xs) - F2.on_grid(xs, xs))) > 1e-12:
-            return False
-    return True
 
 
 def sample_primitive(F: Primitive, resolution: int) -> GridSamplePrimitive:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .extplane import NEG_INF, FULL_PLANE, Interval2, partition, same_bits, segment_nodes, uniform_grid
-from .integral import QuadResult, _primitive_of, _refine
+from .integral import QuadResult, _exact, _primitive_of, _refine
 from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
 OVERSAMPLE = 4  # fine cells per coarse cell along each axis in parts_primitive
@@ -126,12 +126,15 @@ def integrate_product(f, g: BVFunction, interval: Interval2 = FULL_PLANE,
 
     The value is the four corner products of F g, minus/plus the four edge
     Stieltjes line integrals of F against sections of g, plus the double
-    Stieltjes integral of F against the corner differences of g.
+    Stieltjes integral of F against the corner differences of g.  For a step
+    multiplier g (is_step) the sums are the corner formula over its pieces,
+    exact on the one straddled level of resolution 2.
     """
     F = _primitive_of(f)
     if interval.degenerate:
         return QuadResult(0.0, 0.0, 0, True, [])
-    res = _refine(lambda r: _nine_term_sum(F, g, interval, r), tol, start_resolution, max_doublings)
+    level = lambda r: _nine_term_sum(F, g, interval, r)
+    res = _exact(level) if g.is_step else _refine(level, tol, start_resolution, max_doublings)
     return replace(res, value=interval.sign * res.value)
 
 

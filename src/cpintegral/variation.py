@@ -4,7 +4,8 @@ The norm of a multiplier g splits into four components measured on a grid:
 sup |g|, the largest row variation, the largest column variation, and the
 Vitali sum of absolute corner differences.  Grid estimates are lower bounds
 that increase under refinement; refinement stops when doubling the
-resolution no longer changes the total.
+resolution no longer changes the total.  A step multiplier's estimates are
+exact on one level.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .extplane import NEG_INF, POS_INF, same_bits, segment_nodes
-from .integral import QuadResult, _refine
+from .integral import QuadResult, _exact, _refine
 from .primitive import ProductBV
 
 GUARD = 1e12
@@ -46,7 +47,8 @@ def grid_components(g, resolution):
     For a ProductBV g = u(x) v(y) the value matrix is the outer product of
     the factors, so its components are products of 1-d sups and variations.
     Any other g is evaluated and reduced in slices of whole rows, each of
-    about SLICE_VALUES values, through one scratch buffer of two slices.
+    about SLICE_VALUES values, through one scratch buffer of two slices and
+    a row.
     """
     jx, jy = g.jump_x, g.jump_y
     xs = segment_nodes(NEG_INF, POS_INF, resolution, jx)
@@ -57,7 +59,8 @@ def grid_components(g, resolution):
         sv, vv = _sup_and_variation(vy)
         return su * sv, vu * sv, su * vv, vu * vv
     rows = max(1, SLICE_VALUES // len(xs))
-    prev, colvar, acc, work = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3), np.empty(2 * rows * len(xs))
+    prev, colvar, acc = np.empty((0, len(xs))), np.zeros(len(xs)), np.zeros(3)
+    work = np.empty((2 * rows + 1) * len(xs))
     for start in range(0, len(ys), rows):
         G = g.on_grid(xs, ys[start : start + rows])
         kernels.hk_fold(G, prev, colvar, acc, work)
@@ -81,14 +84,19 @@ def _diverging(tol):
 
 
 def _estimate(g, component, tol, start_resolution, max_doublings) -> VariationEstimate:
-    """Refine component(sup, v1, v2, v12) of g; the estimate reports all four."""
+    """Refine component(sup, v1, v2, v12) of g; the estimate reports all four.
+
+    A step multiplier's components are sums of its jumps and the largest
+    |value|, exact on the one straddled level of resolution 2.
+    """
     components = {}
 
     def step(r):
         components[r] = grid_components(g, r)
         return component(components[r])
 
-    res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
+    res = _exact(step) if g.is_step else _refine(step, tol, start_resolution, max_doublings,
+                                                   give_up=_diverging(tol))
     sup, v1, v2, v12 = components[res.resolution]
     return VariationEstimate(**vars(res), sup=sup, v1=v1, v2=v2, v12=v12)
 

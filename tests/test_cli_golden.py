@@ -28,7 +28,7 @@ from scipy import optimize
 from cpintegral import cli
 from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import distribution
-from test_integral import max_rounding_gap, use_replaced_formulas
+from test_integral import max_rounding_gap, refine_step_multipliers, use_replaced_formulas
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 HELP_COLUMNS = "100"
@@ -296,8 +296,9 @@ def test_holder_report_uses_exact_norms(runs):
 
 
 # job-holder-seed was re-recorded when expRadial's G stopped calling np.hypot;
-# under that formula the report had this digest
-HOLDER_SEED_HYPOT_DIGEST = "2dbcbaa2138bd659960866bc23f21ee599d744f1df7c478efad9987d6698c8ba"
+# under that formula the report had this digest (re-recorded with the report
+# when step multipliers became exact on one level)
+HOLDER_SEED_HYPOT_DIGEST = "4171164fdf33a361a1b28cbde6ab0a8ca006d1c529298f2f225b9e31a9de4733"
 
 
 def test_holder_report_differs_from_the_hypot_formula_by_rounding(runs, monkeypatch):
@@ -309,6 +310,51 @@ def test_holder_report_differs_from_the_hypot_formula_by_rounding(runs, monkeypa
     new, old = json.loads(stdout), json.loads(old_stdout)
     new.pop("wallTime"), old.pop("wallTime")
     assert 0.0 < max_rounding_gap(new, old) <= 1.2e-16
+
+
+# the reports of step multipliers, re-recorded when they became exact on one
+# level of resolution 2, and their digests when two refined levels were taken
+PRE_EXACT_DIGESTS = {
+    "bvnorm": "90d8b9774a569d2fb6fd4698a967453823d8799694d0fe888ee833f53deb62ea",
+    "job-bvnorm": "eead9cdb1f70ac4769ee7bb24f0f117789dd3046b70f89f57aeec88a6265180a",
+    "job-holder-seed": "99109d3cb57f1f279e46e55cdedb09ae344af992801b5247f9a2b2843edff721",
+    "job-vitali": "38b12d1100868c5ff1a4d860a2a1e702638cc0424250eee5ee72a16fb2a238c1",
+    "variation-hk": "f80df646e9984f072af9b44d1ddf6446c3dd7b0a530baf37afce28759feda84c",
+    "variation-sectional1": "0f9a796fd856c19a936bdb50de799294a4ba87d9a59e80d2e6dbebefc624a3d5",
+    "variation-sectional2": "494db27ce43c7387408e4d2c46cf02f6db9965b8c7a74497894e1fe66a1dc772",
+    "variation-vitali": "cc9284143da90e858d195c5e9ade3502b90d6b881aa32523411bfc5bbfdc6b91",
+}
+# the exact values of the variation reports among them: ||g||_bv of
+# [0, 1]^2 (9) and of [-inf, 1] x [0, inf] (4), the Vitali variation of
+# [-1, 2] x [0, 1] (4) and of the quadrant (1), its norm (4), and the
+# sectional variations of the half-plane and the quadrant (1)
+STEP_VALUES = {"bvnorm": 9.0, "job-bvnorm": 4.0, "job-vitali": 4.0, "variation-hk": 4.0,
+               "variation-vitali": 1.0, "variation-sectional1": 1.0, "variation-sectional2": 1.0}
+
+
+def test_step_multiplier_reports_take_one_exact_level(runs, monkeypatch):
+    # job-holder-seed's step pairings are checked against the corner formula
+    # in test_holder_suite_pairings_of_step_multipliers_are_exact
+    tmp, results = runs
+    new = {case_id: json.loads(results[case_id][1]) for case_id in PRE_EXACT_DIGESTS}
+    for case_id, exact in STEP_VALUES.items():
+        report = new[case_id]
+        assert (report["value"], report["errorEstimate"], report["resolution"], report["converged"]) == (
+            exact, 0.0, 2, True)
+        assert report["trace"] == [{"resolution": 2, "value": exact}]
+    refine_step_multipliers(monkeypatch)
+    argv = dict(CASES)
+    for case_id, digest in PRE_EXACT_DIGESTS.items():
+        code, stdout, _ = _call([a.replace("{tmp}", tmp) for a in argv[case_id]])
+        assert (code, _digest(stdout, tmp)) == (0, digest), case_id
+        old = json.loads(stdout)
+        if case_id == "job-holder-seed":
+            new[case_id].pop("wallTime"), old.pop("wallTime")
+            assert 0.0 < max_rounding_gap(new[case_id], old) <= 1.2e-16
+        else:
+            shape = ("wallTime", "resolution", "trace")
+            assert {k: v for k, v in new[case_id].items() if k not in shape} == {
+                k: v for k, v in old.items() if k not in shape}, case_id
 
 
 def test_help_texts_match_golden(golden):

@@ -12,7 +12,6 @@ from cpintegral.extplane import (
     Interval2,
     axis_nodes,
     cell_tags,
-    corner_points,
     ext,
     make_interval,
     partition,
@@ -76,8 +75,8 @@ def test_interval_degeneracy_follows_its_limits():
 
 def test_full_plane_and_corners():
     assert FULL_PLANE.a == NEG_INF and FULL_PLANE.d == POS_INF
-    pts = corner_points(make_interval(0, 1, 2, 3))
-    assert pts == ((0.0, 2.0), (1.0, 3.0), (0.0, 3.0), (1.0, 2.0))
+    iv = make_interval(0, 1, 2, 3)
+    assert (iv.a, iv.b, iv.c, iv.d, iv.sign) == (0.0, 1.0, 2.0, 3.0, 1)
 
 
 def test_axis_nodes_shape_and_endpoints():

@@ -223,14 +223,18 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 # formulas they replace by rounding only (see REPLACED_FORMULA_DIGESTS);
 # convolution was re-recorded again when the 3-d sum took the on_grid row x
 # column shape in cache-sized blocks, which changed its summation order only
-# (see test_convolution_suite_matches_the_four_d_sum)
+# (see test_convolution_suite_matches_the_four_d_sum); holder was re-recorded
+# again when step multipliers became exact on one level: its pairings moved
+# by rounding only (see PRE_EXACT_HOLDER_DIGEST), and each of its step
+# pairings is the corner formula
+# (test_holder_suite_pairings_of_step_multipliers_are_exact)
 SUITE_DIGESTS = {
     "algebra": "fdc0abda8c09a9871a0388e6426a63b22d1ec42e2b69e47ee9485cf7487de9a5",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
     "convolution": "a2eb8d21ae36d8fbe10685b2def011fb2294e0f165c97f543ba3aaa4d29f1023",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
     "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
-    "holder": "8e02f2d36fddb7b88b8d35bf4f2674097849e35526c39c0cdaab110793e5bb2a",
+    "holder": "30b902289f2dbbe73dc5084d94bf0eb8082c92089f4fd6e82ca6fdd107a6ecba",
     "lattice": "9eae44ba7e3bfa104274fb841a933066d2ab85d4343bcbb65314e1b4ceab7122",
     "mspace": "794336616d130bff1afc52ca33f8bed594a07e42f24a2541c227ca9138a0f804",
     "norms": "ca62f9a02ee254d68794d8243c093bcac89470c0292c984ff5bcaaad76f2de95",
@@ -254,7 +258,7 @@ def test_suite_reports_unchanged(name):
 # expRadial's G as exp(-hypot(x, y))
 REPLACED_FORMULA_DIGESTS = {
     "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
-    "holder": "6e8885840329baad1fa380a3421b60e7d50b20ea2ec17f6f2c27bfe0e7f2d218",
+    "holder": "147334bee37d75a5fd769de59dd5e9aa889f70deaf12f0ea15a29e801aca8da6",
 }
 
 
@@ -264,6 +268,12 @@ def use_replaced_formulas(monkeypatch):
     monkeypatch.setattr(primitive, "boundary_build",
                         lambda *args: ClosedFormPrimitive(separable(*args).eval, "boundaryBuild"))
     monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
+
+
+def refine_step_multipliers(monkeypatch):
+    """Send step multipliers through the refinement driver, as before they took one exact level."""
+    monkeypatch.setattr(primitive.ProductBV, "is_step", False)
+    monkeypatch.setattr(convolution.StepFunction2, "is_step", False)
 
 
 def max_rounding_gap(new, old, path="report"):
@@ -287,6 +297,18 @@ def test_rerecorded_suites_differ_from_the_replaced_formulas_by_rounding(monkeyp
     use_replaced_formulas(monkeypatch)
     old = cli._jsonable(run_suite(name))
     assert hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest() == REPLACED_FORMULA_DIGESTS[name]
+    assert 0.0 < max_rounding_gap(new, old) <= 1.2e-16
+
+
+# the holder suite's digest when its step multipliers took two refined levels
+PRE_EXACT_HOLDER_DIGEST = "8e02f2d36fddb7b88b8d35bf4f2674097849e35526c39c0cdaab110793e5bb2a"
+
+
+def test_holder_suite_differs_from_its_refined_levels_by_rounding(monkeypatch):
+    new = _suite_report("holder")
+    refine_step_multipliers(monkeypatch)
+    old = cli._jsonable(run_suite("holder"))
+    assert hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest() == PRE_EXACT_HOLDER_DIGEST
     assert 0.0 < max_rounding_gap(new, old) <= 1.2e-16
 
 

@@ -27,7 +27,6 @@ from cpintegral.primitive import (
     export_grid_json,
     import_grid_csv,
     import_grid_json,
-    primitives_equal,
     sample_primitive,
     translate_reflect_bv,
     validate_primitive,
@@ -86,7 +85,10 @@ def test_scalar_closed_forms_take_the_shape_of_their_arguments():
     assert alexiewicz_norm(zero).value == 0.0
     one = ClosedFormBV(lambda x, y: 1.0, "scalarOne")
     assert one.on_grid(axis_nodes(8), axis_nodes(4)).tolist() == np.ones((5, 9)).tolist()
-    assert hk_norm(one).as_dict() == hk_norm(catalog_bv("constant", c=1.0)).as_dict()
+    # the constant is a step multiplier: the same report on its one exact level
+    exact = hk_norm(catalog_bv("constant", c=1.0))
+    assert exact.value == 1.0
+    assert {**hk_norm(one).as_dict(), "resolution": 2, "trace": [{"resolution": 2, "value": 1.0}]} == exact.as_dict()
     # a result of the coordinates' shape is returned as it is
     out = np.zeros((3, 9))
     assert ClosedFormPrimitive(lambda x, y: out).eval(X, X) is out
@@ -252,9 +254,13 @@ def test_grid_sample_interpolates_between_nodes():
 
 
 def test_primitives_equal():
+    # a grid sample equals its primitive at the nodes of its grid and of the coarser grids nested in it
     F = catalog_primitive("prodArctan")
-    assert primitives_equal(F, sample_primitive(F, 64), resolutions=(16, 32, 64))
-    assert not primitives_equal(F, catalog_primitive("zero"))
+    S = sample_primitive(F, 64)
+    for r in (16, 32, 64):
+        xs = axis_nodes(r)
+        assert np.max(np.abs(S.on_grid(xs, xs) - F.on_grid(xs, xs))) <= 1e-12
+    assert np.max(np.abs(catalog_primitive("zero").on_grid(xs, xs) - F.on_grid(xs, xs))) > 1e-12
 
 
 def test_grid_json_roundtrip(tmp_path):

@@ -4,7 +4,11 @@ Each case was recorded from the routines as they stood before they shared
 one refinement driver; the values, error estimates, final resolutions,
 converged flags and per-level traces must stay bit for bit the same.
 The variation estimates' error estimates were added when they began to
-report one; each is the last increment of its pinned trace.
+report one; each is the last increment of its pinned trace.  Those of the
+quadrant, interval and half-plane indicators were re-recorded when step
+multipliers became exact on one level of resolution 2 (errorEstimate 0,
+one trace row); their values did not move, and each is checked against
+its exact value (STEP_EXACT).
 The norms of sineStrip(1) are checked against their exact values instead,
 since their levels are polished; so is norm_prime(weier2d), against a
 lower bound.
@@ -120,16 +124,16 @@ GOLDEN = {
         [130.0, 258.0, 514.0, 1026.0],
     ),
     'hk_norm-halfPlane': (
-        2.0, 0.0, 128, True,
-        [2.0, 2.0],
+        2.0, 0.0, 2, True,
+        [2.0],
     ),
     'hk_norm-interval': (
-        9.0, 0.0, 128, True,
-        [9.0, 9.0],
+        9.0, 0.0, 2, True,
+        [9.0],
     ),
     'hk_norm-quadrant': (
-        4.0, 0.0, 128, True,
-        [4.0, 4.0],
+        4.0, 0.0, 2, True,
+        [4.0],
     ),
     'integrate_product-prodArctan-ai8': (
         0.917080833634021, 0.0, 64, True,
@@ -152,32 +156,32 @@ GOLDEN = {
         [1.0, 1.0],
     ),
     'sectional_variation_sup1-halfPlane': (
-        1.0, 0.0, 128, True,
-        [1.0, 1.0],
+        1.0, 0.0, 2, True,
+        [1.0],
     ),
     'sectional_variation_sup1-interval': (
-        2.0, 0.0, 128, True,
-        [2.0, 2.0],
+        2.0, 0.0, 2, True,
+        [2.0],
     ),
     'sectional_variation_sup1-quadrant': (
-        1.0, 0.0, 128, True,
-        [1.0, 1.0],
+        1.0, 0.0, 2, True,
+        [1.0],
     ),
     'sectional_variation_sup2-diagonal': (
         1.0, 0.0, 128, True,
         [1.0, 1.0],
     ),
     'sectional_variation_sup2-halfPlane': (
-        0.0, 0.0, 128, True,
-        [0.0, 0.0],
+        0.0, 0.0, 2, True,
+        [0.0],
     ),
     'sectional_variation_sup2-interval': (
-        2.0, 0.0, 128, True,
-        [2.0, 2.0],
+        2.0, 0.0, 2, True,
+        [2.0],
     ),
     'sectional_variation_sup2-quadrant': (
-        1.0, 0.0, 128, True,
-        [1.0, 1.0],
+        1.0, 0.0, 2, True,
+        [1.0],
     ),
     'variation_1d-arctan': (
         3.141592653589793, 0.0, 128, True,
@@ -188,16 +192,16 @@ GOLDEN = {
         [127.0, 255.0, 511.0, 1023.0],
     ),
     'vitali_variation-halfPlane': (
-        0.0, 0.0, 128, True,
-        [0.0, 0.0],
+        0.0, 0.0, 2, True,
+        [0.0],
     ),
     'vitali_variation-interval': (
-        4.0, 0.0, 128, True,
-        [4.0, 4.0],
+        4.0, 0.0, 2, True,
+        [4.0],
     ),
     'vitali_variation-quadrant': (
-        1.0, 0.0, 128, True,
-        [1.0, 1.0],
+        1.0, 0.0, 2, True,
+        [1.0],
     ),
 
 }
@@ -210,6 +214,15 @@ for _tol in (1e-6, 1e-8):
     EXACT[f"alexiewicz_norm-sineStrip-{_tol}"] = (2.0, _tol)
     EXACT[f"norm_prime-sineStrip-{_tol}"] = (2.0, _tol)
     EXACT[f"norm_dual-sineStrip-{_tol}"] = (0.5, _tol)
+
+# the exact variation components of the step multipliers among INDICATORS
+STEP_EXACT = {
+    f"{routine}-{name}": value
+    for routine, values in (("hk_norm", (4.0, 9.0, 2.0)), ("vitali_variation", (1.0, 4.0, 0.0)),
+                            ("sectional_variation_sup1", (1.0, 2.0, 1.0)),
+                            ("sectional_variation_sup2", (1.0, 2.0, 0.0)))
+    for name, value in zip(("quadrant", "interval", "halfPlane"), values)
+}
 
 # osc(a) osc(b) of the two factors of weier2d on axis_nodes(2**20): the value
 # of one interval, so a lower bound of norm_prime(weier2d)
@@ -234,7 +247,10 @@ def test_golden(name):
         assert all(b == 2 * a for a, b in zip(resolutions, resolutions[1:]))
         if not isinstance(result, tuple):
             values = [row["value"] for row in trace]
-            assert result.error_estimate == (abs(values[-1] - values[-2]) if len(values) > 1 else math.inf)
+            if name in STEP_EXACT:
+                assert (result.value, result.error_estimate, len(values)) == (STEP_EXACT[name], 0.0, 1)
+            else:
+                assert result.error_estimate == (abs(values[-1] - values[-2]) if len(values) > 1 else math.inf)
 
 
 def _steps(*values):

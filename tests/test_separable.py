@@ -5,7 +5,9 @@ generic code: a ClosedFormPrimitive wrapping the primitive's own eval has
 the same values but no factors, so integrate_product and convolve_l1 take
 their full-grid paths for it.  On the multiplier side a ClosedFormBV
 wrapping a ProductBV's eval does the same for integrate_product and the
-variation components.
+variation components.  A step multiplier's fast run is one exact level of
+resolution 2, where the generic wrapper refines; the two agree in value and
+flags.
 """
 
 import ast
@@ -91,6 +93,10 @@ MULTIPLIERS = {
 }
 
 
+# their exact norms ||g||_bv: 4 for a quadrant, 9 for an interval, 2 for a half-plane, |c|
+HK_EXACT = {"quadrant": 4.0, "interval": 9.0, "halfPlane": 2.0, "constant": 1.75}
+
+
 def generic(F):
     return ClosedFormPrimitive(F.eval, F.label)
 
@@ -99,10 +105,15 @@ def generic_bv(g):
     return ClosedFormBV(g.eval, g.label, g.jump_x, g.jump_y)
 
 
-def assert_same_run(fast, slow):
+def assert_same_run(fast, slow, exact=False):
+    """Equal flags and run shapes, values and errorEstimates within 1e-12;
+    with exact, fast is instead the one exact level of a step multiplier."""
     assert fast.converged == slow.converged
-    assert fast.resolution == slow.resolution
-    assert len(fast.trace) == len(slow.trace)
+    if exact:
+        assert (fast.resolution, len(fast.trace), fast.error_estimate) == (2, 1, 0.0)
+    else:
+        assert fast.resolution == slow.resolution
+        assert len(fast.trace) == len(slow.trace)
     assert abs(fast.value - slow.value) <= 1e-12
     assert abs(fast.error_estimate - slow.error_estimate) <= 1e-12
 
@@ -333,7 +344,7 @@ def test_indicator_multipliers_match_generic(name, params, kind):
     g = MULTIPLIERS[kind]()
     fast = integrate_product(F, g, tol=1e-6, max_doublings=3)
     slow = integrate_product(F, generic_bv(g), tol=1e-6, max_doublings=3)
-    assert_same_run(fast, slow)
+    assert_same_run(fast, slow, exact=True)
 
 
 def test_convolve_bv_reflected_product_matches_generic():
@@ -365,9 +376,9 @@ def test_factored_hk_norm_matches_meshgrid_components(kind):
         g = MULTIPLIERS[kind]()
     fast = hk_norm(g)
     slow = hk_norm(generic_bv(g))
-    assert fast.converged == slow.converged
-    assert fast.resolution == slow.resolution
-    assert len(fast.trace) == len(slow.trace)
+    assert_same_run(fast, slow, exact=kind in MULTIPLIERS)
+    if kind in MULTIPLIERS:
+        assert fast.value == HK_EXACT[kind]
     for row, slow_row in zip(fast.trace, slow.trace):
         assert _close(row["value"], slow_row["value"])
         xs = segment_nodes(NEG_INF, POS_INF, row["resolution"], g.jump_x)
