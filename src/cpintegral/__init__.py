@@ -16,7 +16,6 @@ from .extplane import (
     axis_nodes,
     ext,
     make_interval,
-    uniform_grid,
 )
 from .primitive import (
     BVFunction,

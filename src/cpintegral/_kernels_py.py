@@ -44,15 +44,11 @@ def corner_differences(G):
 def corner_weighted_sum(T, G):
     """Sum of T[j, i] * (corner difference of G over cell (i, j)).
 
-    T has one fewer row/column than G (tag values per cell).
+    T and G are float arrays; T has one fewer row/column than G (tag values per cell).
     """
-    T = np.asarray(T, dtype=float)
-    G = np.asarray(G, dtype=float)
     return float(np.sum(T * corner_differences(G)))
 
 
 def line_weighted_sum(t, g):
-    """Sum of t[i] * (g[i+1] - g[i]) for a 1-d Stieltjes Riemann sum."""
-    t = np.asarray(t, dtype=float)
-    g = np.asarray(g, dtype=float)
+    """Sum of t[i] * (g[i+1] - g[i]) for a 1-d Stieltjes Riemann sum of float arrays."""
     return float(np.sum(t * np.diff(g)))

@@ -13,10 +13,10 @@ from .extplane import (
     NEG_INF,
     POS_INF,
     FULL_PLANE,
+    Grid2,
     Interval2,
     axis_nodes,
     make_interval,
-    uniform_grid,
 )
 from .integral import QuadResult, _primitive_of, _refine
 from .primitive import (
@@ -97,33 +97,27 @@ class L1Kernel(PlaneFunction):
         self.effective_support = effective_support
         self.tail_bound = float(tail_bound)
         self.label = label
-        self.l1_norm_estimate = self._estimate_l1()
 
     def _values(self, x, y):
         return self._fn(x, y)
 
-    def axis_points(self, level, axis=0):
-        """1-d Gauss-Legendre nodes/weights on the support's x (axis 0) or y range."""
-        n = 32 * 2**level
+    def axis_points(self, n, axis=0):
+        """n Gauss-Legendre nodes/weights on the support's x (axis 0) or y range."""
         u, w = _gauss_legendre(n)
         s = self.effective_support
         lo, hi = (s.a, s.b) if axis == 0 else (s.c, s.d)
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         return mid + half * u, half * w
 
-    def quad_points(self, level):
-        """Tensor quadrature over the effective support in factored form.
+    def quad_points(self, n):
+        """n x n tensor quadrature over the effective support in factored form.
 
         Returns the x nodes p, the y nodes q and the weight matrix W with
         W[l, k] the weight of the node (p[k], q[l]).
         """
-        px, wx = self.axis_points(level, 0)
-        py, wy = self.axis_points(level, 1)
+        px, wx = self.axis_points(n, 0)
+        py, wy = self.axis_points(n, 1)
         return px, py, np.outer(wy, wx)
-
-    def _estimate_l1(self):
-        px, py, W = self.quad_points(1)
-        return float(np.sum(W * np.abs(self.on_grid(px, py))))
 
 
 class PoissonKernelL1(L1Kernel):
@@ -157,9 +151,8 @@ class PoissonKernelL1(L1Kernel):
             label=f"poisson(z={z})",
         )
 
-    def axis_points(self, level, axis=0):
+    def axis_points(self, n, axis=0):
         """Both axes share the nodes; the support is a square about 0."""
-        n = 32 * 2**level
         radius = self.effective_support.b
         U = math.asinh(radius / self.z)
         u, w = _gauss_legendre(n)
@@ -247,7 +240,8 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
 
     The output primitive is H(x, y) = integral of kernel(xi, eta)
     F(x - xi, y - eta), evaluated by tensor quadrature over the kernel's
-    effective support and refined until the grid sup-difference meets tol.
+    effective support, 32 nodes per axis at the first level and twice as
+    many at each next one, until the grid sup-difference meets tol.
     A kernel node is finite, so at an infinite grid coordinate H is a 1-d
     convolution of F's marginal with the kernel's marginal; only the finite
     grid nodes need the full sum over kernel nodes (see _convolved_values).
@@ -257,18 +251,16 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     F = _primitive_of(f)
     xs = axis_nodes(resolution)
 
-    def level_values(r):
-        # the driver's resolutions 1, 2, 4, ... stand for quadrature levels 0, 1, 2, ...
-        px, py, W = kernel.quad_points(r.bit_length() - 1)
+    def level_values(n):
+        px, py, W = kernel.quad_points(n)
         k = kernel.on_grid(px, py)
         if normalize:
             W = W / float(np.sum(W * k))
         return _convolved_values(F, xs, px, py, W * k)
 
-    res = _refine(level_values, tol, 1, max_levels)
+    res = _refine(level_values, tol, 32, max_levels)
     H = res.value
-    grid = uniform_grid(resolution)
-    prim = GridSamplePrimitive(grid, H, f"({F.label})*({kernel.label})")
+    prim = GridSamplePrimitive(Grid2(resolution), H, f"({F.label})*({kernel.label})")
     dist = Distribution(prim)
     dist.converged = res.converged
     dist.error_estimate = res.error_estimate + kernel.tail_bound * float(np.max(np.abs(H)) + 1.0)
@@ -397,4 +389,4 @@ def mollify_step(sigma: StepFunction2, z, resolution=64) -> GridSamplePrimitive:
         H[1:, -1] = _mollify_1d(V[:, -1], sigma.nodes_y, xs[1:], z)
     if not np.all(np.isfinite(H)):
         raise ValueError(f"z = {z} is out of range: the mollified node sums are not finite")
-    return GridSamplePrimitive(uniform_grid(resolution), H, f"mollified(z={z})")
+    return GridSamplePrimitive(Grid2(resolution), H, f"mollified(z={z})")

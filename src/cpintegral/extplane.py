@@ -4,9 +4,8 @@ Extended reals are plain floats where -inf/+inf are legal values and NaN is
 not.  The chart is a fixed monotone homeomorphism [-inf, inf] -> [-1, 1] used
 to place uniform partition grids on the extended plane: segment_nodes builds
 every partition, straddled around jump lines, and partition adds its tags.
-On the whole line without jumps the nodes and the tags are read-only tables,
-each built once per resolution on first use, so a caller that reads only
-nodes never pays for the tags.
+On the whole line without jumps the nodes are one read-only table, built
+once per resolution on first use; every partition's tags are a fresh array.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ class Chart:
     name = "t/(1+|t|)"
 
     def forward(self, t):
-        if isinstance(t, (float, int)):
-            t = float(t)
-            return math.copysign(1.0, t) if math.isinf(t) else t / (1.0 + abs(t))
         t = np.asarray(t, dtype=float)
         with np.errstate(invalid="ignore"):
             out = np.where(np.isinf(t), np.sign(t), t / (1.0 + np.abs(t)))
@@ -114,8 +110,6 @@ class Grid2:
 
 def chart_nodes(resolution: int) -> np.ndarray:
     """The chart coordinates of axis_nodes(resolution): resolution+1 equispaced points on [-1, 1]."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
     return np.linspace(-1.0, 1.0, resolution + 1)
 
 
@@ -162,19 +156,9 @@ def _line_nodes(resolution):
     return nodes
 
 
-@functools.lru_cache(maxsize=16)
-def _line_tags(resolution):
-    """The cell tags of _line_nodes(resolution), built on the first partition that asks for them."""
-    tags = cell_tags(_line_nodes(resolution))
-    tags.flags.writeable = False
-    return tags
-
-
 def partition(a, b, resolution, jumps=()):
-    """(segment_nodes(...), their cell_tags): the tables on the whole line without interior jumps."""
+    """(segment_nodes(...), their cell_tags); the tags are a fresh array."""
     nodes = segment_nodes(a, b, resolution, jumps)
-    if a == NEG_INF and b == POS_INF and nodes is _line_nodes(resolution):
-        return nodes, _line_tags(resolution)
     return nodes, cell_tags(nodes)
 
 
@@ -197,7 +181,3 @@ def axis_nodes(resolution: int) -> np.ndarray:
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     return _line_nodes(resolution)
-
-
-def uniform_grid(resolution: int) -> Grid2:
-    return Grid2(resolution)

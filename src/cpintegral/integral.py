@@ -509,11 +509,11 @@ def iterated_consistency(f, interval: Interval2, resolution=128):
     direct = corner_integral(f, interval)
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
 
-    xs = segment_nodes(min(a, b), max(a, b), resolution) if a != b else np.array([a, b])
+    xs = segment_nodes(a, b, resolution) if a != b else np.array([a, b])
     inner_x = np.asarray(F.eval(xs, d)) - np.asarray(F.eval(xs, c))
     x_outer = interval.sign * float(np.sum(np.diff(inner_x)))
 
-    ys = segment_nodes(min(c, d), max(c, d), resolution) if c != d else np.array([c, d])
+    ys = segment_nodes(c, d, resolution) if c != d else np.array([c, d])
     inner_y = np.asarray(F.eval(b, ys)) - np.asarray(F.eval(a, ys))
     y_outer = interval.sign * float(np.sum(np.diff(inner_y)))
 

@@ -24,7 +24,6 @@ from .extplane import (
     axis_nodes,
     ext,
     make_interval,
-    uniform_grid,
 )
 
 PI = math.pi
@@ -676,7 +675,7 @@ def validate_primitive(F: Primitive) -> dict:
 
 
 def sample_primitive(F: Primitive, resolution: int) -> GridSamplePrimitive:
-    grid = uniform_grid(resolution)
+    grid = Grid2(resolution)
     return GridSamplePrimitive(grid, F.on_grid(grid.xs, grid.ys), F.label)
 
 
@@ -727,7 +726,7 @@ def import_grid_json(path) -> GridSamplePrimitive:
     except TypeError as exc:  # values of the wrong JSON type, such as null
         raise ValueError(str(exc)) from exc
     values = _square_values(values, resolution)
-    return GridSamplePrimitive(uniform_grid(resolution), values, doc.get("label", ""))
+    return GridSamplePrimitive(Grid2(resolution), values, doc.get("label", ""))
 
 
 def export_grid_csv(prim: GridSamplePrimitive, path):
@@ -755,7 +754,7 @@ def import_grid_csv(path, label="") -> GridSamplePrimitive:
     uy, values = cells[:, 0], cells[:, 1:]
     resolution = len(ux) - 1
     values = _square_values(values, resolution)
-    grid = uniform_grid(resolution)
+    grid = Grid2(resolution)
     u = DEFAULT_CHART.forward(grid.xs)
     if not (np.allclose(u, ux) and np.allclose(u, uy)):
         raise ValueError("CSV nodes are not chart-uniform for the default chart")

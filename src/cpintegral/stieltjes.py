@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels_py as kernels
-from .extplane import NEG_INF, FULL_PLANE, Interval2, partition, same_bits, segment_nodes, uniform_grid
+from .extplane import NEG_INF, FULL_PLANE, Grid2, Interval2, axis_nodes, partition, same_bits, segment_nodes
 from .integral import QuadResult, _exact, _primitive_of, _refine
 from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
 
@@ -147,7 +147,7 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     with the Stieltjes sums taken on a partition OVERSAMPLE times finer.
     """
     F = _primitive_of(f)
-    grid = uniform_grid(resolution)
+    grid = Grid2(resolution)
     fine_r = resolution * OVERSAMPLE
     xs, tx = partition(NEG_INF, np.inf, fine_r, g.jump_x)
     ys, ty = partition(NEG_INF, np.inf, fine_r, g.jump_y)
@@ -174,7 +174,7 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
 def _vanishes_on_edges(g, sign):
     """True if |g| <= 1e-12 whenever x or y equals sign * inf, sampled at the nodes of resolution 64."""
     edge = np.inf if sign > 0 else NEG_INF
-    nodes = segment_nodes(NEG_INF, np.inf, 64)
+    nodes = axis_nodes(64)
     v1 = np.max(np.abs(np.asarray(g.eval(edge, nodes))))
     v2 = np.max(np.abs(np.asarray(g.eval(nodes, edge))))
     return max(float(v1), float(v2)) <= 1e-12
@@ -234,7 +234,7 @@ def mean_value_point(f, g: BVFunction, tol=1e-6):
         raise ValueError("the integrator has zero total corner mass")
     target = integral.value / delta
 
-    nodes = segment_nodes(NEG_INF, np.inf, 256)
+    nodes = axis_nodes(256)
     Fv = F.on_grid(nodes, nodes)
     hits = np.argwhere(np.abs(Fv - target) <= tol)
     if len(hits) == 0:

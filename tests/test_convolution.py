@@ -82,11 +82,33 @@ def test_convolve_bv_rejects_mixed_boundary():
         convolve_bv(distribution("prodArctan"), catalog_bv("constant"), (POS_INF, 0.0))
 
 
+@pytest.mark.xfail(strict=True, reason="the reflected step function is evaluated at rounded x0 - s, so a straddle "
+                                       "node next to a reflected jump line can land on the jump")
+def test_convolve_bv_of_a_step_function_is_the_corner_formula_over_the_reflected_cells():
+    # g(x0 - s, y0 - t) is V[j, i] on the cell [x0 - p_i, x0 - p_(i-1)) x [y0 - q_j, y0 - q_(j-1)), so
+    # the convolution is the sum of V[j, i] times F's corner difference over that cell
+    g = step_approximate(distribution("expRadial").primitive, 8)
+    x0, y0 = 0.5, -0.25
+    G = distribution("prodArctan").primitive.on_grid(x0 - g.nodes_x, y0 - g.nodes_y)
+    exact = float(np.sum(g.values * (G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1])))
+    tol = 1e-6
+    res = convolve_bv(distribution("prodArctan"), g, (x0, y0), tol=tol)
+    assert res.converged
+    assert abs(res.value - exact) <= tol + res.error_estimate
+
+
+def test_l1_kernel_rejects_an_infinite_support():
+    with pytest.raises(ValueError, match="effective support must be finite"):
+        L1Kernel(lambda x, y: np.exp(-x * x - y * y), make_interval(NEG_INF, 1.0, -1.0, 1.0))
+
+
 def test_poisson_l1_kernel_mass_and_tail():
     k = PoissonKernelL1(0.5)
     # the mass missing from the support quadrature is covered by the tail bound
-    assert k.l1_norm_estimate <= 1.0 + 1e-9
-    assert 1.0 - k.l1_norm_estimate <= k.tail_bound + 1e-9
+    px, py, W = k.quad_points(64)
+    mass = float(np.sum(W * np.abs(k.on_grid(px, py))))
+    assert mass <= 1.0 + 1e-9
+    assert 1.0 - mass <= k.tail_bound + 1e-9
     radius = 500.0 * 0.5
     assert abs(k.tail_bound - 0.5 / math.sqrt(radius**2 + 0.25)) < 1e-15
     with pytest.raises(ValueError):
@@ -107,7 +129,7 @@ def test_poisson_l1_kernel_over_its_range(z):
     k = PoissonKernelL1(z)
     radius = 500.0 * z
     assert k.tail_bound == z / math.sqrt(radius**2 + z**2)
-    px, py, W = k.quad_points(0)
+    px, py, W = k.quad_points(32)
     vals = k.on_grid(px, py)
     assert np.all(np.isfinite(W)) and np.all(W > 0)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
@@ -206,10 +228,16 @@ def test_mollify_step_rejects_nonfinite_or_negative_height(z):
     ([NEG_INF, 0.0, 0.0, POS_INF], np.ones((2, 3)), "strictly increasing"),
     ([-5.0, 0.0, POS_INF], np.ones((2, 2)), "-inf to inf"),
     ([NEG_INF, 0.0, 5.0], np.ones((2, 2)), "-inf to inf"),
-], ids=["nan-value", "inf-value", "unsorted", "repeated", "finite-start", "finite-end"])
+    ([NEG_INF, 0.0, POS_INF], np.ones((2, 3)), "values shape"),
+], ids=["nan-value", "inf-value", "unsorted", "repeated", "finite-start", "finite-end", "values-shape"])
 def test_step_function_rejects_bad_input(nodes_x, values, message):
     with pytest.raises(ValueError, match=message):
         StepFunction2(nodes_x, [NEG_INF, 0.0, POS_INF], values)
+
+
+def test_step_approximate_needs_two_cells_per_axis():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        step_approximate(distribution("prodArctan").primitive, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +360,8 @@ NON_SEPARABLE = {
 }
 
 
-def _level0(kernel):
-    px, py, W = kernel.quad_points(0)
+def _first_level(kernel):
+    px, py, W = kernel.quad_points(32)
     return px, py, W * kernel.on_grid(px, py)
 
 
@@ -352,7 +380,7 @@ def test_convolved_values_match_the_direct_sum(name):
     make, kernel = NON_SEPARABLE[name]
     F = make()
     xs = axis_nodes(16)
-    px, py, K = _level0(kernel)
+    px, py, K = _first_level(kernel)
     H = _convolved_values(F, xs, px, py, K)
     reference = _direct_sum(F, xs, px, py, K)
     assert np.all(np.isfinite(H))
@@ -361,7 +389,7 @@ def test_convolved_values_match_the_direct_sum(name):
 
 def test_broadcast_sum_passes_only_finite_nodes_to_the_3d_part():
     xs = axis_nodes(16)
-    px, py, K = _level0(SKEW_GAUSS)
+    px, py, K = _first_level(SKEW_GAUSS)
     counts = {"finite": 0, "infinite": 0}
 
     def G(x, y):
@@ -384,7 +412,7 @@ def test_broadcast_sum_hands_eval2_a_row_and_a_column_in_cache_sized_blocks(kern
     # kernel rows of at most 2^16 values; 32 kernel rows make 3 blocks of 9
     # and one of 5
     xs = axis_nodes(16)
-    px, py, K = _level0(kernel)
+    px, py, K = _first_level(kernel)
     inner = xs[1:-1]
     row = (inner[:, None] - px[None, :]).reshape(1, -1)
     columns = []
@@ -450,7 +478,7 @@ def test_nan_only_at_positive_infinity_raises():
         return np.where(x == POS_INF, np.nan, np.exp(-np.hypot(x, y)))
 
     xs = axis_nodes(8)
-    px, py, K = _level0(PoissonKernelL1(0.5))
+    px, py, K = _first_level(PoissonKernelL1(0.5))
     H = _broadcast_sum(G, xs, px, py, K)
     assert np.all(np.isnan(H[:, -1])) and np.all(np.isfinite(H[:, :-1]))
     with pytest.raises(ArithmeticError):

@@ -16,7 +16,6 @@ from cpintegral.extplane import (
     make_interval,
     partition,
     segment_nodes,
-    uniform_grid,
 )
 
 
@@ -95,7 +94,7 @@ def test_axis_nodes_dyadic_nesting():
 
 
 def test_uniform_grid():
-    g = uniform_grid(8)
+    g = Grid2(8)
     assert len(g.xs) == 9 and len(g.ys) == 9
     assert g.xs[0] == NEG_INF and g.ys[-1] == POS_INF
 
@@ -105,7 +104,7 @@ def test_grid_is_the_chart_nodes_of_one_resolution(resolution):
     # a Grid2 holds its resolution alone, and both axes are the shared node table
     g = Grid2(resolution)
     assert g.xs is axis_nodes(resolution) and g.ys is axis_nodes(resolution)
-    assert uniform_grid(resolution) == g
+    assert Grid2(resolution) == g
     with pytest.raises(TypeError):
         Grid2(xs=np.array([NEG_INF, -1.0, 0.0, 5.0, POS_INF]), ys=axis_nodes(4), resolution=4)
 
@@ -233,18 +232,21 @@ def test_segment_nodes_match_the_sorted_loop(a, b, resolution, jumps):
 def test_whole_line_tables_are_shared_and_read_only(resolution):
     nodes, tags = partition(NEG_INF, POS_INF, resolution, (POS_INF, math.nan))
     assert axis_nodes(resolution) is nodes and segment_nodes(NEG_INF, POS_INF, resolution) is nodes
-    assert partition(NEG_INF, POS_INF, resolution)[1] is tags
-    for array in (nodes, tags, uniform_grid(resolution).xs):
+    for array in (nodes, Grid2(resolution).xs):
         with pytest.raises(ValueError):
             array[1] = 0.0
+    # the tags are a fresh array per partition, the same bits every time
+    again = partition(NEG_INF, POS_INF, resolution)[1]
+    assert again is not tags and again.tobytes() == tags.tobytes()
+    assert tags.flags.writeable and again.flags.writeable
     jumped = partition(NEG_INF, POS_INF, resolution, (0.5,))
     finite = partition(-1.0, 1.0, resolution)
     assert all(array.flags.writeable and array is not nodes for array in (*jumped, *finite))
 
 
 def test_node_tables_never_build_tags(monkeypatch):
-    # axis_nodes and segment_nodes read the whole-line node table alone; its
-    # tags are built on the first partition that asks for them, and only then
+    # axis_nodes and segment_nodes read the whole-line node table alone; the
+    # tags are built by each partition that asks for them, once per call
     import cpintegral.extplane as extplane
 
     calls = []
@@ -259,11 +261,11 @@ def test_node_tables_never_build_tags(monkeypatch):
         assert segment_nodes(NEG_INF, POS_INF, resolution) is nodes
         segment_nodes(NEG_INF, POS_INF, resolution, (0.5,))
         segment_nodes(-1.0, 2.0, resolution)
-        uniform_grid(resolution)
+        Grid2(resolution)
         assert calls == []
         tags = partition(NEG_INF, POS_INF, resolution)[1]
         assert calls == [resolution + 1]
-        assert partition(NEG_INF, POS_INF, resolution)[1] is tags and calls == [resolution + 1]
+        assert partition(NEG_INF, POS_INF, resolution)[1] is not tags and calls == [resolution + 1] * 2
         assert tags.tobytes() == cell_tags(nodes).tobytes()
         calls.clear()
 

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from cpintegral import cli, convolution, integral, primitive
-from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
+from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, Grid2, axis_nodes, make_interval
 from cpintegral.integral import (
     IntervalND,
     _best_intervals,
@@ -21,6 +21,7 @@ from cpintegral.integral import (
     cumulative,
     ftc_residual,
     improper_example,
+    improper_iterated,
     iterated_consistency,
     norm_dual,
     norm_prime,
@@ -440,7 +441,7 @@ def test_norms_of_a_meet_reach_its_crease_top(start):
 def test_grid_sample_norms_are_node_maxima():
     # bilinear in the chart, so the extrema sit on nodes: the norms are exact node reductions
     normal = np.random.default_rng(5).standard_normal((33, 33))
-    for prim in (sample_primitive(catalog_primitive("sinc2d"), 64), GridSamplePrimitive(uniform_grid(32), normal)):
+    for prim in (sample_primitive(catalog_primitive("sinc2d"), 64), GridSamplePrimitive(Grid2(32), normal)):
         V, r = prim.values, prim.grid.resolution
         sup, prime = float(np.max(np.abs(V))), _interval_sweep(V)
         for norm, value in ((alexiewicz_norm, sup), (norm_prime, prime), (norm_dual, max(sup / 4, prime / 9))):
@@ -509,7 +510,7 @@ def test_structured_norms_never_evaluate_the_plane(monkeypatch, norm):
     assert norm(catalog_primitive("sinc2d")).converged
     assert norm(translate(distribution("gauss2"), 1.0, -0.5)).converged
     assert norm(algebra_product(distribution("prodArctan"), distribution("gauss2"))).converged
-    assert norm(GridSamplePrimitive(uniform_grid(8), np.arange(81.0).reshape(9, 9))).converged
+    assert norm(GridSamplePrimitive(Grid2(8), np.arange(81.0).reshape(9, 9))).converged
 
 
 def test_norm_dual_with_probes():
@@ -602,6 +603,13 @@ def test_improper_rejects_bad_names():
         improper_example("nope", "dyFirst")
     with pytest.raises(ValueError):
         improper_example("xPowY", "sideways")
+    with pytest.raises(ValueError, match="order must be 'xy' or 'yx'"):
+        improper_iterated(lambda x, y: np.exp(-x * x - y * y), order="zz")
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
 
 
 def test_xpowy_corner_probes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpintegral.convolution import StepFunction2
-from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval, uniform_grid
+from cpintegral.extplane import NEG_INF, POS_INF, Grid2, axis_nodes, make_interval
 from cpintegral.integral import alexiewicz_norm
 from cpintegral.primitive import (
     CATALOG_BV,
@@ -19,7 +19,9 @@ from cpintegral.primitive import (
     GridSamplePrimitive,
     ProductBV,
     SeparablePrimitive,
+    _arctan_ramp,
     approx_identity,
+    boundary_build,
     catalog_bv,
     catalog_primitive,
     distribution,
@@ -402,7 +404,7 @@ def test_product_bv_rejects_nan():
 @pytest.mark.parametrize("g", [
     ClosedFormBV(lambda x, y: np.ones(np.shape(x)), "ones"),
     catalog_bv("diagonalIndicator"),
-    StepFunction2(uniform_grid(2).xs, uniform_grid(2).ys, [[0.0, 1.0], [2.0, 3.0]]),
+    StepFunction2(Grid2(2).xs, Grid2(2).ys, [[0.0, 1.0], [2.0, 3.0]]),
 ], ids=["closedForm", "diagonalIndicator", "gridConstant"])
 def test_bv_rejects_nan(g):
     assert float(np.sum(g.eval(np.array([0.5, POS_INF]), 1.0))) >= 0.0
@@ -456,6 +458,39 @@ def test_catalog_primitive_rejects_a_non_integral_or_out_of_range_count(name, pa
         catalog_primitive(name, **params)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("gauss2", {"which": "H"}, "which='F' or which='G'"),
+    ("boundaryBuild", {"theta2": "nope"}, "unknown edge function preset: 'nope'"),
+    ("boundaryBuild", {"theta2": lambda t: 2.0 * _arctan_ramp(t)}, r"agree at the \(inf, inf\) corner"),
+    ("boundaryBuild", {"theta2": lambda t: (1.0 + _arctan_ramp(t)) / 2.0,
+                       "theta3": lambda t: (1.0 + _arctan_ramp(t)) / 2.0}, "vanish at -inf"),
+], ids=["gauss2-which", "unknown-preset", "corner-mismatch", "nonzero-at-neg-inf"])
+def test_catalog_primitive_rejects_a_bad_variant_or_edge_function(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        catalog_primitive(name, **params)
+
+
+def test_a_callable_edge_function_is_used_as_given():
+    xs = axis_nodes(16)
+    named = boundary_build("ramp", "ramp").on_grid(xs, xs)
+    assert np.array_equal(boundary_build(_arctan_ramp, "ramp").on_grid(xs, xs), named)
+    assert np.array_equal(boundary_build("ramp", _arctan_ramp).on_grid(xs, xs), named)
+
+
+def test_grid_sample_rejects_values_of_another_shape():
+    with pytest.raises(ValueError, match="values shape"):
+        GridSamplePrimitive(Grid2(4), np.zeros((5, 4)))
+
+
+def test_grid_file_of_another_chart_is_rejected(tmp_path):
+    path = tmp_path / "grid.json"
+    export_grid_json(sample_primitive(catalog_primitive("gauss2"), 4), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(doc, chart="atan")), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported chart 'atan'"):
+        import_grid_json(path)
+
+
 def test_catalog_bv_rejects_a_non_integral_n():
     with pytest.raises(ValueError, match="must be an integer"):
         catalog_bv("approxIdentity", n=2.9)
@@ -479,5 +514,5 @@ def test_grid_sample_returns_its_values_at_its_own_nodes():
     for r in rng.integers(2, 65, size=50):
         V = rng.standard_normal((r + 1, r + 1))
         xs = axis_nodes(int(r))
-        F = GridSamplePrimitive(uniform_grid(int(r)), V)
+        F = GridSamplePrimitive(Grid2(int(r)), V)
         assert np.array_equal(F.on_grid(xs, xs), V), r

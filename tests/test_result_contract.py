@@ -8,13 +8,19 @@ strict xfails.
 import numpy as np
 import pytest
 
-from cpintegral.convolution import PoissonKernelL1, convolve_l1
-from cpintegral.integral import alexiewicz_norm, improper_example, norm_prime
-from cpintegral.primitive import ClosedFormBV, approx_identity, catalog_bv, distribution
-from cpintegral.stieltjes import integrate_product
+from cpintegral.convolution import PoissonKernelL1, convolve_bv, convolve_l1
+from cpintegral.extplane import NEG_INF, POS_INF, make_interval
+from cpintegral.integral import alexiewicz_norm, improper_example, norm_dual, norm_prime
+from cpintegral.primitive import ClosedFormBV, approx_identity, catalog_bv, catalog_primitive, distribution
+from cpintegral.stieltjes import integrate_product, rs_line_integral, rs_plane_integral
 from cpintegral.variation import hk_norm, sectional_variation_sup, variation_1d, vitali_variation
 
 SMOOTH = ClosedFormBV(lambda x, y: np.sin(3.0 * np.arctan(x)) * np.cos(2.0 * np.arctan(y) + np.arctan(x)), "smooth")
+BUMP = ClosedFormBV(lambda x, y: np.cos(np.arctan(x - 0.3)) * np.cos(np.arctan(y + 0.2)), "bump")
+
+
+def _line_bump(t):
+    return np.cos(np.arctan(t - 0.3))
 
 
 def _result(res):
@@ -51,6 +57,27 @@ CASES = {
         1e-9, lambda: _result(integrate_product(distribution("prodArctan"), catalog_bv("quadrantIndicator")))),
     "integrate_product-approxIdentity-two-doublings": (
         1e-9, lambda: _result(integrate_product(distribution("prodArctan"), approx_identity(4), max_doublings=2))),
+    "rs_line_integral-tanh": (1e-6, lambda: _result(rs_line_integral(_line_bump, np.tanh, NEG_INF, POS_INF,
+                                                                      tol=1e-6))),
+    "rs_line_integral-tanh-one-doubling": (
+        1e-9, lambda: _result(rs_line_integral(_line_bump, np.tanh, NEG_INF, POS_INF, max_doublings=1))),
+    "rs_plane_integral-bump-prodArctan": (
+        1e-6, lambda: _result(rs_plane_integral(BUMP, catalog_primitive("prodArctan"), make_interval(-1, 2, -3, 1),
+                                                tol=1e-6))),
+    "rs_plane_integral-bump-prodArctan-one-doubling": (
+        1e-9, lambda: _result(rs_plane_integral(BUMP, catalog_primitive("prodArctan"), max_doublings=1))),
+    "norm_dual-gauss2": (1e-6, lambda: _result(norm_dual(distribution("gauss2")))),
+    "norm_dual-one-level": (1e-6, lambda: _result(norm_dual(distribution("gauss2"), max_doublings=0))),
+    "norm_dual-probes": (1e-6, lambda: _result(norm_dual(distribution("gauss2"), probes=[
+        catalog_bv("quadrantIndicator"), approx_identity(2)]))),
+    "norm_dual-probes-below-reach": (1e-12, lambda: _result(norm_dual(distribution("prodArctan"), probes=[
+        catalog_bv("quadrantIndicator"), approx_identity(2)], tol=1e-12))),
+    "convolve_bv-approxIdentity": (
+        1e-6, lambda: _result(convolve_bv(distribution("prodArctan"), approx_identity(2), (0.5, -0.25)))),
+    "convolve_bv-quadrant": (
+        1e-6, lambda: _result(convolve_bv(distribution("prodArctan"), catalog_bv("quadrantIndicator"), (0.5, -0.25)))),
+    "convolve_bv-sinc2d-below-reach": (
+        1e-12, lambda: _result(convolve_bv(distribution("sinc2d"), approx_identity(4), (0.5, -0.25), tol=1e-12))),
     "improper_example-arctanXY": (1e-6, lambda: _result(improper_example("arctanXY", "dyFirst", tol=1e-6))),
     "improper_example-arctanXY-below-quad-accuracy": (
         1e-12, lambda: _result(improper_example("arctanXY", "dyFirst", tol=1e-12))),
@@ -75,3 +102,32 @@ def test_converged_means_the_error_estimate_is_within_tol(tol, run):
     converged, error_estimate = run()
     assert converged == (error_estimate <= tol)
 
+
+
+# a pairing over limits (lo, hi) on the line, or over [lo, hi] x [c, d] in the plane
+PAIRINGS = {
+    "rs_line_integral": lambda lo, hi, c, d: rs_line_integral(_line_bump, np.tanh, lo, hi, tol=1e-6),
+    "rs_plane_integral": lambda lo, hi, c, d: rs_plane_integral(BUMP, catalog_primitive("prodArctan"),
+                                                                make_interval(lo, hi, c, d), tol=1e-6),
+    "integrate_product": lambda lo, hi, c, d: integrate_product(distribution("prodArctan"), approx_identity(2),
+                                                                make_interval(lo, hi, c, d), tol=1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_a_degenerate_interval_gives_an_exact_zero(name):
+    res = PAIRINGS[name](0.5, 0.5, -1.0, 2.0)
+    assert (res.value, res.error_estimate, res.converged) == (0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_reversed_limits_flip_the_sign(name):
+    run = PAIRINGS[name]
+    forward = run(-1.0, 2.0, NEG_INF, 1.0)
+    assert forward.converged and forward.value != 0.0
+    reversed_x = run(2.0, -1.0, NEG_INF, 1.0)
+    assert (reversed_x.value, reversed_x.error_estimate, reversed_x.converged) == (
+        -forward.value, forward.error_estimate, True)
+    if name != "rs_line_integral":
+        both = run(2.0, -1.0, 1.0, NEG_INF)
+        assert (both.value, both.error_estimate, both.converged) == (forward.value, forward.error_estimate, True)

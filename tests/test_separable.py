@@ -31,11 +31,11 @@ from cpintegral.extplane import (
     FULL_PLANE,
     NEG_INF,
     POS_INF,
+    Grid2,
     axis_nodes,
     cell_tags,
     make_interval,
     segment_nodes,
-    uniform_grid,
 )
 from cpintegral.integral import cumulative
 from cpintegral.operators import (
@@ -151,8 +151,8 @@ PLANE_FUNCTIONS = {
     **MULTIPLIERS,
     "reflectedApproxIdentity": lambda: translate_reflect_bv(approx_identity(2), 1.0, -0.5),
     "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
-    "gridConstant": lambda grid=uniform_grid(4): StepFunction2(grid.xs, grid.ys,
-                                                               np.arange(16.0).reshape(4, 4) - 5.5),
+    "gridConstant": lambda grid=Grid2(4): StepFunction2(grid.xs, grid.ys,
+                                                        np.arange(16.0).reshape(4, 4) - 5.5),
     "closedFormBV": lambda: generic_bv(translate_reflect_bv(approx_identity(2), 1.0, -0.5)),
     "poissonKernel": lambda: PoissonKernelL1(0.5),
     "skewGaussKernel": skew_gauss_kernel,
@@ -293,8 +293,8 @@ def test_one_corner_difference_kernel_and_one_partition_builder():
 
 
 def test_every_tagged_partition_comes_from_partition():
-    # cell_tags is named in extplane alone and called there by partition and
-    # the whole-line table behind it, so no caller can miss the table
+    # cell_tags is named in extplane alone and called there by partition
+    # alone, so every tagged partition is straddled by segment_nodes
     def names_it(tree):
         return "cell_tags" in {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
 
@@ -304,7 +304,31 @@ def test_every_tagged_partition_comes_from_partition():
         if path.name != "extplane.py" and names_it(tree):
             uses.append((path.name, "<module>"))
         uses += [(path.name, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and names_it(fn)]
-    assert sorted(uses) == [("extplane.py", "_line_tags"), ("extplane.py", "cell_tags"), ("extplane.py", "partition")]
+    assert sorted(uses) == [("extplane.py", "cell_tags"), ("extplane.py", "partition")]
+
+
+def test_one_node_table_and_one_meaning_of_resolution(monkeypatch):
+    # extplane caches the whole-line nodes alone, and the chart has one
+    # forward path for scalars and arrays
+    tree = ast.parse(Path(cpintegral.extplane.__file__).read_text(encoding="utf-8"))
+    cached = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and any("cache" in ast.unparse(d) for d in fn.decorator_list)]
+    assert cached == ["_line_nodes"]
+    chart = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Chart")
+    forward = next(fn for fn in chart.body if isinstance(fn, ast.FunctionDef) and fn.name == "forward")
+    assert "isinstance" not in {node.id for node in ast.walk(forward) if isinstance(node, ast.Name)}
+    # convolve_l1's levels are node counts, not indices mapped to them
+    assert "bit_length" not in Path(cpintegral.convolution.__file__).read_text(encoding="utf-8")
+
+    # an L1 kernel evaluates nothing until a convolution asks for its nodes
+    def evaluated(*args, **kwargs):
+        raise AssertionError("the kernel was evaluated")
+
+    for name in ("on_grid", "eval"):
+        monkeypatch.setattr(L1Kernel, name, evaluated)
+    monkeypatch.setattr(cpintegral.convolution, "poisson_kernel", evaluated)
+    for z in (0.0625, 0.5, 3.0):
+        PoissonKernelL1(z)
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))

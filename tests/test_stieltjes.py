@@ -5,7 +5,7 @@ import pytest
 
 from cpintegral import stieltjes
 from cpintegral.convolution import StepFunction2
-from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, cell_tags, make_interval, partition, segment_nodes, uniform_grid
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, Grid2, cell_tags, make_interval, partition, segment_nodes
 from cpintegral.integral import corner_integral
 from cpintegral.operators import lattice_join
 from cpintegral.primitive import (
@@ -171,7 +171,7 @@ def _nine_term_reference(F, g, interval, resolution):
 def _parts_reference(F, g, resolution):
     """parts_primitive with its line sums taken one coarse row and one
     coarse column at a time."""
-    grid = uniform_grid(resolution)
+    grid = Grid2(resolution)
     xs = segment_nodes(NEG_INF, POS_INF, resolution * OVERSAMPLE, g.jump_x)
     ys = segment_nodes(NEG_INF, POS_INF, resolution * OVERSAMPLE, g.jump_y)
     tx = cell_tags(xs)
@@ -210,8 +210,8 @@ BY_PARTS_MULTIPLIERS = {
     "diagonalIndicator": lambda: catalog_bv("diagonalIndicator"),
     "reflectedClosedForm": lambda: ClosedFormBV(translate_reflect_bv(approx_identity(2), 1.0, -0.5).eval,
                                                 "reflected", (-1.0, 3.0), (-2.5, 1.5)),
-    "gridConstant": lambda grid=uniform_grid(4): StepFunction2(grid.xs, grid.ys,
-                                                               np.arange(16.0).reshape(4, 4) - 5.5),
+    "gridConstant": lambda grid=Grid2(4): StepFunction2(grid.xs, grid.ys,
+                                                        np.arange(16.0).reshape(4, 4) - 5.5),
     "approxIdentity": lambda: approx_identity(3),
 }
 BY_PARTS_INTERVALS = {

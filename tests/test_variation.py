@@ -109,6 +109,14 @@ def test_diagonal_indicator_diverges():
     assert not est.converged
 
 
+def test_values_past_the_guard_stop_after_one_level():
+    # the first level's variation already exceeds GUARD, so the refinement stops there unconverged
+    huge = ClosedFormBV(lambda x, y: 1e13 * np.arctan(x) * np.arctan(y), "huge")
+    for est in (hk_norm(huge), vitali_variation(huge)):
+        assert est.value > variation.GUARD
+        assert not est.converged and len(est.trace) == 1
+
+
 def test_diagonal_trace_strictly_increases():
     trace = variation_trace(catalog_bv("diagonalIndicator"), doublings=5)
     values = [row["value"] for row in trace]
