@@ -6,14 +6,14 @@ multipliers of bounded variation enter through Stieltjes quadrature.
 """
 
 from .extplane import (
-    DEFAULT_CHART,
     FULL_PLANE,
     NEG_INF,
     POS_INF,
-    Chart,
     Grid2,
     Interval2,
     axis_nodes,
+    chart,
+    chart_inverse,
     ext,
     make_interval,
 )

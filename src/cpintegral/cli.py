@@ -363,7 +363,7 @@ def _order(spec, tol, resolution):
 def _translate(spec, tol, resolution):
     F = build_primitive(spec)
     s, t = _field(spec, "shift", [1.0, 1.0])
-    G = operators.translate(F, s, t).primitive
+    G = operators.translate(F, s, t)
     translated = integral.alexiewicz_norm(G, tol=tol)
     delta = ClosedFormPrimitive(
         lambda x, y: np.asarray(F.eval(x, y)) - np.asarray(G.eval(x, y)), "difference")

@@ -28,32 +28,30 @@ def ext(value) -> float:
     return v
 
 
-class Chart:
-    """Monotone bijection between [-inf, inf] and [-1, 1].
+CHART_NAME = "t/(1+|t|)"
 
-    forward(t) = t / (1 + |t|), inverse(u) = u / (1 - |u|); exactly odd,
-    with forward(+-inf) = +-1 and inverse(+-1) = +-inf exactly.  inverse
-    clips u to [-1, 1] first, so |u| > 1 maps to +-inf too.  NaN maps to
-    NaN both ways.  A scalar argument gives a float.
+
+def chart(t):
+    """The chart, a monotone bijection from [-inf, inf] onto [-1, 1]: t / (1 + |t|).
+
+    It and chart_inverse(u) = u / (1 - |u|) are exactly odd, with
+    chart(+-inf) = +-1 and chart_inverse(+-1) = +-inf exactly.
+    chart_inverse clips u to [-1, 1] first, so |u| > 1 maps to +-inf too.
+    NaN maps to NaN both ways.  A scalar argument gives a float.
     """
-
-    name = "t/(1+|t|)"
-
-    def forward(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(invalid="ignore"):
-            out = np.where(np.isinf(t), np.sign(t), t / (1.0 + np.abs(t)))
-        return out if out.ndim else float(out)
-
-    def inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        c = np.minimum(np.maximum(u, -1.0), 1.0)  # clip to [-1, 1]; np.clip's wrapper costs more on short rows
-        with np.errstate(divide="ignore"):
-            out = c / (1.0 - np.abs(c))
-        return out if out.ndim else float(out)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = np.where(np.isinf(t), np.sign(t), t / (1.0 + np.abs(t)))
+    return out if out.ndim else float(out)
 
 
-DEFAULT_CHART = Chart()
+def chart_inverse(u):
+    """The inverse of chart: u / (1 - |u|) on [-1, 1], +-inf beyond."""
+    u = np.asarray(u, dtype=float)
+    c = np.minimum(np.maximum(u, -1.0), 1.0)  # clip to [-1, 1]; np.clip's wrapper costs more on short rows
+    with np.errstate(divide="ignore"):
+        out = c / (1.0 - np.abs(c))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ def segment_nodes(a, b, resolution, jumps=()):
 
 def _chart_nodes(a, b, resolution):
     """resolution+1 chart-equispaced nodes from a to b, endpoints exact."""
-    nodes = DEFAULT_CHART.inverse(np.linspace(DEFAULT_CHART.forward(a), DEFAULT_CHART.forward(b), resolution + 1))
+    nodes = chart_inverse(np.linspace(chart(a), chart(b), resolution + 1))
     nodes[0] = a
     nodes[-1] = b
     return nodes
@@ -169,8 +167,8 @@ def same_bits(u, v):
 
 def cell_tags(nodes):
     """Chart-midpoint tags; the first and last cells are tagged at the boundary."""
-    u = DEFAULT_CHART.forward(nodes)
-    tags = DEFAULT_CHART.inverse((u[:-1] + u[1:]) / 2.0)
+    u = chart(nodes)
+    tags = chart_inverse((u[:-1] + u[1:]) / 2.0)
     tags[0] = nodes[0]
     tags[-1] = nodes[-1]
     return tags

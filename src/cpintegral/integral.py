@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extplane import (
-    DEFAULT_CHART,
     NEG_INF,
     POS_INF,
     FULL_PLANE,
     Interval2,
     axis_nodes,
+    chart_inverse,
     chart_nodes,
     ext,
     segment_nodes,
@@ -290,7 +290,7 @@ def _sup_levels(F):
     """Polished levels of sup |F|, searched in the chart plane (u, v) from the largest nodes of |G|."""
 
     def abs_F(p):
-        x = DEFAULT_CHART.inverse(p)
+        x = chart_inverse(p)
         return np.abs(np.asarray(F.eval(x[:, 0], x[:, 1])))
 
     def candidates(G, u):
@@ -309,7 +309,7 @@ def _prime_levels(F):
     """
 
     def abs_corner(p):
-        x = DEFAULT_CHART.inverse(p)
+        x = chart_inverse(p)
         x1, x2, y1, y2 = x.T
         F22, F12, F21, F11 = np.asarray(F.eval(
             np.concatenate([x2, x1, x2, x1]), np.concatenate([y2, y2, y1, y1]))).reshape(4, -1)
@@ -369,7 +369,7 @@ def _factor_extremes(F):
     signs = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
     def fun(p):
-        x = DEFAULT_CHART.inverse(p)
+        x = chart_inverse(p)
         ax, by = F.eval_factors(x[:2].ravel(), x[2:].ravel())
         return signs * np.concatenate([ax, by]).reshape(4, -1)
 

@@ -11,10 +11,10 @@ import numpy as np
 
 from .extplane import Interval2, axis_nodes, ext, make_interval
 from .integral import _primitive_of, corner_integral
-from .primitive import BVFunction, ClosedFormPrimitive, CorrectedPrimitive, Distribution, SeparablePrimitive
+from .primitive import BVFunction, ClosedFormPrimitive, CorrectedPrimitive, Primitive, SeparablePrimitive
 
 
-def translate(f, s, t) -> Distribution:
+def translate(f, s, t) -> Primitive:
     """Translation by a finite shift: the primitive becomes F(x - s, y - t).
 
     A separable F = a(x) b(y) stays separable, with factors a(x - s) and
@@ -27,13 +27,13 @@ def translate(f, s, t) -> Distribution:
     label = f"translate({F.label},{s},{t})"
     if isinstance(F, SeparablePrimitive):
         a, b = F.factors
-        return Distribution(SeparablePrimitive(
-            (lambda x: a(np.asarray(x, dtype=float) - s), lambda y: b(np.asarray(y, dtype=float) - t)), label))
+        return SeparablePrimitive(
+            (lambda x: a(np.asarray(x, dtype=float) - s), lambda y: b(np.asarray(y, dtype=float) - t)), label)
 
     def fn(x, y):
         return np.asarray(F.eval(x - s, y - t))
 
-    return Distribution(ClosedFormPrimitive(fn, label))
+    return ClosedFormPrimitive(fn, label)
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def _mapped_limit(t, alpha, gamma):
     return (t - gamma) / alpha
 
 
-def transform_distribution(f, m: LinearAxisMap) -> Distribution:
-    """Distribution with pointwise values alpha beta f(map(u, v)).
+def transform_distribution(f, m: LinearAxisMap) -> CorrectedPrimitive:
+    """The primitive of the distribution with pointwise values alpha beta f(map(u, v)).
 
-    Its primitive is the composition of F with the map, shifted to vanish on
-    the -inf edges (the shift does not change the mixed derivative).
+    It is the composition of F with the map, shifted to vanish on the -inf
+    edges (the shift does not change the mixed derivative).
     """
     F = _primitive_of(f)
 
@@ -86,8 +86,7 @@ def transform_distribution(f, m: LinearAxisMap) -> Distribution:
         def raw(u, v):
             return np.asarray(F.eval(m.beta * v + m.gamma2, m.alpha * u + m.gamma1))
 
-    prim = CorrectedPrimitive(raw, f"{F.label} under {m.kind} map")
-    return Distribution(prim)
+    return CorrectedPrimitive(raw, f"{F.label} under {m.kind} map")
 
 
 def map_interval(m: LinearAxisMap, interval: Interval2) -> Interval2:
@@ -145,13 +144,13 @@ def lattice_meet(f1, f2) -> ClosedFormPrimitive:
     )
 
 
-def jordan_parts(f):
-    """(f_plus, f_minus, f_abs) with primitives max(F, 0), max(-F, 0), |F|."""
+def jordan_parts(f) -> tuple[ClosedFormPrimitive, ClosedFormPrimitive, ClosedFormPrimitive]:
+    """The primitives max(F, 0), max(-F, 0) and |F| of f_plus, f_minus and f_abs."""
     F = _primitive_of(f)
     plus = ClosedFormPrimitive(lambda x, y: np.maximum(np.asarray(F.eval(x, y)), 0.0), f"({F.label})+")
     minus = ClosedFormPrimitive(lambda x, y: np.maximum(-np.asarray(F.eval(x, y)), 0.0), f"({F.label})-")
     absd = ClosedFormPrimitive(lambda x, y: np.abs(np.asarray(F.eval(x, y))), f"|{F.label}|")
-    return Distribution(plus), Distribution(minus), Distribution(absd)
+    return plus, minus, absd
 
 
 _ORDER_SLACK = 1e-12  # absorbs interpolation noise on grid samples in order_leq
@@ -180,8 +179,8 @@ def order_compare(f1, f2, resolution=64) -> str:
     return "incomparable"
 
 
-def algebra_product(f1, f2) -> Distribution:
-    """Product distribution: the one whose primitive is F1 F2 pointwise.
+def algebra_product(f1, f2) -> Primitive:
+    """The primitive F1 F2 of the product distribution, pointwise.
 
     The product of two separable primitives a1(x) b1(y) and a2(x) b2(y) is
     separable, with factors a1 a2 and b1 b2.
@@ -191,22 +190,18 @@ def algebra_product(f1, f2) -> Distribution:
     label = f"({F1.label})*({F2.label})"
     if isinstance(F1, SeparablePrimitive) and isinstance(F2, SeparablePrimitive):
         (a1, b1), (a2, b2) = F1.factors, F2.factors
-        return Distribution(SeparablePrimitive(
+        return SeparablePrimitive(
             (lambda x: np.asarray(a1(x), dtype=float) * np.asarray(a2(x), dtype=float),
-             lambda y: np.asarray(b1(y), dtype=float) * np.asarray(b2(y), dtype=float)), label))
-    prim = ClosedFormPrimitive(
-        lambda x, y: np.asarray(F1.eval(x, y)) * np.asarray(F2.eval(x, y)),
-        label,
-    )
-    return Distribution(prim)
+             lambda y: np.asarray(b1(y), dtype=float) * np.asarray(b2(y), dtype=float)), label)
+    return ClosedFormPrimitive(lambda x, y: np.asarray(F1.eval(x, y)) * np.asarray(F2.eval(x, y)), label)
 
 
 def convergence_limit(f, g_seq, g_limit: BVFunction, tol=1e-4, bound=None):
     """Convergence of integrals of f g_n to the integral of f g_limit.
 
     Requires a uniform bound on the variation norms of the g_n (estimated
-    and checked) and pointwise convergence, which is only sampled at grid
-    nodes; the report records the sampling resolution.
+    and checked) and pointwise convergence of the g_n to g_limit, which is
+    the caller's hypothesis: nothing here checks it.
     """
     from .stieltjes import integrate_product
     from .variation import hk_norm
@@ -236,5 +231,4 @@ def convergence_limit(f, g_seq, g_limit: BVFunction, tol=1e-4, bound=None):
         "normBound": max(norms) if norms else 0.0,
         "threshold": threshold,
         "converged": ok,
-        "samplingResolution": 64,
     }

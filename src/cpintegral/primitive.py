@@ -16,12 +16,13 @@ import math
 import numpy as np
 
 from .extplane import (
-    DEFAULT_CHART,
+    CHART_NAME,
     NEG_INF,
     POS_INF,
     Grid2,
     Interval2,
     axis_nodes,
+    chart,
     ext,
     make_interval,
 )
@@ -183,7 +184,7 @@ class GridSamplePrimitive(Primitive):
         value there exactly rather than after a chart round trip.
         """
         r, nodes = self.grid.resolution, self.grid.xs
-        u = (np.asarray(DEFAULT_CHART.forward(t)) + 1.0) * (r / 2.0)
+        u = (np.asarray(chart(t)) + 1.0) * (r / 2.0)
         i = np.clip(np.floor(u).astype(int), 0, r - 1)
         k = np.minimum(np.searchsorted(nodes, t), r)
         hit = nodes[k] == t
@@ -204,7 +205,7 @@ class GridSamplePrimitive(Primitive):
 
 
 class Distribution:
-    """An integrable distribution, represented solely by its primitive."""
+    """The box around a primitive that distribution() and convolve_l1 return; all else passes primitives."""
 
     def __init__(self, primitive: Primitive):
         self.primitive = primitive
@@ -212,9 +213,6 @@ class Distribution:
     @property
     def label(self):
         return self.primitive.label
-
-    def F(self, x, y):
-        return self.primitive(x, y)
 
 
 class BVFunction(PlaneFunction):
@@ -414,7 +412,7 @@ def _weier_1d(a, b, depth):
     w = _weierstrass(a, b, depth)
 
     def fn(t):
-        u = np.atleast_1d(np.asarray(DEFAULT_CHART.forward(np.asarray(t, dtype=float))))
+        u = np.atleast_1d(np.asarray(chart(np.asarray(t, dtype=float))))
         shape = u.shape
         # evaluate the base point through the same vectorized path so the
         # subtraction is exactly zero at u = -1
@@ -682,8 +680,6 @@ def sample_primitive(F: Primitive, resolution: int) -> GridSamplePrimitive:
 # ---------------------------------------------------------------------------
 # grid sample import/export
 
-CHART_NAME = DEFAULT_CHART.name
-
 
 def export_grid_json(prim: GridSamplePrimitive, path):
     doc = {
@@ -730,7 +726,7 @@ def import_grid_json(path) -> GridSamplePrimitive:
 
 
 def export_grid_csv(prim: GridSamplePrimitive, path):
-    nodes = np.atleast_1d(DEFAULT_CHART.forward(prim.grid.xs))  # both axes
+    nodes = np.atleast_1d(chart(prim.grid.xs))  # both axes
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + [repr(float(u)) for u in nodes])
@@ -755,7 +751,7 @@ def import_grid_csv(path, label="") -> GridSamplePrimitive:
     resolution = len(ux) - 1
     values = _square_values(values, resolution)
     grid = Grid2(resolution)
-    u = DEFAULT_CHART.forward(grid.xs)
+    u = chart(grid.xs)
     if not (np.allclose(u, ux) and np.allclose(u, uy)):
         raise ValueError("CSV nodes are not chart-uniform for the default chart")
     return GridSamplePrimitive(grid, values, label)

@@ -25,7 +25,7 @@ from .operators import (
     order_leq,
     translate,
 )
-from .primitive import approx_identity, catalog_bv, distribution, sample_primitive
+from .primitive import approx_identity, catalog_bv, catalog_primitive, sample_primitive
 from .stieltjes import integrate_product
 from .variation import hk_norm
 from .convolution import PoissonKernelL1, convolve_bv, convolve_l1, poisson_kernel
@@ -47,7 +47,7 @@ def catalog_distributions(include_zero=True):
     ]
     if include_zero:
         names.append(("zero", {}))
-    return [distribution(n, **p) for n, p in names]
+    return [catalog_primitive(n, **p) for n, p in names]
 
 
 def suite_norms():
@@ -59,7 +59,7 @@ def suite_norms():
     """
     cases = []
     for dist in catalog_distributions():
-        S = sample_primitive(dist.primitive, 256)
+        S = sample_primitive(dist, 256)
         a, p = alexiewicz_norm(S).value, norm_prime(S).value
         d = max(a / 4.0, p / 9.0)
         ok = (
@@ -76,8 +76,8 @@ def suite_norms():
 def suite_holder(seed=7):
     """|integral of f g over a corner interval| <= ||f|| ||g||_bv + 1e-6, in 200 random cases."""
     rng = np.random.default_rng(seed)
-    fs = [distribution("prodArctan"), distribution("gauss2", which="F"),
-          distribution("sineStrip", n=2), distribution("expRadial")]
+    fs = [catalog_primitive("prodArctan"), catalog_primitive("gauss2", which="F"),
+          catalog_primitive("sineStrip", n=2), catalog_primitive("expRadial")]
     norm_f = {d.label: alexiewicz_norm(d, tol=1e-8).value for d in fs}
 
     def random_bv():
@@ -118,7 +118,7 @@ def suite_lattice():
     triples = [(dists[i], dists[(i + 3) % len(dists)], dists[(i + 7) % len(dists)])
                for i in range(10)]
     for f1, f2, f3 in triples:
-        A, B, C = (f.primitive.on_grid(xs, xs) for f in (f1, f2, f3))
+        A, B, C = (f.on_grid(xs, xs) for f in (f1, f2, f3))
         distrib = np.array_equal(np.maximum(A, np.minimum(B, C)),
                                  np.minimum(np.maximum(A, B), np.maximum(A, C)))
         # modular law: A <= C implies A v (B ^ C) = (A v B) ^ C
@@ -131,8 +131,8 @@ def suite_lattice():
                      "distributive": bool(distrib), "modular": bool(modular),
                      "joinIsPointwiseMax": bool(surrogate),
                      "passed": bool(distrib and modular and surrogate)})
-    g1 = distribution("gauss2", which="F")
-    g2 = distribution("gauss2", which="G")
+    g1 = catalog_primitive("gauss2", which="F")
+    g2 = catalog_primitive("gauss2", which="G")
     incomparable = (not order_leq(g1, g2)) and (not order_leq(g2, g1))
     rows.append({"pair": (g1.label, g2.label), "incomparableBothWays": bool(incomparable),
                  "passed": bool(incomparable)})
@@ -144,22 +144,22 @@ def suite_mspace():
     the additive (L-type) identity fails for the overlapping pair."""
     xs = axis_nodes(256)
     nonneg = [d for d in catalog_distributions(include_zero=False)
-              if np.min(d.primitive.on_grid(xs, xs)) >= 0.0]
+              if np.min(d.on_grid(xs, xs)) >= 0.0]
     rows = []
     for i in range(len(nonneg)):
         f1 = nonneg[i]
         f2 = nonneg[(i + 1) % len(nonneg)]
-        A = f1.primitive.on_grid(xs, xs)
-        B = f2.primitive.on_grid(xs, xs)
+        A = f1.on_grid(xs, xs)
+        B = f2.on_grid(xs, xs)
         lhs = float(np.max(np.maximum(A, B)))
         rhs = max(float(np.max(A)), float(np.max(B)))
         ok = abs(lhs - rhs) <= 4 * np.spacing(max(rhs, 1.0))
         rows.append({"pair": (f1.label, f2.label), "joinSup": lhs, "maxOfSups": rhs,
                      "passed": bool(ok)})
-    g1 = distribution("gauss2", which="F")
-    g2 = distribution("gauss2", which="G")
-    A = g1.primitive.on_grid(xs, xs)
-    B = g2.primitive.on_grid(xs, xs)
+    g1 = catalog_primitive("gauss2", which="F")
+    g2 = catalog_primitive("gauss2", which="G")
+    A = g1.on_grid(xs, xs)
+    B = g2.on_grid(xs, xs)
     strict = float(np.max(A + B)) < float(np.max(A)) + float(np.max(B)) - 1e-6
     rows.append({"pair": (g1.label, g2.label), "additiveNormFails": bool(strict),
                  "passed": bool(strict)})
@@ -171,29 +171,29 @@ def suite_algebra(seed=11):
     rng = np.random.default_rng(seed)
     dists = catalog_distributions()
     xs = axis_nodes(128)
-    sups = {d.label: float(np.max(np.abs(d.primitive.on_grid(xs, xs)))) for d in dists}
+    sups = {d.label: float(np.max(np.abs(d.on_grid(xs, xs)))) for d in dists}
     rows = []
     for k in range(50):
         f1 = dists[rng.integers(0, len(dists))]
         f2 = dists[rng.integers(0, len(dists))]
         prod = algebra_product(f1, f2)
-        sp = float(np.max(np.abs(prod.primitive.on_grid(xs, xs))))
+        sp = float(np.max(np.abs(prod.on_grid(xs, xs))))
         bound = sups[f1.label] * sups[f2.label]
         ok = sp <= bound + 4 * np.spacing(max(bound, 1.0))
         rows.append({"case": k, "pair": (f1.label, f2.label), "productSup": sp,
                      "bound": bound, "passed": bool(ok)})
 
-    left = distribution("sineStrip", n=1)
-    right = translate(distribution("sineStrip", n=1), 10.0, 0.0)
+    left = catalog_primitive("sineStrip", n=1)
+    right = translate(catalog_primitive("sineStrip", n=1), 10.0, 0.0)
     prod = algebra_product(left, right)
-    zeros = float(np.max(np.abs(prod.primitive.on_grid(xs, xs))))
-    nonzero = float(np.max(np.abs(left.primitive.on_grid(xs, xs)))) > 0
+    zeros = float(np.max(np.abs(prod.on_grid(xs, xs))))
+    nonzero = float(np.max(np.abs(left.on_grid(xs, xs)))) > 0
     rows.append({"witness": "disjoint supports", "productSup": zeros,
                  "factorsNonzero": bool(nonzero),
                  "passed": bool(zeros == 0.0 and nonzero)})
 
-    f = distribution("prodArctan")
-    Fv = f.primitive.on_grid(xs, xs)
+    f = catalog_primitive("prodArctan")
+    Fv = f.on_grid(xs, xs)
     errs = []
     for n in (4, 8, 16):
         U = approx_identity(n).on_grid(xs, xs)
@@ -208,19 +208,19 @@ def suite_convergence():
     """Bounded-variation convergence: quadrant corners marching to a limit,
     and the approximate identity marching to the constant 1."""
     tol = 1e-4
-    f = distribution("prodArctan")
+    f = catalog_primitive("prodArctan")
     x0, y0 = 0.5, -0.25
     seq = [catalog_bv("quadrantIndicator", x=x0 + 2.0**-k, y=y0 + 2.0**-k) for k in range(1, 16)]
     limit = catalog_bv("quadrantIndicator", x=x0, y=y0)
     quad_report = convergence_limit(f, seq, limit, tol=tol)
-    expected = float(f.primitive(x0, y0))
+    expected = float(f(x0, y0))
     quad_ok = quad_report["converged"] and abs(quad_report["limitValue"] - expected) <= tol
 
     # the ramp family converges only at rate 1/n, so its tolerance is looser
     useq = [approx_identity(n) for n in (4, 8, 16, 32)]
     ones = catalog_bv("constant", c=1.0)
     u_report = convergence_limit(f, useq, ones, tol=0.05)
-    total = float(f.primitive(POS_INF, POS_INF))
+    total = float(f(POS_INF, POS_INF))
     u_ok = u_report["converged"] and abs(u_report["limitValue"] - total) <= 0.05
 
     return [
@@ -275,8 +275,8 @@ def suite_convolution():
 
     xs = axis_nodes(32)
     for name, params in (("prodArctan", {}), ("gauss2", {"which": "F"}), ("expRadial", {})):
-        f = distribution(name, **params)
-        Fv = f.primitive.on_grid(xs, xs)
+        f = catalog_primitive(name, **params)
+        Fv = f.on_grid(xs, xs)
         errs = []
         for z in (0.5, 0.25, 0.125, 0.0625):
             conv = convolve_l1(f, PoissonKernelL1(z), resolution=32,
@@ -287,8 +287,8 @@ def suite_convolution():
         cases.append({"check": "mollification", "f": f.label, "errors": errs,
                       "passed": bool(decreasing)})
 
-    f = distribution("prodArctan")
-    total = float(f.primitive(POS_INF, POS_INF))
+    f = catalog_primitive("prodArctan")
+    total = float(f(POS_INF, POS_INF))
     big = 1e6
     for g in (approx_identity(4), catalog_bv("quadrantIndicator", x=0.0, y=0.0)):
         for e1 in (-1, 1):

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cpintegral.extplane import POS_INF, make_interval
 from cpintegral.integral import (
@@ -159,7 +158,7 @@ def test_criterion_13_translation_invariance_and_continuity():
         F = f.primitive
         deltas = []
         for h in (1.0, 0.5, 0.25, 0.125):
-            G = translate(f, h, h).primitive
+            G = translate(f, h, h)
             diff = Distribution(ClosedFormPrimitive(
                 lambda x, y, F=F, G=G: np.asarray(F.eval(x, y)) - np.asarray(G.eval(x, y)),
                 "difference",

@@ -304,7 +304,7 @@ def test_norm_reports_carry_error_estimate(capsys, argv, keys):
     else:
         tau = translate(f, 1.0, 1.0)
         delta = Distribution(ClosedFormPrimitive(
-            lambda x, y: np.asarray(f.primitive.eval(x, y)) - np.asarray(tau.primitive.eval(x, y)),
+            lambda x, y: np.asarray(f.primitive.eval(x, y)) - np.asarray(tau.eval(x, y)),
             "difference",
         ))
         expected = max(alexiewicz_norm(tau).error_estimate, alexiewicz_norm(delta).error_estimate)

@@ -27,7 +27,6 @@ from cpintegral.primitive import (
     CorrectedPrimitive,
     catalog_bv,
     distribution,
-    sample_primitive,
 )
 
 
@@ -72,7 +71,7 @@ def test_convolve_bv_corner_limits():
     f = distribution("prodArctan")
     g = catalog_bv("approxIdentity", n=4)
     res = convolve_bv(f, g, (POS_INF, POS_INF))
-    assert res.value == g(POS_INF, POS_INF) * f.F(POS_INF, POS_INF) == 1.0
+    assert res.value == g(POS_INF, POS_INF) * f.primitive(POS_INF, POS_INF) == 1.0
     res2 = convolve_bv(f, g, (NEG_INF, NEG_INF))
     assert res2.value == 0.0
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cpintegral.extplane import (
-    DEFAULT_CHART,
     FULL_PLANE,
     NEG_INF,
     POS_INF,
@@ -12,6 +11,8 @@ from cpintegral.extplane import (
     Interval2,
     axis_nodes,
     cell_tags,
+    chart,
+    chart_inverse,
     ext,
     make_interval,
     partition,
@@ -28,23 +29,23 @@ def test_ext_accepts_numbers_and_infinities():
 
 
 def test_chart_exact_at_infinity():
-    assert DEFAULT_CHART.forward(POS_INF) == 1.0
-    assert DEFAULT_CHART.forward(NEG_INF) == -1.0
-    assert DEFAULT_CHART.inverse(1.0) == POS_INF
-    assert DEFAULT_CHART.inverse(-1.0) == NEG_INF
-    assert DEFAULT_CHART.forward(0.0) == 0.0
-    assert DEFAULT_CHART.inverse(0.0) == 0.0
+    assert chart(POS_INF) == 1.0
+    assert chart(NEG_INF) == -1.0
+    assert chart_inverse(1.0) == POS_INF
+    assert chart_inverse(-1.0) == NEG_INF
+    assert chart(0.0) == 0.0
+    assert chart_inverse(0.0) == 0.0
 
 
 def test_chart_roundtrip_finite():
     ts = np.array([-100.0, -1.0, -0.25, 0.5, 2.0, 1e4])
-    back = DEFAULT_CHART.inverse(DEFAULT_CHART.forward(ts))
+    back = chart_inverse(chart(ts))
     assert np.allclose(back, ts, rtol=1e-12)
 
 
 def test_chart_monotone():
     ts = np.linspace(-50, 50, 101)
-    us = DEFAULT_CHART.forward(ts)
+    us = chart(ts)
     assert np.all(np.diff(us) > 0)
     assert np.all(us > -1) and np.all(us < 1)
 
@@ -143,8 +144,7 @@ def _chart_inputs():
 
 def test_chart_maps_match_the_nested_where_formulas_bit_for_bit():
     ts = _chart_inputs()
-    chart = DEFAULT_CHART
-    for new, old in ((chart.forward, _old_forward), (chart.inverse, _old_inverse)):
+    for new, old in ((chart, _old_forward), (chart_inverse, _old_inverse)):
         got = new(ts)
         assert got.tobytes() == old(ts).tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(old(ts)))
@@ -154,13 +154,13 @@ def test_chart_maps_match_the_nested_where_formulas_bit_for_bit():
             assert type(value) is float
             assert np.float64(value).tobytes() == np.asarray(old(t)).tobytes()
         assert type(new(np.float64(0.5))) is float and type(new(np.asarray(0.5))) is float
-    assert chart.forward(3) == 0.75 and chart.inverse(2) == POS_INF
+    assert chart(3) == 0.75 and chart_inverse(2) == POS_INF
     single = np.array([0.5], dtype=np.float32)
-    assert chart.forward(single).dtype == float and chart.inverse(single).dtype == float
+    assert chart(single).dtype == float and chart_inverse(single).dtype == float
     # NaN propagates through both maps, as a scalar and inside an array
-    assert math.isnan(chart.forward(math.nan)) and math.isnan(chart.inverse(math.nan))
-    fwd = chart.forward(np.array([math.nan, 1.0]))
-    inv = chart.inverse(np.array([math.nan, 0.5]))
+    assert math.isnan(chart(math.nan)) and math.isnan(chart_inverse(math.nan))
+    fwd = chart(np.array([math.nan, 1.0]))
+    inv = chart_inverse(np.array([math.nan, 0.5]))
     assert math.isnan(fwd[0]) and fwd[1] == 0.5 and math.isnan(inv[0]) and inv[1] == 1.0
 
 
@@ -274,7 +274,7 @@ def test_segment_nodes_sort_only_what_the_chart_cannot_resolve():
     a = 1e300
     b = np.nextafter(a, POS_INF)
     # the chart maps a and b to the same point, so the raw nodes repeat
-    assert DEFAULT_CHART.forward(a) == DEFAULT_CHART.forward(b)
+    assert chart(a) == chart(b)
     assert segment_nodes(a, b, 8).tolist() == [a, b]
     with pytest.raises(ValueError):
         segment_nodes(1.0, 1.0, 8)

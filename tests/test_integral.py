@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from cpintegral import cli, convolution, integral, primitive
-from cpintegral.extplane import DEFAULT_CHART, FULL_PLANE, NEG_INF, POS_INF, Grid2, axis_nodes, make_interval
+from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, Grid2, axis_nodes, chart, make_interval
 from cpintegral.integral import (
     IntervalND,
     _best_intervals,
@@ -348,12 +348,11 @@ EXACT_SUP = {
 
 
 def _polish_cases():
-    return catalog_distributions() + [distribution("sineStrip", n=n) for n in (1, 4)]
+    return catalog_distributions() + [catalog_primitive("sineStrip", n=n) for n in (1, 4)]
 
 
-@pytest.mark.parametrize("f", _polish_cases(), ids=lambda f: f.label)
-def test_polished_levels_bracketed_by_grid_and_exact_sup(f):
-    F = f.primitive
+@pytest.mark.parametrize("F", _polish_cases(), ids=lambda F: F.label)
+def test_polished_levels_bracketed_by_grid_and_exact_sup(F):
     sup, prime = integral._sup_levels(F), integral._prime_levels(F)
     sups, primes = [], []
     for r in (16, 32, 64):
@@ -408,7 +407,7 @@ class _NanBetweenNodes(Primitive):
 
     def eval(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        k = (DEFAULT_CHART.forward(x) + 1.0) * 8.0
+        k = (chart(x) + 1.0) * 8.0
         return np.where(np.abs(k - np.round(k)) < 1e-9, 0.0, np.nan)
 
 
@@ -523,6 +522,11 @@ def test_norm_dual_with_probes():
     assert res.resolution > 0
     a = alexiewicz_norm(f).value
     assert 0.0 < res.value <= a + 1e-9
+
+
+def test_norm_dual_rejects_a_probe_of_divergent_variation():
+    with pytest.raises(ValueError, match="probe 'diagonalIndicator' has divergent variation"):
+        norm_dual(catalog_primitive("prodArctan"), probes=[catalog_bv("diagonalIndicator")])
 
 
 def test_norm_dual_with_probes_reports_the_worst_pairing():

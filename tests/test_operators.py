@@ -23,8 +23,8 @@ from cpintegral.primitive import ClosedFormPrimitive, SeparablePrimitive, approx
 def test_translate_shifts_primitive():
     f = distribution("prodArctan")
     tau = translate(f, 2.0, -1.0)
-    assert tau.F(3.0, 0.0) == f.F(1.0, 1.0)
-    assert tau.F(POS_INF, POS_INF) == f.F(POS_INF, POS_INF)
+    assert tau(3.0, 0.0) == f.primitive(1.0, 1.0)
+    assert tau(POS_INF, POS_INF) == f.primitive(POS_INF, POS_INF)
 
 
 def test_translate_rejects_infinite_shift():
@@ -95,7 +95,7 @@ def test_transform_distribution_vanishes_on_edges():
     m = LinearAxisMap(alpha=-1.0, beta=-1.0, kind="swapped")
     h = transform_distribution(distribution("prodArctan"), m)
     xs = axis_nodes(16)
-    assert np.max(np.abs(h.primitive.eval(np.full(xs.shape, -np.inf), xs))) <= 1e-12
+    assert np.max(np.abs(h.eval(np.full(xs.shape, -np.inf), xs))) <= 1e-12
 
 
 def test_lattice_join_meet_pointwise():
@@ -146,9 +146,9 @@ def test_jordan_parts_decompose():
     xs = axis_nodes(32)
     X, Y = np.meshgrid(xs, xs)
     Fv = np.asarray(f.primitive.eval(X, Y))
-    Pv = np.asarray(plus.primitive.eval(X, Y))
-    Mv = np.asarray(minus.primitive.eval(X, Y))
-    Av = np.asarray(absd.primitive.eval(X, Y))
+    Pv = np.asarray(plus.eval(X, Y))
+    Mv = np.asarray(minus.eval(X, Y))
+    Av = np.asarray(absd.eval(X, Y))
     assert np.array_equal(Pv - Mv, Fv)
     assert np.array_equal(Pv + Mv, Av)
     assert np.all(Pv >= 0) and np.all(Mv >= 0)
@@ -160,6 +160,7 @@ def test_order_relations():
     assert order_leq(g, f)
     assert not order_leq(f, g)
     assert order_compare(g, f) == "leq"
+    assert order_compare(f, g) == "geq"
     assert order_compare(f, f) == "equal"
 
 
@@ -172,13 +173,13 @@ def test_algebra_product_primitive_is_pointwise_product():
     f2 = distribution("expRadial")
     prod = algebra_product(f1, f2)
     for x, y in [(0.0, 0.0), (1.0, -2.0), (POS_INF, POS_INF)]:
-        assert prod.F(x, y) == f1.F(x, y) * f2.F(x, y)
+        assert prod(x, y) == f1.primitive(x, y) * f2.primitive(x, y)
 
 
 @pytest.mark.parametrize("name", ["prodArctan", "sinc2d", "weier2d", "sineStrip"])
 def test_translated_separable_is_the_shifted_closed_form_bit_for_bit(name):
     F = distribution(name).primitive
-    tau = translate(F, 0.75, -2.5).primitive
+    tau = translate(F, 0.75, -2.5)
     assert isinstance(tau, SeparablePrimitive)
     shifted = ClosedFormPrimitive(lambda x, y: np.asarray(F.eval(x - 0.75, y + 2.5)), tau.label)
     xs = axis_nodes(64)
@@ -189,12 +190,12 @@ def test_translated_separable_is_the_shifted_closed_form_bit_for_bit(name):
 
 def test_product_of_separables_is_separable_to_rounding():
     F1, F2 = distribution("prodArctan").primitive, distribution("gauss2", which="G").primitive
-    prod = algebra_product(F1, F2).primitive
+    prod = algebra_product(F1, F2)
     assert isinstance(prod, SeparablePrimitive)
     xs = axis_nodes(64)
     pointwise = F1.on_grid(xs, xs) * F2.on_grid(xs, xs)
     assert np.allclose(prod.on_grid(xs, xs), pointwise, rtol=4 * np.finfo(float).eps, atol=0.0)
-    assert not isinstance(algebra_product(F1, distribution("expRadial")).primitive, SeparablePrimitive)
+    assert not isinstance(algebra_product(F1, distribution("expRadial")), SeparablePrimitive)
 
 
 def test_algebra_zero_divisors():
@@ -215,6 +216,11 @@ def test_convergence_limit_quadrant_sequence():
     assert rep["converged"]
     assert rep["threshold"] is not None
     assert rep["normBound"] <= 4.0 + 1e-9
+
+
+def test_convergence_limit_rejects_a_sequence_of_divergent_variation():
+    with pytest.raises(ValueError, match="'diagonalIndicator' did not converge"):
+        convergence_limit(distribution("prodArctan"), [catalog_bv("diagonalIndicator")], catalog_bv("constant", c=1.0))
 
 
 def test_convergence_limit_checks_bound():

@@ -71,6 +71,16 @@ def test_validation_rejects_arctan_product_without_correction():
     assert not validate_primitive(bad)["passed"]
 
 
+def test_validation_reports_a_nonfinite_node_value():
+    # 0 on both -inf edges, so only the grid levels meet the inf at (0, 0)
+    def fn(x, y):
+        return np.where((np.asarray(x) == 0.0) & (np.asarray(y) == 0.0), np.inf, 0.0)
+
+    report = validate_primitive(ClosedFormPrimitive(fn, "infAtOrigin"))
+    assert (report["finite"], report["continuityTrace"], report["passed"]) == (False, [], False)
+    assert report["boundaryResidual"] == 0.0
+
+
 def test_closed_form_rejects_nonfinite_values():
     bad = ClosedFormPrimitive(lambda x, y: np.asarray(x, dtype=float), "identity")
     with pytest.raises(ArithmeticError):
@@ -423,7 +433,7 @@ def test_translate_reflect_bv_rejects_infinite_point(point):
 def test_distribution_wrapper():
     f = distribution("prodArctan")
     assert isinstance(f, Distribution)
-    assert f.F(POS_INF, POS_INF) == 1.0
+    assert f.primitive(POS_INF, POS_INF) == 1.0
     assert f.label == "prodArctan"
 
 

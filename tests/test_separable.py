@@ -41,6 +41,7 @@ from cpintegral.integral import cumulative
 from cpintegral.operators import (
     LinearAxisMap,
     algebra_product,
+    jordan_parts,
     lattice_join,
     lattice_meet,
     transform_distribution,
@@ -160,14 +161,14 @@ PLANE_FUNCTIONS = {
     "zero": lambda: catalog_primitive("zero"),
     "boundaryBuildHill": lambda: catalog_primitive("boundaryBuild", theta2="hill", theta3="hill"),
     "latticeMeet": lambda: lattice_meet(catalog_primitive("expRadial"), catalog_primitive("prodArctan")),
-    "algebraProduct": lambda: algebra_product(distribution("expRadial"), distribution("gauss2", which="G")).primitive,
-    "separableAlgebraProduct": lambda: algebra_product(distribution("sinc2d"), distribution("boundaryBuild")).primitive,
-    "translate": lambda: translate(distribution("expRadial"), 0.75, -1.25).primitive,
-    "separableTranslate": lambda: translate(distribution("prodArctan"), -0.5, 2.0).primitive,
+    "algebraProduct": lambda: algebra_product(distribution("expRadial"), distribution("gauss2", which="G")),
+    "separableAlgebraProduct": lambda: algebra_product(distribution("sinc2d"), distribution("boundaryBuild")),
+    "translate": lambda: translate(distribution("expRadial"), 0.75, -1.25),
+    "separableTranslate": lambda: translate(distribution("prodArctan"), -0.5, 2.0),
     "transformStraight": lambda: transform_distribution(distribution("expRadial"),
-                                                        LinearAxisMap(-2.0, 0.5, 0.25, -1.0)).primitive,
+                                                        LinearAxisMap(-2.0, 0.5, 0.25, -1.0)),
     "transformSwapped": lambda: transform_distribution(distribution("prodArctan"),
-                                                       LinearAxisMap(1.5, -3.0, kind="swapped")).primitive,
+                                                       LinearAxisMap(1.5, -3.0, kind="swapped")),
     "reflectedDiagonal": lambda: translate_reflect_bv(catalog_bv("diagonalIndicator"), 0.5, -1.0),
 }
 
@@ -314,9 +315,8 @@ def test_one_node_table_and_one_meaning_of_resolution(monkeypatch):
     cached = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
               and any("cache" in ast.unparse(d) for d in fn.decorator_list)]
     assert cached == ["_line_nodes"]
-    chart = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Chart")
-    forward = next(fn for fn in chart.body if isinstance(fn, ast.FunctionDef) and fn.name == "forward")
-    assert "isinstance" not in {node.id for node in ast.walk(forward) if isinstance(node, ast.Name)}
+    chart = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "chart")
+    assert "isinstance" not in {node.id for node in ast.walk(chart) if isinstance(node, ast.Name)}
     # convolve_l1's levels are node counts, not indices mapped to them
     assert "bit_length" not in Path(cpintegral.convolution.__file__).read_text(encoding="utf-8")
 
@@ -329,6 +329,25 @@ def test_one_node_table_and_one_meaning_of_resolution(monkeypatch):
     monkeypatch.setattr(cpintegral.convolution, "poisson_kernel", evaluated)
     for z in (0.0625, 0.5, 3.0):
         PoissonKernelL1(z)
+
+
+def test_one_distribution_box_and_no_chart_class():
+    # a distribution is its primitive: only distribution() and convolve_l1
+    # box one, every operator returns the primitive it builds, and the chart
+    # is two functions
+    boxed = []
+    for path in sorted(Path(cpintegral.__file__).parent.glob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            boxed += [(path.name, getattr(fn, "name", None)) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Distribution"]
+    assert sorted(boxed) == [("convolution.py", "convolve_l1"), ("primitive.py", "distribution")]
+    for f, g in ((distribution("prodArctan"), distribution("expRadial")),
+                 (catalog_primitive("sinc2d"), catalog_primitive("gauss2", which="G"))):
+        results = [translate(f, 0.5, -1.0), transform_distribution(f, LinearAxisMap(2.0, -1.0, kind="swapped")),
+                   *jordan_parts(f), algebra_product(f, g), lattice_join(f, g), lattice_meet(f, g)]
+        assert all(isinstance(h, Primitive) for h in results)
+    tree = ast.parse(Path(cpintegral.extplane.__file__).read_text(encoding="utf-8"))
+    assert "Chart" not in {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
 @pytest.mark.parametrize("interval", list(INTERVALS), ids=list(INTERVALS))

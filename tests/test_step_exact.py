@@ -276,4 +276,4 @@ def test_holder_suite_pairings_of_step_multipliers_are_exact(seed, monkeypatch):
     steps = [(f, g, iv, res) for f, g, iv, res in calls if g.is_step]
     assert len(steps) > 100
     for f, g, iv, res in steps:
-        assert_exact(res, _exact_pairing(f.primitive, g, iv))
+        assert_exact(res, _exact_pairing(f, g, iv))

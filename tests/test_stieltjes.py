@@ -116,7 +116,18 @@ def test_mean_value_point():
     assert rep["residual"] <= 1e-3
     assert 0.0 <= rep["ratio"] <= 1.0
     # the returned point realizes the ratio through the primitive
-    assert abs(f.F(rep["xi"], rep["eta"]) - rep["ratio"]) <= 1e-3
+    assert abs(f.primitive(rep["xi"], rep["eta"]) - rep["ratio"]) <= 1e-3
+
+
+@pytest.mark.parametrize("g, tol, message", [
+    (ClosedFormBV(lambda x, y: -((x > 0) & (y > 0)).astype(float), "negQuadrant", (0.0,), (0.0,)), 1e-3,
+     "negative corner differences"),
+    (catalog_bv("constant", c=1.0), 1e-3, "zero total corner mass"),
+    (catalog_bv("quadrantIndicator", x=0.123, y=0.456), 1e-13, "no grid node matches"),
+], ids=["decreasing", "constant", "no-node"])
+def test_mean_value_point_rejects_what_it_cannot_place(g, tol, message):
+    with pytest.raises(ValueError, match=message):
+        mean_value_point(catalog_primitive("prodArctan"), g, tol=tol)
 
 
 def test_unconverged_product_reports_last_increment():
