@@ -27,6 +27,7 @@ from .primitive import (
     PlaneFunction,
     Primitive,
     SeparablePrimitive,
+    StepFunction2,
     translate_reflect_bv,
 )
 from .stieltjes import integrate_product
@@ -265,38 +266,6 @@ def convolve_l1(f, kernel: L1Kernel, resolution=32, tol=1e-5, max_levels=3,
     dist.converged = res.converged
     dist.error_estimate = res.error_estimate + kernel.tail_bound * float(np.max(np.abs(H)) + 1.0)
     return dist
-
-
-class StepFunction2(BVFunction):
-    """Step function on half-open cells (p_{i-1}, p_i] x (q_{j-1}, q_j].
-
-    nodes increase strictly from -inf to inf; values[j, i] is the finite
-    value on cell (i+1, j+1).  Points with an infinite negative coordinate
-    belong to no cell and evaluate to 0.  The finite nodes are the jump lines.
-    """
-
-    is_step = True
-
-    def __init__(self, nodes_x, nodes_y, values, label="stepFunction"):
-        self.nodes_x = np.asarray(nodes_x, dtype=float)
-        self.nodes_y = np.asarray(nodes_y, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        for nodes in (self.nodes_x, self.nodes_y):
-            if nodes.ndim != 1 or len(nodes) < 2 or nodes[0] != NEG_INF or nodes[-1] != POS_INF:
-                raise ValueError("nodes must run from -inf to inf")
-            if not np.all(np.diff(nodes) > 0):
-                raise ValueError("nodes must be strictly increasing")
-        if self.values.shape != (len(self.nodes_y) - 1, len(self.nodes_x) - 1):
-            raise ValueError("values shape must be (cells_y, cells_x)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("step values must be finite")
-        super().__init__(label, self.nodes_x[1:-1], self.nodes_y[1:-1])
-
-    def _values(self, x, y):
-        i = np.clip(np.searchsorted(self.nodes_x, x, side="left") - 1, 0, self.values.shape[1] - 1)
-        j = np.clip(np.searchsorted(self.nodes_y, y, side="left") - 1, 0, self.values.shape[0] - 1)
-        out = self.values[j, i]
-        return np.where(np.isneginf(x) | np.isneginf(y), 0.0, out)
 
 
 def step_approximate(F: Primitive, n: int) -> StepFunction2:

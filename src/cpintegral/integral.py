@@ -50,6 +50,13 @@ class QuadResult:
     converged: bool
     trace: list = field(default_factory=list)
 
+    @classmethod
+    def exact(cls, value, **fields):
+        """An exact value in the shape of one converged level of resolution 2; NaN raises ArithmeticError."""
+        if math.isnan(value):
+            raise ArithmeticError("an exact value evaluated to NaN")
+        return cls(value, 0.0, 2, True, [{"resolution": 2, "value": value}], **fields)
+
     def as_dict(self):
         return {
             "value": self.value,
@@ -101,7 +108,9 @@ def _refine(step, tol, start_resolution, max_doublings, give_up=None):
     err = float("inf")
     r = start_resolution
     for _ in range(max_doublings + 1):
-        value = _level(step, r)
+        value = step(r)
+        if np.any(np.isnan(value)):
+            raise ArithmeticError(f"refinement level at resolution {r} evaluated to NaN")
         trace.append({"resolution": r, "value": value})
         if len(trace) > 1:
             err = float(np.max(np.abs(value - trace[-2]["value"])))
@@ -109,28 +118,6 @@ def _refine(step, tol, start_resolution, max_doublings, give_up=None):
             break
         r *= 2
     return QuadResult(value, err, trace[-1]["resolution"], err <= tol, trace)
-
-
-def _level(step, r):
-    """step(r); a value that contains NaN raises ArithmeticError."""
-    value = step(r)
-    if np.any(np.isnan(value)):
-        raise ArithmeticError(f"refinement level at resolution {r} evaluated to NaN")
-    return value
-
-
-def _exact(step):
-    """step(2) as an exact node reduction: errorEstimate 0, converged, one trace row.
-
-    For a step multiplier (is_step) the pairings and the variation
-    components are finite sums over its jump lines.  At resolution 2 the
-    straddled partition, the chart nodes plus a node on each side of every
-    jump, samples every piece between jumps, so finer levels add only cells
-    over which the multiplier does not change: they move the value by
-    rounding at most.  A level with NaN raises as in _refine.
-    """
-    value = _level(step, 2)
-    return QuadResult(value, 0.0, 2, True, [{"resolution": 2, "value": value}])
 
 
 _SWEEP_BLOCK = 32  # rows per block of the column extremes that bound the sweep

@@ -3,7 +3,7 @@
 A distribution is stored only through its primitive F: a continuous function
 on the extended plane vanishing on the x = -inf and y = -inf edges.  BV
 multipliers carry jump-line metadata so quadratures can straddle their
-discontinuities.
+discontinuities; a step multiplier is a table of values (StepFunction2).
 """
 
 from __future__ import annotations
@@ -57,14 +57,12 @@ class PlaneFunction:
     float arrays that broadcast against each other, not broadcast copies, so
     a term that depends on one coordinate is evaluated once per coordinate.
     on_grid is the one tensor-grid evaluation, overridden where the function
-    is a product of one-dimensional factors.  jump_x / jump_y list the finite
+    is a product of one-dimensional factors.  jump_x / jump_y list the
     coordinates of known discontinuity lines: none for a continuous function
-    such as a primitive.  is_step marks, by type alone, a function that is
-    constant between its jump lines.
+    such as a primitive.
     """
 
     jump_x = jump_y = ()
-    is_step = False
 
     def _values(self, x, y):
         raise NotImplementedError
@@ -269,33 +267,6 @@ class ProductBV(BVFunction):
         ux, vy = self.eval_factors(xs, ys)
         return vy[:, None] * ux[None, :]
 
-    @property
-    def is_step(self):
-        """True when both factors are step factors."""
-        return isinstance(self.u, StepFactor) and isinstance(self.v, StepFactor)
-
-
-class StepFactor:
-    """The one-dimensional step factor t -> c on the piece from lo to hi, 0 off it.
-
-    closed says which ends the piece holds: (True, False) is lo <= t < hi.
-    The finite ends are the breakpoints; between and beyond them the factor
-    is constant, so a ProductBV of two step factors is a step multiplier.
-    """
-
-    def __init__(self, lo, hi, c=1.0, closed=(True, True)):
-        self.lo, self.hi, self.c, self.closed = lo, hi, c, closed
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        above = t >= self.lo if self.closed[0] else t > self.lo
-        below = t <= self.hi if self.closed[1] else t < self.hi
-        return np.where(above & below, self.c, 0.0)
-
-    def reflected(self, t0):
-        """The step factor of s -> self(t0 - s), for a finite t0."""
-        return StepFactor(t0 - self.hi, t0 - self.lo, self.c, self.closed[::-1])
-
 
 def approx_identity(n) -> BVFunction:
     """u_n(x) u_n(y) for the ramp u_n: 0 below -n, linear up to 1 at 1-n, then 1."""
@@ -307,20 +278,55 @@ def approx_identity(n) -> BVFunction:
     return ProductBV(u, u, f"approxIdentity({n})", (-n, 1 - n), (-n, 1 - n))
 
 
-def _reflected(factor, t0):
-    """s -> factor(t0 - s)."""
-    if isinstance(factor, StepFactor):
-        return factor.reflected(t0)
-    return lambda s: factor(t0 - np.asarray(s, dtype=float))
+class StepFunction2(BVFunction):
+    """A step multiplier: its values on the pieces between sorted breakpoints, -inf to inf.
+
+    Along each axis the pieces alternate: piece 2 k is the line through
+    nodes[k] and piece 2 k + 1 the cell after it.  table[q, p] is g on
+    y-piece q and x-piece p, jump lines and +-inf included; values =
+    table[1::2, 1::2].  Built from strictly increasing nodes and finite cell
+    values, the cells are half-open, (p_{i-1}, p_i] x (q_{j-1}, q_j], a -inf
+    line is 0 and the finite nodes are the jump lines.
+    """
+
+    def __init__(self, nodes_x, nodes_y, values, label="stepFunction"):
+        nodes_x, nodes_y = np.asarray(nodes_x, dtype=float), np.asarray(nodes_y, dtype=float)
+        values = np.asarray(values, dtype=float)
+        for nodes in (nodes_x, nodes_y):
+            if nodes.ndim != 1 or len(nodes) < 2 or nodes[0] != NEG_INF or nodes[-1] != POS_INF:
+                raise ValueError("nodes must run from -inf to inf")
+            if not np.all(np.diff(nodes) > 0):
+                raise ValueError("nodes must be strictly increasing")
+        if values.shape != (len(nodes_y) - 1, len(nodes_x) - 1):
+            raise ValueError("values shape must be (cells_y, cells_x)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("step values must be finite")
+        # pieces 2 k - 1 and 2 k take the cell k of the values padded with a zero row and column at -inf
+        owner = lambda nodes: np.arange(1, 2 * len(nodes)) // 2
+        table = np.pad(values, ((1, 0), (1, 0)))[np.ix_(owner(nodes_y), owner(nodes_x))]
+        super().__init__(label, nodes_x[1:-1], nodes_y[1:-1])
+        self.nodes_x, self.nodes_y, self.table, self.values = nodes_x, nodes_y, table, table[1::2, 1::2]
+
+    @classmethod
+    def from_table(cls, nodes_x, nodes_y, table, label, jump_x=(), jump_y=()):
+        """The step multiplier of a table as it is (values not checked), with the jump lines given."""
+        g = cls.__new__(cls)
+        BVFunction.__init__(g, label, jump_x, jump_y)
+        g.nodes_x, g.nodes_y, g.table, g.values = nodes_x, nodes_y, table, table[1::2, 1::2]
+        return g
+
+    def _values(self, x, y):
+        piece = lambda t, nodes: np.searchsorted(nodes, t, "left") + np.searchsorted(nodes, t, "right") - 1
+        return self.table[piece(y, self.nodes_y), piece(x, self.nodes_x)]
 
 
 def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
     """(s, t) -> g(x0 - s, y0 - t), with jump lines mapped accordingly.
 
-    A ProductBV stays a ProductBV of the reflected factors u(x0 - s) and
-    v(y0 - t), a step factor the reflected step factor; any other g becomes
-    a ClosedFormBV.  The point must be finite: about an infinite point
-    x0 - s is inf - inf at s = x0.
+    A step multiplier's breakpoints b go to x0 - b, reversed, and so does
+    its table: exact on its own breakpoints.  A ProductBV stays a ProductBV
+    of u(x0 - s) and v(y0 - t); any other g becomes a ClosedFormBV.  The
+    point must be finite: about an infinite point x0 - s is inf - inf at s = x0.
     """
     x0, y0 = ext(x0), ext(y0)
     if math.isinf(x0) or math.isinf(y0):
@@ -328,8 +334,13 @@ def translate_reflect_bv(g: BVFunction, x0: float, y0: float) -> BVFunction:
     jx = tuple(x0 - j for j in g.jump_x if math.isfinite(x0 - j))
     jy = tuple(y0 - j for j in g.jump_y if math.isfinite(y0 - j))
     label = f"{g.label} reflected about ({x0},{y0})"
+    if isinstance(g, StepFunction2):
+        return StepFunction2.from_table((x0 - g.nodes_x)[::-1], (y0 - g.nodes_y)[::-1], g.table[::-1, ::-1],
+                                      label, jx, jy)
     if isinstance(g, ProductBV):
-        return ProductBV(_reflected(g.u, x0), _reflected(g.v, y0), label, jx, jy)
+        u, v = g.u, g.v
+        return ProductBV(lambda s: u(x0 - np.asarray(s, dtype=float)), lambda t: v(y0 - np.asarray(t, dtype=float)),
+                         label, jx, jy)
 
     def fn(s, t):
         return np.asarray(g.eval(x0 - s, y0 - t), dtype=float)
@@ -574,37 +585,47 @@ def distribution(name, **params) -> Distribution:
     return Distribution(catalog_primitive(name, **params))
 
 
+def _step(lo, hi, c=1.0, closed=(True, True)):
+    """Breakpoints and piece values of t -> c on lo..hi, 0 off it; closed (True, False) is lo <= t < hi."""
+    nodes = sorted({NEG_INF, lo, hi, POS_INF})
+    on = lambda t: (t >= lo if closed[0] else t > lo) and (t <= hi if closed[1] else t < hi)
+    # the line through -inf, then the cell to and the line through each next node
+    pieces = [on(NEG_INF)] + [p for a, b in zip(nodes, nodes[1:]) for p in (lo <= a and b <= hi, on(b))]
+    return np.array(nodes), np.where(pieces, c, 0.0)
+
+
 def catalog_bv(name, **params) -> BVFunction:
     """Named multipliers; see CATALOG_BV.  Labels format the params as given."""
+    jumps = ((), ())  # the indicators and constant are tables, outer products of two step factors
     if name == "quadrantIndicator":
         # indicator of [-inf, x) x [-inf, y), the -inf endpoints included
         x0, y0 = params.get("x", 0.0), params.get("y", 0.0)
         x, y = ext(x0), ext(y0)
-        below = (True, False)
-        return ProductBV(StepFactor(NEG_INF, x, closed=below), StepFactor(NEG_INF, y, closed=below),
-                         f"quadrantIndicator({x0},{y0})", (x,), (y,))
-    if name == "halfPlaneIndicator":
-        return ProductBV(StepFactor(0.0, POS_INF), StepFactor(NEG_INF, POS_INF), "halfPlaneIndicator", (0.0,), ())
-    if name == "intervalIndicator":
+        u, v, jumps = _step(NEG_INF, x, closed=(True, False)), _step(NEG_INF, y, closed=(True, False)), ((x,), (y,))
+        label = f"quadrantIndicator({x0},{y0})"
+    elif name == "halfPlaneIndicator":
+        u, v, label, jumps = _step(0.0, POS_INF), _step(NEG_INF, POS_INF), "halfPlaneIndicator", ((0.0,), ())
+    elif name == "intervalIndicator":
         if "interval" in params:
             iv = params["interval"]
             if not isinstance(iv, Interval2):
                 raise ValueError(f"intervalIndicator takes an Interval2, got {iv!r}")
         else:
-            iv = make_interval(
-                params.get("a", 0.0), params.get("b", 1.0), params.get("c", 0.0), params.get("d", 1.0)
-            )
-        return ProductBV(StepFactor(iv.a, iv.b), StepFactor(iv.c, iv.d),
-                         f"intervalIndicator([{iv.a},{iv.b}]x[{iv.c},{iv.d}])", (iv.a, iv.b), (iv.c, iv.d))
-    if name == "approxIdentity":
-        return approx_identity(_whole(params, "n", 4))
-    if name == "constant":
+            iv = make_interval(params.get("a", 0.0), params.get("b", 1.0), params.get("c", 0.0), params.get("d", 1.0))
+        u, v, jumps = _step(iv.a, iv.b), _step(iv.c, iv.d), ((iv.a, iv.b), (iv.c, iv.d))
+        label = f"intervalIndicator([{iv.a},{iv.b}]x[{iv.c},{iv.d}])"
+    elif name == "constant":
         c = params.get("c", 1.0)
-        return ProductBV(StepFactor(NEG_INF, POS_INF, float(c)), StepFactor(NEG_INF, POS_INF), f"constant({c})")
-    if name == "diagonalIndicator":
+        u, v, label = _step(NEG_INF, POS_INF, float(c)), _step(NEG_INF, POS_INF), f"constant({c})"
+    elif name == "approxIdentity":
+        return approx_identity(_whole(params, "n", 4))
+    elif name == "diagonalIndicator":
         # the half-plane y > x: not of bounded Hardy-Krause variation
         return ClosedFormBV(lambda x, y: (y > x).astype(float), "diagonalIndicator")
-    raise ValueError(f"unknown catalog BV function: {name!r}")
+    else:
+        raise ValueError(f"unknown catalog BV function: {name!r}")
+    (bx, ux), (by, vy) = u, v
+    return StepFunction2.from_table(bx, by, np.outer(vy, ux), label, *jumps)
 
 
 CATALOG_BV = (

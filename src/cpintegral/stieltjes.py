@@ -14,8 +14,9 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .extplane import NEG_INF, FULL_PLANE, Grid2, Interval2, axis_nodes, partition, same_bits, segment_nodes
-from .integral import QuadResult, _exact, _primitive_of, _refine
-from .primitive import BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive
+from .integral import QuadResult, _primitive_of, _refine
+from .primitive import (BVFunction, ClosedFormBV, GridSamplePrimitive, PlaneFunction, ProductBV, SeparablePrimitive,
+                        StepFunction2)
 
 OVERSAMPLE = 4  # fine cells per coarse cell along each axis in parts_primitive
 
@@ -120,21 +121,38 @@ def _nine_term_sum(F, g, interval, resolution):
     return total
 
 
+def _step_pairing(F, g, interval):
+    """Sum over the cells of the step multiplier g, clipped to the interval, of
+    the cell value times F's corner difference over the cell: diff(b) V diff(a)
+    for the clipped cell values V when F = a(x) b(y) is separable."""
+    ends, cells = [], []
+    for nodes, lo, hi in ((g.nodes_x, interval.a, interval.b), (g.nodes_y, interval.c, interval.d)):
+        ends.append(np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]]))
+        cells.append(np.searchsorted(nodes, ends[-1][:-1], "right") - 1)  # the cell of g holding each clipped cell
+    V = g.values[np.ix_(cells[1], cells[0])]
+    if isinstance(F, SeparablePrimitive):
+        ax, by = F.eval_factors(*ends)
+        return float(np.diff(by) @ V @ np.diff(ax))
+    return kernels.corner_weighted_sum(V, F.on_grid(*ends))
+
+
 def integrate_product(f, g: BVFunction, interval: Interval2 = FULL_PLANE,
                       tol=1e-9, start_resolution=32, max_doublings=7) -> QuadResult:
     """integral of f g over the interval by parts against the primitive of f.
 
     The value is the four corner products of F g, minus/plus the four edge
     Stieltjes line integrals of F against sections of g, plus the double
-    Stieltjes integral of F against the corner differences of g.  For a step
-    multiplier g (is_step) the sums are the corner formula over its pieces,
-    exact on the one straddled level of resolution 2.
+    Stieltjes integral of F against the corner differences of g.  A step
+    multiplier, a sum of cell indicators, pairs exactly: the corner formula
+    F(a, c) + F(b, d) - F(a, d) - F(b, c) over each cell (see _step_pairing).
     """
     F = _primitive_of(f)
     if interval.degenerate:
         return QuadResult(0.0, 0.0, 0, True, [])
-    level = lambda r: _nine_term_sum(F, g, interval, r)
-    res = _exact(level) if g.is_step else _refine(level, tol, start_resolution, max_doublings)
+    if isinstance(g, StepFunction2):
+        res = QuadResult.exact(_step_pairing(F, g, interval))
+    else:
+        res = _refine(lambda r: _nine_term_sum(F, g, interval, r), tol, start_resolution, max_doublings)
     return replace(res, value=interval.sign * res.value)
 
 

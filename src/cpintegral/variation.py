@@ -4,8 +4,8 @@ The norm of a multiplier g splits into four components measured on a grid:
 sup |g|, the largest row variation, the largest column variation, and the
 Vitali sum of absolute corner differences.  Grid estimates are lower bounds
 that increase under refinement; refinement stops when doubling the
-resolution no longer changes the total.  A step multiplier's estimates are
-exact on one level.
+resolution no longer changes the total.  A step multiplier's components are
+closed forms of its table of values, exact with no refinement.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .extplane import NEG_INF, POS_INF, same_bits, segment_nodes
-from .integral import QuadResult, _exact, _refine
-from .primitive import ProductBV
+from .integral import QuadResult, _refine
+from .primitive import ProductBV, StepFunction2
 
 GUARD = 1e12
 SLICE_VALUES = 1 << 16  # values of g reduced at a time: 512 KB of floats, folded through one reused buffer
@@ -86,17 +86,21 @@ def _diverging(tol):
 def _estimate(g, component, tol, start_resolution, max_doublings) -> VariationEstimate:
     """Refine component(sup, v1, v2, v12) of g; the estimate reports all four.
 
-    A step multiplier's components are sums of its jumps and the largest
-    |value|, exact on the one straddled level of resolution 2.
+    A step multiplier's table W holds g on every piece, so its components
+    are exact closed forms of W: max |W|, the largest row and column
+    variations of W, and the sum of its |corner differences|.
     """
+    if isinstance(g, StepFunction2):
+        var = lambda axis: float(np.max(np.sum(np.abs(np.diff(g.table, axis=axis)), axis=axis)))
+        c = (float(np.max(np.abs(g.table))), var(1), var(0), float(np.sum(np.abs(kernels.corner_differences(g.table)))))
+        return VariationEstimate.exact(component(c), sup=c[0], v1=c[1], v2=c[2], v12=c[3])
     components = {}
 
     def step(r):
         components[r] = grid_components(g, r)
         return component(components[r])
 
-    res = _exact(step) if g.is_step else _refine(step, tol, start_resolution, max_doublings,
-                                                   give_up=_diverging(tol))
+    res = _refine(step, tol, start_resolution, max_doublings, give_up=_diverging(tol))
     sup, v1, v2, v12 = components[res.resolution]
     return VariationEstimate(**vars(res), sup=sup, v1=v1, v2=v2, v12=v12)
 

@@ -81,8 +81,6 @@ def test_convolve_bv_rejects_mixed_boundary():
         convolve_bv(distribution("prodArctan"), catalog_bv("constant"), (POS_INF, 0.0))
 
 
-@pytest.mark.xfail(strict=True, reason="the reflected step function is evaluated at rounded x0 - s, so a straddle "
-                                       "node next to a reflected jump line can land on the jump")
 def test_convolve_bv_of_a_step_function_is_the_corner_formula_over_the_reflected_cells():
     # g(x0 - s, y0 - t) is V[j, i] on the cell [x0 - p_i, x0 - p_(i-1)) x [y0 - q_j, y0 - q_(j-1)), so
     # the convolution is the sum of V[j, i] times F's corner difference over that cell

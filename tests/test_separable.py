@@ -5,9 +5,9 @@ generic code: a ClosedFormPrimitive wrapping the primitive's own eval has
 the same values but no factors, so integrate_product and convolve_l1 take
 their full-grid paths for it.  On the multiplier side a ClosedFormBV
 wrapping a ProductBV's eval does the same for integrate_product and the
-variation components.  A step multiplier's fast run is one exact level of
-resolution 2, where the generic wrapper refines; the two agree in value and
-flags.
+variation components.  A step multiplier's fast run is its exact result,
+read from its table in the shape of one level of resolution 2, where the
+generic wrapper refines; the two agree in value and flags.
 """
 
 import ast
@@ -108,7 +108,7 @@ def generic_bv(g):
 
 def assert_same_run(fast, slow, exact=False):
     """Equal flags and run shapes, values and errorEstimates within 1e-12;
-    with exact, fast is instead the one exact level of a step multiplier."""
+    with exact, fast is instead the exact result of a step multiplier."""
     assert fast.converged == slow.converged
     if exact:
         assert (fast.resolution, len(fast.trace), fast.error_estimate) == (2, 1, 0.0)
@@ -363,8 +363,9 @@ def test_integrate_product_fast_path_matches_generic(name, params, interval):
 
 
 def test_multipliers_are_products():
+    # the step multipliers are tables, outer products of their factors' pieces
     for make in MULTIPLIERS.values():
-        assert isinstance(make(), ProductBV)
+        assert isinstance(make(), StepFunction2)
     assert isinstance(translate_reflect_bv(approx_identity(2), 1.0, -0.5), ProductBV)
     assert not isinstance(catalog_bv("diagonalIndicator"), ProductBV)
 

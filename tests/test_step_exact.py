@@ -1,15 +1,16 @@
-"""Step multipliers are paired and normed exactly, on one level.
+"""Step multipliers are paired and normed exactly, with no refinement.
 
-A multiplier that is constant between its jump lines (is_step: a ProductBV
-of two StepFactors, every StepFunction2, and the reflected translate of a
-step ProductBV) is a finite sum of interval indicators.  Its pairing with
-any f is the corner formula F(a, c) + F(b, d) - F(a, d) - F(b, c) summed
-over its pieces, and its Hardy-Krause norm is a finite sum of its jumps and
-its largest |value|.  integrate_product, convolve_bv, hk_norm,
-vitali_variation and sectional_variation_sup evaluate one level of
-resolution 2 for it and report errorEstimate 0.  The oracle table checks
-every catalog primitive against seeded step multipliers; the guard runs
-every step multiplier with the refinement driver switched off.
+A step multiplier (a StepFunction2: the catalog's indicators and constant,
+step_approximate and the reflection of either) is a table of its values
+between sorted breakpoints, so it is a finite sum of interval indicators.
+Its pairing with any f is the corner formula F(a, c) + F(b, d) - F(a, d) -
+F(b, c) summed over its cells, and its Hardy-Krause norm is a finite sum of
+its jumps and its largest |value|.  integrate_product, convolve_bv, hk_norm,
+vitali_variation and sectional_variation_sup read them from the table and
+report them as one converged level of resolution 2 with errorEstimate 0.
+The oracle table checks every catalog primitive against seeded step
+multipliers; the guard runs every step multiplier with the refinement driver
+switched off.
 """
 
 import math
@@ -18,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from cpintegral import stieltjes, suites, variation
+from cpintegral import integral, primitive, stieltjes, suites, variation
 from cpintegral.convolution import StepFunction2, convolve_bv, step_approximate
 from cpintegral.extplane import FULL_PLANE, NEG_INF, POS_INF, make_interval
 from cpintegral.integral import corner_integral
@@ -26,7 +27,6 @@ from cpintegral.primitive import (
     CATALOG_PRIMITIVES,
     ClosedFormBV,
     ProductBV,
-    StepFactor,
     catalog_bv,
     catalog_primitive,
     translate_reflect_bv,
@@ -36,12 +36,14 @@ from cpintegral.variation import hk_norm, sectional_variation_sup, vitali_variat
 
 inf = math.inf
 SEEDS = (1, 2, 3)
-# |value - corner formula| <= GAP max(1, |corner formula|): the level sums
-# the same few F values as the formula, in another order and at tags within
-# an ulp of the jump lines.  Near its jump lines oscill's factor has slope
-# about 4 t^-3, and the largest gap in the table is 8.4e-15 (oscill against
-# seed 1's interval); two refined levels at resolution 64 left the same gap
-# there, and up to 2.7e-14 against the step function
+# |value - corner formula| <= GAP max(1, |corner formula|): the pairing sums
+# the same F values as the formula, in another order.  The largest gap in
+# the table is 1.0e-15 (weier2d against the step function).  The straddled
+# level of resolution 2 that paired step multipliers before they were
+# tables took F at tags within an ulp of the jump lines, which left 8.4e-15
+# there (oscill, whose factor has slope about 4 t^-3, against seed 1's
+# interval); two refined levels at resolution 64 left the same gap, and up
+# to 2.7e-14 against the step function
 GAP = 1e-14
 
 
@@ -71,19 +73,23 @@ def assert_exact(res, exact, gap=GAP):
 
 
 def test_catalog_step_multipliers_are_step_multipliers():
-    for seed in SEEDS:
-        for name, params, _, _ in seeded_multipliers(seed):
-            g = catalog_bv(name, **params)
-            assert g.is_step and isinstance(g.u, StepFactor) and isinstance(g.v, StepFactor)
-    assert step_approximate(catalog_primitive("expRadial"), 4).is_step
-    assert translate_reflect_bv(catalog_bv("quadrantIndicator", x=0.5, y=-1.0), 1.0, 2.0).is_step
+    # one step class: no step factors, no is_step flag, no straddled exact level
+    for gone in ("StepFactor", "_reflected"):
+        assert not hasattr(primitive, gone)
+    assert not hasattr(integral, "_exact")
+    for cls in (primitive.PlaneFunction, primitive.BVFunction, ProductBV, StepFunction2):
+        assert not hasattr(cls, "is_step"), cls.__name__
+    assert primitive.StepFunction2 is StepFunction2
+    steps = [catalog_bv(name, **params) for seed in SEEDS for name, params, _, _ in seeded_multipliers(seed)]
+    steps.append(step_approximate(catalog_primitive("expRadial"), 4))
+    steps += [translate_reflect_bv(g, 1.0, 2.0) for g in list(steps)]
+    for g in steps:
+        assert type(g) is StepFunction2, g.label
     # declared by type, never guessed from values
     for g in (catalog_bv("approxIdentity"), catalog_bv("diagonalIndicator"),
               ClosedFormBV(catalog_bv("quadrantIndicator").eval, "wrapped", (0.0,), (0.0,)),
-              translate_reflect_bv(step_approximate(catalog_primitive("expRadial"), 4), 0.5, 0.5),
-              ProductBV(StepFactor(0.0, 1.0), lambda t: np.ones(np.shape(t)))):
-        assert not g.is_step, g.label
-    assert not catalog_primitive("prodArctan").is_step
+              ProductBV(lambda t: np.where(np.asarray(t) >= 0.0, 1.0, 0.0), lambda t: np.ones(np.shape(t)))):
+        assert not isinstance(g, StepFunction2), g.label
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -234,8 +240,7 @@ def test_step_multipliers_never_refine(name, monkeypatch):
     F = catalog_primitive("expRadial")
     results = [integrate_product(F, g), hk_norm(g), vitali_variation(g),
                sectional_variation_sup(g, 1), sectional_variation_sup(g, 2)]
-    if isinstance(g, ProductBV):
-        results.append(convolve_bv(F, g, (0.5, -1.5)))
+    results.append(convolve_bv(F, g, (0.5, -1.5)))
     for res in results:
         assert (res.resolution, res.error_estimate, res.converged, len(res.trace)) == (2, 0.0, True, 1)
     with pytest.raises(AssertionError, match="refinement driver"):
@@ -250,12 +255,63 @@ def test_a_nan_step_value_raises():
 
 
 def _exact_pairing(F, g, interval):
-    """The corner formula over the one piece of a step ProductBV, clipped to the interval."""
-    u, v = g.u, g.v
-    a, b, c, d = max(u.lo, interval.a), min(u.hi, interval.b), max(v.lo, interval.c), min(v.hi, interval.d)
-    if not (a < b and c < d):
-        return 0.0
-    return interval.sign * u.c * v.c * corner(F, a, b, c, d)
+    """The corner formula over each nonzero cell of a step multiplier, clipped to the interval."""
+    p, q, total = g.nodes_x, g.nodes_y, 0.0
+    for j, i in np.argwhere(g.values != 0.0):
+        total += g.values[j, i] * _box_pairing(F, (p[i], p[i + 1], q[j], q[j + 1]), interval)
+    return total
+
+
+def _box_pairing(F, box, interval):
+    """The corner formula over the box [a, b] x [c, d] clipped to the interval, 0 where that has no area."""
+    a, b = max(box[0], interval.a), min(box[1], interval.b)
+    c, d = max(box[2], interval.c), min(box[3], interval.d)
+    return interval.sign * corner(F, a, b, c, d) if a < b and c < d else 0.0
+
+
+# (kind, params) -> ||g||_bv, sup, v1, v2, v12 as the straddled level of
+# resolution 2 measured them before step multipliers were tables
+EDGE_CASES = {
+    "degenerate-x": (("intervalIndicator", {"a": 0, "b": 0, "c": 0, "d": 1}), (9.0, 1.0, 2.0, 2.0, 4.0)),
+    "degenerate-both": (("intervalIndicator", {"a": 0.5, "b": 0.5, "c": -1.0, "d": -1.0}), (9.0, 1.0, 2.0, 2.0, 4.0)),
+    "infinite-ends": (("intervalIndicator", {"a": -inf, "b": 1.0, "c": -1.0, "d": inf}), (4.0, 1.0, 1.0, 1.0, 1.0)),
+    "half-plane-interval": (("intervalIndicator", {"a": -2.0, "b": inf, "c": -inf, "d": inf}),
+                            (2.0, 1.0, 1.0, 0.0, 0.0)),
+    "line-at-inf": (("intervalIndicator", {"a": inf, "b": inf, "c": 0.0, "d": 1.0}), (6.0, 1.0, 1.0, 2.0, 2.0)),
+    "quadrant-x-inf": (("quadrantIndicator", {"x": inf, "y": 0.5}), (4.0, 1.0, 1.0, 1.0, 1.0)),
+    "quadrant-both-inf": (("quadrantIndicator", {"x": inf, "y": inf}), (4.0, 1.0, 1.0, 1.0, 1.0)),
+    "quadrant-x-neg-inf": (("quadrantIndicator", {"x": -inf, "y": 0.5}), (0.0, 0.0, 0.0, 0.0, 0.0)),
+}
+EDGE_INTERVALS = (FULL_PLANE, make_interval(-1.0, 2.0, -inf, 0.5), make_interval(inf, 0.0, 1.0, -inf))
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_case_multipliers_against_the_corner_formula(case):
+    (kind, params), norm = EDGE_CASES[case]
+    g = catalog_bv(kind, **params)
+    est = hk_norm(g)
+    assert_exact(est, norm[0], gap=0.0)
+    assert (est.sup, est.v1, est.v2, est.v12) == norm[1:]
+    box = (-inf, params["x"], -inf, params["y"]) if kind == "quadrantIndicator" else tuple(params.values())
+    for name in ("prodArctan", "sinc2d", "expRadial"):
+        F = catalog_primitive(name)
+        for iv in EDGE_INTERVALS:
+            assert_exact(integrate_product(F, g, iv), _box_pairing(F, box, iv))
+
+
+def test_sub_interval_pairings_with_ends_on_or_past_the_breakpoints():
+    g = catalog_bv("intervalIndicator", a=-1.5, b=0.25, c=-0.5, d=2.0)
+    sigma = step_approximate(catalog_primitive("expRadial"), 8)
+    p, q = sigma.nodes_x, sigma.nodes_y
+    intervals = [(0.25, 3.0, -0.5, 2.0), (-1.5, 0.25, -0.5, 2.0), (0.25, -1.5, 2.0, -0.5), (3.0, 5.0, -inf, inf),
+                 (-inf, -2.0, -inf, inf), (-1.0, 0.25, -inf, -0.5), (-1.5, 0.25, 2.0, 2.5),
+                 (p[2], p[5], q[1], q[6]), (p[3], inf, -inf, q[3]), (p[1], p[2], q[-2], inf)]
+    for name in ("prodArctan", "sinc2d", "expRadial"):
+        F = catalog_primitive(name)
+        for limits in intervals:
+            iv = make_interval(*limits)
+            assert_exact(integrate_product(F, g, iv), _box_pairing(F, (-1.5, 0.25, -0.5, 2.0), iv))
+            assert_exact(integrate_product(F, sigma, iv), _exact_pairing(F, sigma, iv))
 
 
 @pytest.mark.parametrize("seed", [None, 3], ids=["default", "seed3"])
@@ -273,7 +329,7 @@ def test_holder_suite_pairings_of_step_multipliers_are_exact(seed, monkeypatch):
     monkeypatch.setattr(suites, "integrate_product", recorded)
     report = suites.run_suite("holder", seed=seed)
     assert report["passed"] and len(calls) == 200
-    steps = [(f, g, iv, res) for f, g, iv, res in calls if g.is_step]
+    steps = [(f, g, iv, res) for f, g, iv, res in calls if isinstance(g, StepFunction2)]
     assert len(steps) > 100
     for f, g, iv, res in steps:
         assert_exact(res, _exact_pairing(f, g, iv))
