@@ -80,45 +80,36 @@ def rs_plane_integral(phi, integrator, interval: Interval2 = FULL_PLANE, jumps_x
         jumps_y = integrator.jump_y
 
     def step(r):
-        xs, tx = partition(interval.a, interval.b, r, jumps_x)
-        ys, ty = partition(interval.c, interval.d, r, jumps_y)
+        xs, tx, ys, ty = _plane_partition(interval, r, jumps_x, jumps_y)
         return kernels.corner_weighted_sum(phi.on_grid(tx, ty), integrator.on_grid(xs, ys))
 
     res = _refine(step, tol, start_resolution, max_doublings)
     return replace(res, value=interval.sign * res.value)
 
 
-def _parts_1d(phi_tags, u_nodes):
-    """phi(b) u(b) - phi(a) u(a) - sum phi(tag) delta u over one axis.
-
-    cell_tags puts the first and last tags on the endpoints a and b.
-    """
-    return (float(phi_tags[-1] * u_nodes[-1] - phi_tags[0] * u_nodes[0])
-            - kernels.line_weighted_sum(phi_tags, u_nodes))
+def _plane_partition(interval, resolution, jumps_x, jumps_y):
+    """(xs, tx, ys, ty) over the interval; y reuses x's partition when its sides
+    and jumps agree bit for bit (0.0 and -0.0 give different nodes)."""
+    x = (interval.a, interval.b, *jumps_x)
+    y = (interval.c, interval.d, *jumps_y)
+    xs, tx = partition(x[0], x[1], resolution, x[2:])
+    ys, ty = (xs, tx) if same_bits(x, y) else partition(y[0], y[1], resolution, y[2:])
+    return xs, tx, ys, ty
 
 
 def _nine_term_sum(F, g, interval, resolution):
-    x = (interval.a, interval.b, *g.jump_x)
-    y = (interval.c, interval.d, *g.jump_y)
-    xs, tx = partition(x[0], x[1], resolution, x[2:])
-    ys, ty = (xs, tx) if same_bits(x, y) else partition(y[0], y[1], resolution, y[2:])
-
-    if isinstance(F, SeparablePrimitive) and isinstance(g, ProductBV):
-        # F = a(x) b(y) and g = u(x) v(y): Fubini splits the nine terms into
-        # the product of two one-dimensional by-parts sums on the same nodes
-        ax, by = F.eval_factors(tx, ty)
-        ux, vy = g.eval_factors(xs, ys)
-        return _parts_1d(ax, ux) * _parts_1d(by, vy)
-
-    # the first and last tags sit on a, b and c, d, so the corner values and
-    # the sections along the four edges are the outer rows and columns
-    T = F.on_grid(tx, ty)
-    G = g.on_grid(xs, ys)
-    total = float(T[0, 0] * G[0, 0] + T[-1, -1] * G[-1, -1] - T[-1, 0] * G[-1, 0] - T[0, -1] * G[0, -1])
-    line = kernels.line_weighted_sum
-    total += -line(T[-1], G[-1]) + line(T[0], G[0]) - line(T[:, -1], G[:, -1]) + line(T[:, 0], G[:, 0])
-    total += kernels.corner_weighted_sum(T, G)
-    return total
+    """The by-parts sum: F at the tags against the corner differences of g
+    zeroed on the boundary nodes.  The first and last tags sit on the sides,
+    so by Abel summation this one term holds the corner products of F g and
+    the four edge line sums."""
+    xs, tx, ys, ty = _plane_partition(interval, resolution, g.jump_x, g.jump_y)
+    if isinstance(g, ProductBV):  # g = u(x) v(y): the increments of the zeroed factors
+        du, dv = (np.diff(np.concatenate(([0.0], w, [0.0]))) for w in g.eval_factors(xs[1:-1], ys[1:-1]))
+        if isinstance(F, SeparablePrimitive):
+            ax, by = F.eval_factors(tx, ty)
+            return float(ax @ du) * float(by @ dv)
+        return float(dv @ F.on_grid(tx, ty) @ du)
+    return kernels.corner_weighted_sum(F.on_grid(tx, ty), np.pad(g.on_grid(xs[1:-1], ys[1:-1]), 1))
 
 
 def _step_pairing(F, g, interval):
@@ -140,9 +131,10 @@ def integrate_product(f, g: BVFunction, interval: Interval2 = FULL_PLANE,
                       tol=1e-9, start_resolution=32, max_doublings=7) -> QuadResult:
     """integral of f g over the interval by parts against the primitive of f.
 
-    The value is the four corner products of F g, minus/plus the four edge
-    Stieltjes line integrals of F against sections of g, plus the double
-    Stieltjes integral of F against the corner differences of g.  A step
+    The value is the double Stieltjes integral of F against the corner
+    differences of g times the indicator of the open interval: the corner
+    products of F g and the four edge line integrals of F against sections
+    of g are folded into this one term (see _nine_term_sum).  A step
     multiplier, a sum of cell indicators, pairs exactly: the corner formula
     F(a, c) + F(b, d) - F(a, d) - F(b, c) over each cell (see _step_pairing).
     """
@@ -167,8 +159,7 @@ def parts_primitive(f, g: BVFunction, resolution=64) -> GridSamplePrimitive:
     F = _primitive_of(f)
     grid = Grid2(resolution)
     fine_r = resolution * OVERSAMPLE
-    xs, tx = partition(NEG_INF, np.inf, fine_r, g.jump_x)
-    ys, ty = partition(NEG_INF, np.inf, fine_r, g.jump_y)
+    xs, tx, ys, ty = _plane_partition(FULL_PLANE, fine_r, g.jump_x, g.jump_y)
     ix = np.searchsorted(xs, grid.xs)  # coarse nodes sit exactly on fine nodes
     iy = np.searchsorted(ys, grid.ys)
     if not (np.all(xs[ix] == grid.xs) and np.all(ys[iy] == grid.ys)):

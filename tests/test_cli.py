@@ -309,3 +309,12 @@ def test_norm_reports_carry_error_estimate(capsys, argv, keys):
         ))
         expected = max(alexiewicz_norm(tau).error_estimate, alexiewicz_norm(delta).error_estimate)
     assert report["errorEstimate"] == expected
+
+
+def test_jsonable_turns_numpy_scalars_into_json_values():
+    report = {"resolution": np.int64(64), "converged": np.bool_(True),
+              "errorEstimate": np.float64(np.inf), "trace": (np.float64(-np.inf), np.float64(0.5))}
+    out = cli._jsonable(report)
+    assert out == {"resolution": 64, "converged": True, "errorEstimate": "inf", "trace": ["-inf", 0.5]}
+    assert [type(out[k]) for k in ("resolution", "converged")] == [int, bool]
+    assert json.loads(json.dumps(out)) == out

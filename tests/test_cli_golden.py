@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -287,6 +288,24 @@ def test_grid_file_norm_is_the_node_maximum(runs, case_id):
     assert report["errorEstimate"] == 0.0
 
 
+def _cauchy_against_reflected_ramp(x, n=4):
+    """The Cauchy measure of s against u(x - s), u the ramp of approxIdentity(n):
+    1 up to m = x + n - 1, falling linearly to 0 at m + 1."""
+    m = x + n - 1
+    ramp = (m + 1) * (math.atan(m + 1) - math.atan(m)) - (math.log1p((m + 1) ** 2) - math.log1p(m * m)) / 2
+    return 0.5 + (math.atan(m) + ramp) / math.pi
+
+
+def test_convolve_bv_report_is_within_tol_of_the_exact_value(runs):
+    # prodArctan's density is a product of Cauchy densities, and approxIdentity
+    # (n = 4) a product of ramps, so the convolution at (0.5, -0.5) factors
+    code, stdout = runs[1]["convolve-bv"]
+    report = json.loads(stdout)
+    exact = _cauchy_against_reflected_ramp(0.5) * _cauchy_against_reflected_ramp(-0.5)
+    assert code == 0 and report["converged"]
+    assert abs(report["value"] - exact) <= report["spec"]["tol"]
+
+
 def test_holder_report_uses_exact_norms(runs):
     # suite_holder bounds each pairing by ||f|| ||g||; all four of its f have ||f|| = 1
     code, stdout = runs[1]["job-holder-seed"]
@@ -300,8 +319,10 @@ def test_holder_report_uses_exact_norms(runs):
 # under that formula the report had this digest (re-recorded with the report
 # when step multipliers became exact on one level, and again when they became
 # tables paired by the corner formula: 37 of its values moved by at most
-# 2.2e-16, see test_step_multiplier_reports_take_one_exact_level)
-HOLDER_SEED_HYPOT_DIGEST = "39a0cd3ae028c999d9cf3cb10fcc80f83299dad2e4a8e433679173b417085a6b"
+# 2.2e-16, see test_step_multiplier_reports_take_one_exact_level; and again
+# when the by-parts sum became one term: 24 of 400 floats moved, by at most
+# 2.3e-13, each nearer a long-double sum of its last level)
+HOLDER_SEED_HYPOT_DIGEST = "35254b0998fe5c1d09c4058490722286fb02b348ceb99c2a4e11aff21c6f7ef0"
 
 
 def test_holder_report_differs_from_the_hypot_formula_by_rounding(runs, monkeypatch):
@@ -317,10 +338,12 @@ def test_holder_report_differs_from_the_hypot_formula_by_rounding(runs, monkeypa
 
 # the reports of step multipliers, re-recorded when they became exact on one
 # level of resolution 2, and their digests when two refined levels were taken
+# (job-holder-seed's re-recorded when the by-parts sum became one term: 28 of
+# 400 floats moved, by at most 2.3e-13)
 PRE_EXACT_DIGESTS = {
     "bvnorm": "90d8b9774a569d2fb6fd4698a967453823d8799694d0fe888ee833f53deb62ea",
     "job-bvnorm": "eead9cdb1f70ac4769ee7bb24f0f117789dd3046b70f89f57aeec88a6265180a",
-    "job-holder-seed": "99109d3cb57f1f279e46e55cdedb09ae344af992801b5247f9a2b2843edff721",
+    "job-holder-seed": "44bd81636ee992b2f7f2559690dd55a5c5d34750786f44f0a208a10fed1f35e9",
     "job-vitali": "38b12d1100868c5ff1a4d860a2a1e702638cc0424250eee5ee72a16fb2a238c1",
     "variation-hk": "f80df646e9984f072af9b44d1ddf6446c3dd7b0a530baf37afce28759feda84c",
     "variation-sectional1": "0f9a796fd856c19a936bdb50de799294a4ba87d9a59e80d2e6dbebefc624a3d5",

@@ -235,14 +235,19 @@ def test_row_block_sweep_of_nan_in_one_block_is_nan():
 # step multipliers became tables paired by the corner formula on their
 # breakpoints: 31 of its values moved by at most 4.4e-16, each step pairing
 # that moved by more than 1.2e-16 to within 1.2e-16 of the exact corner
-# formula (holder_corner_values), and no passed flag changed
+# formula (holder_corner_values), and no passed flag changed.
+# holder and convolution were re-recorded when the nine-term by-parts sum
+# became one term, F at the tags against g zeroed on the boundary nodes:
+# 15 of holder's 400 floats moved, by at most 4.1e-14 (each nearer a
+# long-double sum of its last level), and 3 of convolution's 29, by at most
+# 2.2e-16, with every resolution and passed flag unchanged
 SUITE_DIGESTS = {
     "algebra": "fdc0abda8c09a9871a0388e6426a63b22d1ec42e2b69e47ee9485cf7487de9a5",
     "convergence": "50b5686154292475ff0cca0681bd836af8f9ab8bf0472cdfac4aab98d2a00e7b",
-    "convolution": "a2eb8d21ae36d8fbe10685b2def011fb2294e0f165c97f543ba3aaa4d29f1023",
+    "convolution": "5c837d657aa23a644d0ebbc689ef04dc43fab0161f00d6d0ade60b934c1a12b8",
     "ftc": "ed1ccd565e427ef9d1c4f7fdce38400b3ce18ac94766687379088b04d2c2c723",
     "fubini": "c8849d6c3553cf7ca71ea895f52155f4f10faa2059800cad0e190bb80236c9db",
-    "holder": "88e05fc97fb8f0851a2ac1ef84bfff0ec28c21203575058ae9ebcaacc0491c78",
+    "holder": "6e889890a25c2bc346d22f2a58025bb5488c0c390b171f43ba557ca14a1de69c",
     "lattice": "9eae44ba7e3bfa104274fb841a933066d2ab85d4343bcbb65314e1b4ceab7122",
     "mspace": "794336616d130bff1afc52ca33f8bed594a07e42f24a2541c227ca9138a0f804",
     "norms": "ca62f9a02ee254d68794d8243c093bcac89470c0292c984ff5bcaaad76f2de95",
@@ -264,10 +269,11 @@ def test_suite_reports_unchanged(name):
 # the digests the re-recorded suites had under the formulas they replaced:
 # boundaryBuild as the closed form theta2(x) theta3(y) / theta2(inf), and
 # expRadial's G as exp(-hypot(x, y)); holder's re-recorded with the suite
-# when step multipliers became tables
+# when step multipliers became tables, and when the by-parts sum became one
+# term (15 of 400 floats moved, by at most 4.1e-14)
 REPLACED_FORMULA_DIGESTS = {
     "algebra": "a6638915ccd858e6c142c6e6831614b64327d0630dff40b4c41e6adc95287e11",
-    "holder": "0f63033c560fd88f7f4a677c98b2371d8b5fd2fd5cf4e3981ba1b75c5b142fae",
+    "holder": "fe0f4b5aa4f0b3c920273ff1ba9f2b7240e66913fc740dbfc6ea365806ad51da",
 }
 
 
@@ -401,8 +407,10 @@ def rounding_or_corner_gap(new, old, exact, cases=lambda report: report["cases"]
 # the holder suite's digest when its step multipliers took two refined levels;
 # the refined levels took F at tags one ulp off the jump lines, up to 4.4e-16
 # off the corner formula (sineStrip(2)'s factor has slope near 1 there), so
-# a pairing may instead move to within rounding of the exact corner formula
-PRE_EXACT_HOLDER_DIGEST = "8e02f2d36fddb7b88b8d35bf4f2674097849e35526c39c0cdaab110793e5bb2a"
+# a pairing may instead move to within rounding of the exact corner formula;
+# re-recorded when the by-parts sum became one term (17 of 400 floats moved,
+# by at most 4.1e-14)
+PRE_EXACT_HOLDER_DIGEST = "02129864a0a236e96bc2001e30a958f238dcb01a5e0a607648b06085dac65346"
 
 
 def test_holder_suite_differs_from_its_refined_levels_by_rounding(monkeypatch):
@@ -425,8 +433,10 @@ def test_convolution_suite_matches_the_full_3d_sum():
     assert np.max(np.abs(np.subtract(case["errors"], FULL_3D_EXPRADIAL_ERRORS))) <= 1e-14
 
 
-# the convolution suite's digest under the 4-d broadcast sum, the one it replaced
-FOUR_D_CONVOLUTION_DIGEST = "143f5a9140f1b6e6598e31b2a374e100f4c32d4052e6d1dc986c599f39dc9c2d"
+# the convolution suite's digest under the 4-d broadcast sum, the one it
+# replaced; re-recorded when the by-parts sum became one term (3 of 29
+# floats moved, by at most 2.2e-16)
+FOUR_D_CONVOLUTION_DIGEST = "fd3dc63ee00351e9f4018815d82de2b10b7f940587cb4f2d2deecd8d1ee1678b"
 
 
 def test_convolution_suite_matches_the_four_d_sum(monkeypatch):

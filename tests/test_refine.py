@@ -21,6 +21,9 @@ by rounding only (test_convolve_l1_golden_matches_the_hypot_formula), and
 a third time when the 3-d sum took the on_grid row x column shape in
 cache-sized blocks, which changed its summation order only
 (test_convolve_l1_golden_matches_the_four_d_sum).
+The sinc2d pairing with approxIdentity(1) was re-recorded when the nine-term
+by-parts sum became one term: its last level moved by 2 ulps, and it is
+also checked against the exact pairing (PRODUCT_EXACT).
 The driver's stopping rule, the first increment within tol, and its give-up
 and NaN exits are also tested on synthetic level sequences.
 """
@@ -30,6 +33,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from cpintegral import convolution, integral, primitive
 from cpintegral.convolution import PoissonKernelL1, convolve_l1
@@ -140,8 +144,8 @@ GOLDEN = {
         [0.917080833634021, 0.917080833634021],
     ),
     'integrate_product-sinc2d-ai1': (
-        4.231995767688446, 2.374778335756389e-06, 4096, False,
-        [4.219100057473557, 4.228758758342621, 4.231186252524351, 4.231793929036446, 4.2319458983732225, 4.231983893845809, 4.23199339291011, 4.231995767688446],
+        4.231995767688444, 2.374778333980032e-06, 4096, False,
+        [4.219100057473557, 4.228758758342621, 4.231186252524351, 4.231793929036446, 4.2319458983732225, 4.231983893845809, 4.23199339291011, 4.231995767688444],
     ),
     'rs_line_integral-unconverged': (
         1.2428916508425625, 2.2774387930191153e-05, 128, False,
@@ -215,6 +219,10 @@ for _tol in (1e-6, 1e-8):
     EXACT[f"norm_prime-sineStrip-{_tol}"] = (2.0, _tol)
     EXACT[f"norm_dual-sineStrip-{_tol}"] = (0.5, _tol)
 
+# the exact pairing of sinc2d with approxIdentity(1), the square of
+# pi/2 - 1 + cos(1) + Si(1), and the case's tol
+PRODUCT_EXACT = {"integrate_product-sinc2d-ai1": ((math.pi / 2 - 1 + math.cos(1.0) + sici(1.0)[0]) ** 2, 1e-6)}
+
 # the exact variation components of the step multipliers among INDICATORS
 STEP_EXACT = {
     f"{routine}-{name}": value
@@ -240,6 +248,9 @@ def test_golden(name):
         assert result.value >= WEIER2D_PRIME_BELOW
     else:
         assert record(result) == GOLDEN[name]
+    if name in PRODUCT_EXACT:
+        exact, tol = PRODUCT_EXACT[name]
+        assert abs(result.value - exact) <= tol
     trace = getattr(result, "trace", result[2] if isinstance(result, tuple) else None)
     if trace:
         assert all(set(row) == {"resolution", "value"} for row in trace)
