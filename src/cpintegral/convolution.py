@@ -183,7 +183,8 @@ def _broadcast_sum(eval2, grid_xs, px, py, K):
     (i, k), against a column (n rows, 1) of the differences y_j - q_l,
     ordered (j, l), for a block of whole kernel rows l of about _SUM_BLOCK =
     2^16 values (512 KB), so that its temporaries stay in cache.  A kernel
-    row larger than that is a block of its own.
+    row larger than that is a block of its own.  grid_xs need not be a whole
+    axis: _convolved_values hands an even G only the nonnegative half.
     """
     fin = np.isfinite(grid_xs)
     xs, ends = grid_xs[fin], grid_xs[~fin]
@@ -205,6 +206,11 @@ def _broadcast_sum(eval2, grid_xs, px, py, K):
     return H
 
 
+def _mirrored(v):
+    """True when the row v equals its negated reversal, v[-1 - i] = -v[i] (+0 and -0 count as one)."""
+    return np.array_equal(v, -v[::-1])
+
+
 def _convolved_values(F, grid_xs, px, py, K):
     """H[j, i] = sum over l, k of K[l, k] F(x_i - p_k, y_j - q_l) on the grid.
 
@@ -216,6 +222,20 @@ def _convolved_values(F, grid_xs, px, py, K):
     grid nodes take the 3-d (grid x kernel nodes) sum and the +-inf rows and
     columns 1-d sums against K's row and column sums.  (Step functions never
     get here: mollify_step sums the kernel's closed-form CDF instead.)
+
+    The mirror rule.  When a corrected primitive declares G even (F.even),
+    the grid nodes and the kernel nodes px, py each equal their negated
+    reversal bit for bit, and K equals its row and its column reversal, the
+    sum at -x is the sum at x: G(-x - p_k, y) = G(x - p_(N-1-k), y) and
+    K[l, N-1-k] = K[l, k], and likewise in y.  Then _broadcast_sum runs on
+    the nonnegative half grid_xs[n // 2:] of the n grid nodes alone (about a
+    quarter of the 3-d points), and output i reads half node
+    |2 i - (n - 1)| // 2 along each axis.  An odd n (an even resolution)
+    has 0.0 as its middle node, which both halves share; an even n (an odd
+    resolution) has no node at 0 and halves of n / 2 nodes.  The mirrored
+    sum adds the same products in another order, so it differs from the
+    full sum by rounding only.  The edge terms stay on the full grid; every
+    other input takes the full sum.
     """
     shifted_x = grid_xs[:, None] - px[None, :]
     shifted_y = grid_xs[:, None] - py[None, :]
@@ -227,7 +247,14 @@ def _convolved_values(F, grid_xs, px, py, K):
         edge_x = _eval_block(G, shifted_x, NEG_INF)
         edge_y = _eval_block(G, NEG_INF, shifted_y)
         corner = float(_eval_block(G, NEG_INF, NEG_INF))
-        H = (_broadcast_sum(G, grid_xs, px, py, K) + corner * np.sum(K)
+        if (F.even and _mirrored(grid_xs) and _mirrored(px) and _mirrored(py)
+                and np.array_equal(K, K[::-1]) and np.array_equal(K, K[:, ::-1])):
+            n = len(grid_xs)
+            fold = np.abs(2 * np.arange(n) - (n - 1)) // 2  # grid_xs[i] = +-grid_xs[n // 2 + fold[i]]
+            S = _broadcast_sum(G, grid_xs[n // 2 :], px, py, K)[np.ix_(fold, fold)]
+        else:
+            S = _broadcast_sum(G, grid_xs, px, py, K)
+        H = (S + corner * np.sum(K)
              - (edge_x @ K.sum(axis=0))[None, :] - (edge_y @ K.sum(axis=1))[:, None])
         if not np.all(np.isfinite(H)):
             raise ArithmeticError(f"primitive '{F.label}' evaluated non-finite")

@@ -107,8 +107,13 @@ class Grid2:
 
 
 def chart_nodes(resolution: int) -> np.ndarray:
-    """The chart coordinates of axis_nodes(resolution): resolution+1 equispaced points on [-1, 1]."""
-    return np.linspace(-1.0, 1.0, resolution + 1)
+    """The chart coordinates of axis_nodes(resolution): resolution+1 equispaced points on [-1, 1].
+
+    Each is k / resolution for an even or odd integer k, a single rounding,
+    so the row is exactly odd (u[-1 - i] = -u[i]) at every resolution; for a
+    power of two it has the bits of np.linspace(-1, 1, resolution + 1).
+    """
+    return np.arange(-resolution, resolution + 1, 2) / resolution
 
 
 def segment_nodes(a, b, resolution, jumps=()):
@@ -148,8 +153,8 @@ def _chart_nodes(a, b, resolution):
 
 @functools.lru_cache(maxsize=16)
 def _line_nodes(resolution):
-    """The nodes of the unjumped partition of [-inf, inf]; its chart nodes strictly increase."""
-    nodes = _chart_nodes(NEG_INF, POS_INF, resolution)
+    """The nodes of the unjumped partition of [-inf, inf], exactly odd like chart_nodes; they strictly increase."""
+    nodes = chart_inverse(chart_nodes(resolution))
     nodes.flags.writeable = False
     return nodes
 

@@ -150,11 +150,16 @@ class CorrectedPrimitive(Primitive):
     edges.  The edge terms take the scalar -inf, so on a tensor grid they
     cost one evaluation per coordinate, not one per point; G is kept so that
     sums of F over many points (the L1 convolution) can do the same.
+    even declares G even in each coordinate, G(-x, y) = G(x, y) = G(x, -y)
+    bit for bit, at +-0 and +-inf too; the L1 convolution then sums one
+    quadrant of a mirror-symmetric grid and mirrors it (see
+    convolution._convolved_values).  Nothing checks the declaration.
     """
 
-    def __init__(self, G, label=""):
+    def __init__(self, G, label="", even=False):
         super().__init__(label)
         self.G = G
+        self.even = even
 
     def _values(self, x, y):
         G = self.G
@@ -540,7 +545,7 @@ def catalog_primitive(name, **params) -> Primitive:
         # t^2 sin(t^-4) vanishes at -inf, so the edge correction is zero
         return SeparablePrimitive((_oscill_1d, _oscill_1d), "oscill")
     if name == "expRadial":
-        return CorrectedPrimitive(_exp_radial, "expRadial")
+        return CorrectedPrimitive(_exp_radial, "expRadial", even=True)
     if name == "gauss2":
         which = params.get("which", "F")
         if which == "F":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpintegral import convolution
+from cpintegral import convolution, primitive
 from cpintegral.convolution import (
     L1Kernel,
     PoissonKernelL1,
@@ -13,6 +13,7 @@ from cpintegral.convolution import (
     _broadcast_sum,
     _convolved_values,
     _eval_block,
+    _mirrored,
     convolve_bv,
     convolve_l1,
     mollify_step,
@@ -21,10 +22,12 @@ from cpintegral.convolution import (
 )
 from cpintegral.extplane import NEG_INF, POS_INF, axis_nodes, make_interval
 from cpintegral.integral import corner_integral, total_integral
+from cpintegral.operators import LinearAxisMap, transform_distribution
 from cpintegral.primitive import (
     BVFunction,
     ClosedFormPrimitive,
     CorrectedPrimitive,
+    Distribution,
     catalog_bv,
     distribution,
 )
@@ -357,6 +360,20 @@ NON_SEPARABLE = {
 }
 
 
+# the quadrant path sums the same products as the full grid in another
+# order: the largest gap seen on expRadial at resolutions 16 and 32, z =
+# 0.0625 to 0.5 and up to 256 kernel nodes a side is 10 ulp of max |H|
+# (4 ulp up to 64 nodes); the full sum itself moves by up to 6 ulp when
+# only its block size changes
+QUADRANT_ULPS = 12
+
+
+def full_grid(f):
+    """f's corrected primitive without the evenness declaration, so convolve_l1 sums every grid node."""
+    F = f.primitive if isinstance(f, Distribution) else f
+    return CorrectedPrimitive(F.G, F.label)
+
+
 def _first_level(kernel):
     px, py, W = kernel.quad_points(32)
     return px, py, W * kernel.on_grid(px, py)
@@ -482,3 +499,106 @@ def test_nan_only_at_positive_infinity_raises():
         convolve_l1(CorrectedPrimitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)
     with pytest.raises(ArithmeticError):
         convolve_l1(ClosedFormPrimitive(G, "nanAtInf"), PoissonKernelL1(0.5), resolution=8, max_levels=0)
+
+
+# ---------------------------------------------------------------------------
+# the mirrored quadrant: a G declared even, on a mirror-symmetric grid and kernel
+
+
+def _convolve_with_levels(f, z, resolution):
+    kernel = PoissonKernelL1(z)
+    quad_points, levels = kernel.quad_points, []
+    kernel.quad_points = lambda n: levels.append(n) or quad_points(n)
+    return convolve_l1(f, kernel, resolution=resolution, tol=1e-6, normalize=True), levels
+
+
+@pytest.mark.parametrize("resolution", [16, 32])
+@pytest.mark.parametrize("z", [0.0625, 0.125, 0.25, 0.5])
+def test_quadrant_path_matches_the_full_grid_sum(resolution, z):
+    new, new_levels = _convolve_with_levels(distribution("expRadial"), z, resolution)
+    full, full_levels = _convolve_with_levels(full_grid(distribution("expRadial")), z, resolution)
+    H, Hq = full.primitive.values, new.primitive.values
+    assert np.max(np.abs(Hq - H)) <= QUADRANT_ULPS * np.spacing(np.max(np.abs(H)))
+    assert (new.converged, new_levels) == (full.converged, full_levels)
+    # expRadial's edge terms are 0, so the mirrored grid is exactly symmetric
+    assert Hq.tobytes() == Hq[::-1].tobytes() == Hq[:, ::-1].tobytes()
+
+
+def _counting(G, sizes):
+    """G, recording the size of each call whose points are all finite (the 3-d part)."""
+    def counted(x, y):
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            sizes.append(np.broadcast(x, y).size)
+        return G(x, y)
+    return counted
+
+
+def test_quadrant_path_evaluates_g_on_one_quadrant_of_the_finite_nodes():
+    # resolution 16 has 15 finite nodes a side, 8 of them >= 0
+    xs = axis_nodes(16)
+    px, py, K = _first_level(PoissonKernelL1(0.5))
+    N = len(px)
+    values = {}
+    for even, points in ((True, 8 * 8 * N * N), (False, 15 * 15 * N * N)):
+        sizes = []
+        values[even] = _convolved_values(CorrectedPrimitive(_counting(primitive._exp_radial, sizes), "counted", even),
+                                         xs, px, py, K)
+        assert sum(sizes) == points
+    assert np.max(np.abs(values[True] - values[False])) <= QUADRANT_ULPS * np.spacing(np.max(values[False]))
+
+
+def test_undeclared_primitive_takes_the_full_grid_sum():
+    xs = axis_nodes(16)
+    px, py, K = _first_level(PoissonKernelL1(0.5))
+    H = _convolved_values(CorrectedPrimitive(primitive._exp_radial, "undeclared"), xs, px, py, K)
+    # expRadial's edge terms are 0, so H is the 3-d sum over every grid node
+    assert H.tobytes() == _broadcast_sum(primitive._exp_radial, xs, px, py, K).tobytes()
+    assert not transform_distribution(distribution("expRadial"), LinearAxisMap(-1.0, 1.0)).even
+
+
+# nodes off centre (SKEW_GAUSS), and mirrored nodes with weights that are
+# not mirrored in x or in y
+OFF_MIRROR = [
+    SKEW_GAUSS,
+    L1Kernel(lambda x, y: np.exp(-((x - 0.25) ** 2) - y**2), make_interval(-3.0, 3.0, -3.0, 3.0), label="shiftedX"),
+    L1Kernel(lambda x, y: np.exp(-(x**2) - (y + 0.5) ** 2), make_interval(-3.0, 3.0, -3.0, 3.0), label="shiftedY"),
+]
+
+
+@pytest.mark.parametrize("kernel", OFF_MIRROR, ids=lambda k: k.label)
+def test_quadrant_path_needs_a_mirrored_kernel(kernel):
+    declared, undeclared = distribution("expRadial"), full_grid(distribution("expRadial"))
+    xs = axis_nodes(16)
+    px, py, K = _first_level(kernel)
+    assert (kernel is SKEW_GAUSS) != (_mirrored(px) and _mirrored(py))
+    H = _convolved_values(declared.primitive, xs, px, py, K)
+    assert H.tobytes() == _convolved_values(undeclared, xs, px, py, K).tobytes()
+    assert H.tobytes() == _broadcast_sum(primitive._exp_radial, xs, px, py, K).tobytes()
+    run = lambda f: convolve_l1(f, kernel, resolution=16, max_levels=1).primitive.values.tobytes()
+    assert run(declared) == run(undeclared)
+
+
+@pytest.mark.parametrize("z", [0.0625, 0.3, 0.5, 2.0])
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_poisson_quadrature_is_mirror_symmetric_bit_for_bit(n, z):
+    kernel = PoissonKernelL1(z)
+    px, py, W = kernel.quad_points(n)
+    K = W * kernel.on_grid(px, py)
+    for nodes in (px, py):
+        assert nodes.tobytes() == (-nodes[::-1]).tobytes()
+    # the weights as convolve_l1 forms them, with and without normalize
+    for M in (K, W / float(np.sum(K)) * kernel.on_grid(px, py)):
+        assert M.tobytes() == M[::-1].tobytes() == M[:, ::-1].tobytes()
+
+
+def test_declared_g_is_even_bit_for_bit():
+    F = distribution("expRadial").primitive
+    assert F.even and F.G is primitive._exp_radial
+    t = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 745.2, 1e150, np.nextafter(1e150, POS_INF), 3e150, 1e300,
+                  np.finfo(float).max, POS_INF])
+    t = np.concatenate([t, -t])
+    X, Y = np.meshgrid(t, t)
+    G = F.G(X, Y)
+    assert G.tobytes() == F.G(-X, Y).tobytes() == F.G(X, -Y).tobytes()
+    for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()):  # the scalar branch
+        assert np.float64(F.G(x, y)).tobytes() == np.float64(F.G(-x, y)).tobytes() == np.float64(F.G(x, -y)).tobytes()

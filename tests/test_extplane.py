@@ -13,6 +13,7 @@ from cpintegral.extplane import (
     cell_tags,
     chart,
     chart_inverse,
+    chart_nodes,
     ext,
     make_interval,
     partition,
@@ -164,13 +165,23 @@ def test_chart_maps_match_the_nested_where_formulas_bit_for_bit():
     assert math.isnan(fwd[0]) and fwd[1] == 0.5 and math.isnan(inv[0]) and inv[1] == 1.0
 
 
+def _exact_chart_nodes(resolution):
+    """k / resolution for k = -resolution, -resolution + 2, ..., resolution, one division each."""
+    return np.array([k / resolution for k in range(-resolution, resolution + 1, 2)])
+
+
 def _old_segment_nodes(a, b, resolution, jumps=()):
-    """segment_nodes with a Python loop over the jumps and a sort on every call."""
+    """segment_nodes with a Python loop over the jumps and a sort on every call.
+
+    The whole line starts from the exact chart nodes k / resolution; a
+    finite or half-infinite range from np.linspace between its ends' charts.
+    """
     if not a < b:
         raise ValueError("need a < b")
     ua = float(np.asarray(_old_forward(a)))
     ub = float(np.asarray(_old_forward(b)))
-    u = np.linspace(ua, ub, resolution + 1)
+    whole = a == NEG_INF and b == POS_INF
+    u = _exact_chart_nodes(resolution) if whole else np.linspace(ua, ub, resolution + 1)
     nodes = np.asarray(_old_inverse(u), dtype=float)
     nodes[0] = a
     nodes[-1] = b
@@ -282,13 +293,32 @@ def test_segment_nodes_sort_only_what_the_chart_cannot_resolve():
         segment_nodes(math.nan, 1.0, 8)
 
 
+def test_chart_nodes_and_axis_nodes_are_exactly_odd_at_every_resolution():
+    # u[-1 - i] = -u[i] bit for bit, with +0.0 at the middle of an even
+    # resolution; a power of two keeps the bits of np.linspace
+    for resolution in range(2, 300):
+        for nodes in (chart_nodes(resolution), axis_nodes(resolution)):
+            assert len(nodes) == resolution + 1 and np.array_equal(nodes, -nodes[::-1])
+            assert not np.signbit(nodes[nodes == 0.0]).any()
+        assert (chart_nodes(resolution)[0], chart_nodes(resolution)[-1]) == (-1.0, 1.0)
+        if not resolution & (resolution - 1):
+            assert chart_nodes(resolution).tobytes() == np.linspace(-1.0, 1.0, resolution + 1).tobytes()
+
+
 @pytest.mark.parametrize("resolution", [2, 3, 4, 17, 64, 1000, 1 << 12])
 def test_axis_nodes_are_the_unjumped_partition_of_the_line(resolution):
     nodes = axis_nodes(resolution)
     assert nodes.tobytes() == segment_nodes(NEG_INF, POS_INF, resolution).tobytes()
     assert nodes.tobytes() == _old_segment_nodes(NEG_INF, POS_INF, resolution).tobytes()
-    old = _old_inverse(np.linspace(-1.0, 1.0, resolution + 1))
-    assert nodes.tobytes() == old.tobytes()
+    assert nodes.tobytes() == _old_inverse(_exact_chart_nodes(resolution)).tobytes()
+    # the nodes np.linspace(-1, 1, resolution + 1) gave before the chart nodes
+    # became exactly odd: the same bits at a power of two, and within 1.5 ulp
+    # of 1 in chart coordinates at any other resolution
+    u, linspace = chart(nodes), np.linspace(-1.0, 1.0, resolution + 1)
+    if resolution & (resolution - 1):
+        assert 0.0 < np.max(np.abs(u - linspace)) <= 1.5 * np.spacing(1.0)
+    else:
+        assert nodes.tobytes() == _old_inverse(linspace).tobytes()
     for bad in (1, 0, -1):
         with pytest.raises(ValueError):
             axis_nodes(bad)

@@ -46,7 +46,7 @@ from cpintegral.primitive import (
 from cpintegral.stieltjes import integrate_product
 from cpintegral.suites import SUITES, catalog_distributions, run_suite
 from cpintegral.variation import hk_norm
-from test_convolution import four_d_broadcast_sum
+from test_convolution import four_d_broadcast_sum, full_grid
 
 
 def test_total_integral_prod_arctan():
@@ -56,6 +56,26 @@ def test_total_integral_prod_arctan():
 def test_corner_integral_quarter_plane():
     f = distribution("prodArctan")
     assert abs(corner_integral(f, make_interval(0, POS_INF, 0, POS_INF)) - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize("F", catalog_distributions(), ids=lambda F: F.label)
+def test_corner_integral_takes_the_four_corners_in_one_eval(monkeypatch, F):
+    calls = []
+    evaluate = type(F).eval
+    monkeypatch.setattr(type(F), "eval", lambda self, x, y: calls.append(np.shape(x)) or evaluate(self, x, y))
+    rng = np.random.default_rng(3)
+    for a, b, c, d in [(NEG_INF, POS_INF, NEG_INF, POS_INF), (-0.5, 2.0, NEG_INF, 0.25),
+                       *rng.normal(0.0, 3.0, (20, 4)).tolist()]:
+        calls.clear()
+        value = corner_integral(F, make_interval(a, b, c, d))
+        assert type(value) is float and calls == [(4,)]
+        # the corners in the order F(a,c) + F(b,d) - F(a,d) - F(b,c), as
+        # the scalar calls took them; a scalar branch may round otherwise
+        sign = -1.0 if (a > b) != (c > d) else 1.0
+        a, b = sorted((a, b))
+        c, d = sorted((c, d))
+        scalar = F(a, c) + F(b, d) - F(a, d) - F(b, c)
+        assert abs(value - sign * scalar) <= 4 * np.spacing(max(1.0, abs(scalar)))
 
 
 def test_degenerate_interval_is_zero():
@@ -435,16 +455,29 @@ def test_convolution_suite_matches_the_full_3d_sum():
 
 # the convolution suite's digest under the 4-d broadcast sum, the one it
 # replaced; re-recorded when the by-parts sum became one term (3 of 29
-# floats moved, by at most 2.2e-16)
-FOUR_D_CONVOLUTION_DIGEST = "fd3dc63ee00351e9f4018815d82de2b10b7f940587cb4f2d2deecd8d1ee1678b"
+# floats moved, by at most 2.2e-16), and again when expRadial's 3-d sum took
+# one quadrant of the grid, which the 4-d sum now sees too: on the full grid
+# (expRadial undeclared) it gives back the digest it had before
+FOUR_D_CONVOLUTION_DIGEST = "5cd2b163167f41881ace920e9f66a3608f50e1bf8842217ceed49682987c1136"
+FOUR_D_FULL_GRID_CONVOLUTION_DIGEST = "fd3dc63ee00351e9f4018815d82de2b10b7f940587cb4f2d2deecd8d1ee1678b"
+
+
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 def test_convolution_suite_matches_the_four_d_sum(monkeypatch):
     new = _suite_report("convolution")
     monkeypatch.setattr(convolution, "_broadcast_sum", four_d_broadcast_sum)
     old = cli._jsonable(run_suite("convolution"))
-    assert hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest() == FOUR_D_CONVOLUTION_DIGEST
+    assert _report_digest(old) == FOUR_D_CONVOLUTION_DIGEST
     assert 0.0 < max_rounding_gap(new, old) <= 1e-15
+    catalog = suites.catalog_primitive
+    monkeypatch.setattr(suites, "catalog_primitive", lambda name, **params: (
+        full_grid(catalog(name)) if name == "expRadial" else catalog(name, **params)))
+    full = cli._jsonable(run_suite("convolution"))
+    assert _report_digest(full) == FOUR_D_FULL_GRID_CONVOLUTION_DIGEST
+    assert 0.0 < max_rounding_gap(new, full) <= 1e-15
 
 
 # sup |F| of the catalog primitives where it is known; sinc2d peaks at x = y = pi

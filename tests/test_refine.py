@@ -20,7 +20,11 @@ again when expRadial's G stopped calling np.hypot, from which they differ
 by rounding only (test_convolve_l1_golden_matches_the_hypot_formula), and
 a third time when the 3-d sum took the on_grid row x column shape in
 cache-sized blocks, which changed its summation order only
-(test_convolve_l1_golden_matches_the_four_d_sum).
+(test_convolve_l1_golden_matches_the_four_d_sum), and a fourth time when
+expRadial's G was declared even and the 3-d sum took one quadrant of the
+grid and mirrored it: the full grid sum, that of the undeclared primitive,
+gives back the digests they replaced, within a few ulp of the new grids
+(test_convolve_l1_golden_matches_the_full_grid_sum).
 The sinc2d pairing with approxIdentity(1) was re-recorded when the nine-term
 by-parts sum became one term: its last level moved by 2 ulps, and it is
 also checked against the exact pairing (PRODUCT_EXACT).
@@ -42,7 +46,7 @@ from cpintegral.integral import alexiewicz_norm, norm_dual, norm_prime
 from cpintegral.primitive import approx_identity, catalog_bv, distribution
 from cpintegral.stieltjes import integrate_product, rs_line_integral, rs_plane_integral
 from cpintegral.variation import hk_norm, sectional_variation_sup, variation_1d, vitali_variation
-from test_convolution import four_d_broadcast_sum
+from test_convolution import QUADRANT_ULPS, four_d_broadcast_sum, full_grid
 
 INDICATORS = {
     "quadrant": lambda: catalog_bv("quadrantIndicator"),
@@ -108,11 +112,11 @@ def record(result):
 
 GOLDEN = {
     'convolve_l1-expRadial-0.0625': (
-        '1ec410fab9db75f1be6a3b616dc2e14e9e81b2a822051f321219526e97741048', 0.0036373536851645612, None, False,
+        '292ae3f6837ae04dba0b4e27aba98848d54c0afaa31af383b8d1eae5940a9946', 0.0036373536851650053, None, False,
         None,
     ),
     'convolve_l1-expRadial-0.5': (
-        '1cdc55b10e6145027a32e4ef6e780ee111e21946b6997d520b99080bac49cea2', 0.0028449676313387472, None, False,
+        '42a477fa900e6b5926cb4cf5c85f6589494265d838d52c12657d7d3a21d1ba68', 0.0028449676313387195, None, False,
         None,
     ),
     'convolve_l1-prodArctan-0.0625': (
@@ -339,48 +343,22 @@ def _full_broadcast_sum(eval2, grid_xs, px, py, K):
 
 @pytest.mark.parametrize("z", [0.5, 0.0625])
 def test_convolve_l1_golden_matches_the_full_3d_sum(monkeypatch, z):
-    # the expRadial goldens above differ from the full 3-d sum by rounding only
-    def run():
-        kernel = PoissonKernelL1(z)
-        quad_points, levels = kernel.quad_points, []
-        kernel.quad_points = lambda level: levels.append(level) or quad_points(level)
-        dist = convolve_l1(distribution("expRadial"), kernel, resolution=16, tol=1e-6, normalize=True)
-        return dist, levels
-
-    new, new_levels = run()
+    # the expRadial goldens above differ from the full 3-d sum, every grid
+    # node of the undeclared primitive's, by rounding only
+    new, new_levels = _exp_radial_levels(z)
     monkeypatch.setattr(convolution, "_broadcast_sum", _full_broadcast_sum)
-    full, full_levels = run()
+    full, full_levels = _exp_radial_levels(z, full_grid)
     assert np.max(np.abs(new.primitive.values - full.primitive.values)) <= 1e-14
     assert abs(new.error_estimate - full.error_estimate) <= 1e-15
     assert (new.converged, new_levels) == (full.converged, full_levels)
 
 
-# the expRadial goldens' digests under G = exp(-hypot(x, y))
-HYPOT_DIGESTS = {
-    0.5: "3adb4bb84bc646f9604afa6f054d29daba5caa862fd2d92514eb1c1d6d3f72e1",
-    0.0625: "40c368bf3e8437a297d823d502493b27cd75e3109d5c55a958c79195d0b2216c",
-}
-
-
-@pytest.mark.parametrize("z", sorted(HYPOT_DIGESTS))
-def test_convolve_l1_golden_matches_the_hypot_formula(monkeypatch, z):
-    def run():
-        return convolve_l1(distribution("expRadial"), PoissonKernelL1(z), resolution=16, tol=1e-6, normalize=True)
-
-    new = run()
-    monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
-    old = run()
-    assert hashlib.sha256(old.primitive.values.tobytes()).hexdigest() == HYPOT_DIGESTS[z]
-    assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1.2e-16
-    assert (new.error_estimate, new.converged) == (old.error_estimate, old.converged)
-
-
-def _exp_radial_levels(z):
-    """The expRadial golden run at height z, with the quadrature levels it took."""
+def _exp_radial_levels(z, make=lambda f: f):
+    """The expRadial golden run at height z, on make(expRadial), with the quadrature levels it took."""
     kernel = PoissonKernelL1(z)
     quad_points, levels = kernel.quad_points, []
     kernel.quad_points = lambda level: levels.append(level) or quad_points(level)
-    dist = convolve_l1(distribution("expRadial"), kernel, resolution=16, tol=1e-6, normalize=True)
+    dist = convolve_l1(make(distribution("expRadial")), kernel, resolution=16, tol=1e-6, normalize=True)
     return dist, levels
 
 
@@ -388,13 +366,66 @@ def _digest(dist):
     return hashlib.sha256(dist.primitive.values.tobytes()).hexdigest()
 
 
+def _hypot_exp_radial(x, y):
+    return np.exp(-np.hypot(x, y))
+
+
+# the expRadial goldens' digests on the full grid, the ones they had before
+# the 3-d sum took one quadrant of the grid: the undeclared primitive gives
+# them back
+FULL_GRID_DIGESTS = {
+    0.5: "1cdc55b10e6145027a32e4ef6e780ee111e21946b6997d520b99080bac49cea2",
+    0.0625: "1ec410fab9db75f1be6a3b616dc2e14e9e81b2a822051f321219526e97741048",
+}
+
+
+@pytest.mark.parametrize("z", sorted(FULL_GRID_DIGESTS))
+def test_convolve_l1_golden_matches_the_full_grid_sum(z):
+    # the mirrored quadrant sums the same terms in another order: the grids
+    # differ by rounding only, and the levels and the stop agree
+    new, new_levels = _exp_radial_levels(z)
+    full, full_levels = _exp_radial_levels(z, full_grid)
+    assert _digest(full) == FULL_GRID_DIGESTS[z]
+    H = full.primitive.values
+    assert 0.0 < np.max(np.abs(new.primitive.values - H)) <= QUADRANT_ULPS * np.spacing(np.max(np.abs(H)))
+    assert abs(new.error_estimate - full.error_estimate) <= QUADRANT_ULPS * np.spacing(np.max(np.abs(H)))
+    assert (new.converged, new_levels) == (full.converged, full_levels)
+
+
+# the expRadial goldens' digests under G = exp(-hypot(x, y)), on the quadrant
+# and on the full grid (the latter are the digests the former replaced)
+HYPOT_DIGESTS = {
+    0.5: ("b02431972c9176add6ce9e7a14d2aeeff30fa25b783b71111f37b5bbfd7cfedf",
+          "3adb4bb84bc646f9604afa6f054d29daba5caa862fd2d92514eb1c1d6d3f72e1"),
+    0.0625: ("53ec554e9054959c19d8132e2c8cecb923aa5381b673878811b26aa9d142cb66",
+             "40c368bf3e8437a297d823d502493b27cd75e3109d5c55a958c79195d0b2216c"),
+}
+
+
+@pytest.mark.parametrize("z", sorted(HYPOT_DIGESTS))
+def test_convolve_l1_golden_matches_the_hypot_formula(monkeypatch, z):
+    new = _exp_radial_levels(z)[0]
+    monkeypatch.setattr(primitive, "_exp_radial", _hypot_exp_radial)
+    old = _exp_radial_levels(z)[0]
+    digest, full_digest = HYPOT_DIGESTS[z]
+    assert _digest(old) == digest
+    assert _digest(_exp_radial_levels(z, full_grid)[0]) == full_digest
+    assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1.2e-16
+    assert (new.error_estimate, new.converged) == (old.error_estimate, old.converged)
+
+
 # the expRadial goldens' digests under the 4-d broadcast sum, with G as it is
-# and as exp(-hypot(x, y)): the golden and HYPOT_DIGESTS values they replaced
+# and as exp(-hypot(x, y)), on the quadrant and on the full grid; the full
+# grid's are the golden and HYPOT_DIGESTS values they replaced
 FOUR_D_DIGESTS = {
-    0.5: ("c97283c7051f35109b4cf155710ce341b5cd544dd0a645c006d40fd674047ac9",
-          "19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3"),
-    0.0625: ("75af22ca175dfb3bd4fa3047cc6bf208b7b329cfca153fcc066637e8c3f67e41",
-             "c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3"),
+    0.5: (("6f34af91303092d55465dce96ccdc2af2179039392cff512ce5500e97b1c2144",
+           "1e8fccfffbf44f927db9c64567e0900a93ad1faeb420f7bc06089d601bcb8e9e"),
+          ("c97283c7051f35109b4cf155710ce341b5cd544dd0a645c006d40fd674047ac9",
+           "19b39613e2c50766a6eee1e2380e7f3af5e82ecb78319f1a88216c7884fae8d3")),
+    0.0625: (("c5011a8e807f0aedcd92b043157af9585b5d42250b997f6e8cfd8eddb8a651b7",
+              "dd664f7a4930e458ba94b3928660cf229025bf614286fdabace14dc054e38d6e"),
+             ("75af22ca175dfb3bd4fa3047cc6bf208b7b329cfca153fcc066637e8c3f67e41",
+              "c94c44ff1b9fce68e4df9ba12d49b3d029dc34c35750bc82848949f525e28ad3")),
 }
 
 
@@ -405,13 +436,13 @@ def test_convolve_l1_golden_matches_the_four_d_sum(monkeypatch, z):
     new, new_levels = _exp_radial_levels(z)
     monkeypatch.setattr(convolution, "_broadcast_sum", four_d_broadcast_sum)
     old, old_levels = _exp_radial_levels(z)
-    digest, hypot_digest = FOUR_D_DIGESTS[z]
-    assert _digest(old) == digest
+    quadrant, full = FOUR_D_DIGESTS[z]
+    assert (_digest(old), _digest(_exp_radial_levels(z, full_grid)[0])) == (quadrant[0], full[0])
     assert 0.0 < np.max(np.abs(new.primitive.values - old.primitive.values)) <= 1e-15
     assert abs(new.error_estimate - old.error_estimate) <= 1e-15
     assert (new.converged, new_levels) == (old.converged, old_levels)
-    monkeypatch.setattr(primitive, "_exp_radial", lambda x, y: np.exp(-np.hypot(x, y)))
-    assert _digest(_exp_radial_levels(z)[0]) == hypot_digest
+    monkeypatch.setattr(primitive, "_exp_radial", _hypot_exp_radial)
+    assert (_digest(_exp_radial_levels(z)[0]), _digest(_exp_radial_levels(z, full_grid)[0])) == (quadrant[1], full[1])
 
 
 def test_line_integral_with_nan_integrand_raises():
